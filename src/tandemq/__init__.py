@@ -18,7 +18,6 @@ from .errors import (
 )
 from .kernels import (
     KernelValue,
-    TruncationBox,
     chamber_to_departure,
     chamber_to_queue,
     change_of_measure,
@@ -29,7 +28,6 @@ from .kernels import (
     departures_to_queue,
     killed_poisson_kernel,
     noncrossing_prob,
-    queue_kernel_sum,
     queue_to_chamber,
     queue_to_chamber_support,
     queue_to_departures,
@@ -53,7 +51,6 @@ from .queueprobs import (
     kt00_gap,
     kt00_gap_relative,
     kt00_stationary,
-    kt_equal_rates_to_empty,
     kt_general,
     mm1_kt,
     stationary_empty_prob,
@@ -92,7 +89,6 @@ __all__ = [
     "SimConfig",
     "TandemError",
     "ToleranceNotAchieved",
-    "TruncationBox",
     "UnstableRatesError",
     "as_rates",
     "bottleneck_station",
@@ -117,11 +113,9 @@ __all__ = [
     "kt00_gap",
     "kt00_gap_relative",
     "kt00_stationary",
-    "kt_equal_rates_to_empty",
     "kt_general",
     "mm1_kt",
     "noncrossing_prob",
-    "queue_kernel_sum",
     "queue_to_chamber",
     "queue_to_chamber_support",
     "queue_to_departures",

@@ -126,17 +126,13 @@ def cmd_kt(args):
     if len(q) != n or len(q2) != n:
         raise PreconditionError(f"--q and --q2 must have {n} entries for these rates")
     ts = _parse_t_grid(args.t)
-    equal = nu.min_relative_gap() < 1e-12
     rows = []
     for t in ts:
         if n == 1:
             path = "bessel"
             kv = queueprobs.mm1_kt(q[0], q2[0], t, nu)
-        elif equal and not any(q2):
-            path = "equal-rates"
-            kv = queueprobs.kt_equal_rates_to_empty(q, t, nu, tol=args.tol)
         else:
-            path = "intertwining"
+            path = "departure-sum"
             kv = queueprobs.kt_general(q, q2, t, nu, tol=args.tol, precision=args.precision)
         rows.append(
             {

@@ -6,7 +6,8 @@ Three related Markov kernels live here, all on the ordered lattice
 * the killed kernel of N+1 independent Poisson counters, which vanishes
   once the shifted coordinates z_k - k collide;
 * the departure-count kernel of the tandem network (counter k records
-  cumulative departures from station k, station 0 being arrivals);
+  cumulative departures from station k, station 0 being arrivals), one
+  (N+1)x(N+1) determinant of Poisson-pmf series per transition;
 * the weight kernel pair linking them: chamber_to_departure and its left
   inverse departure_to_chamber, plus their queue-indexed forms.
 
@@ -15,12 +16,14 @@ destination point, columns j the source point, both running 0..N.
 
 The intertwining weights are polynomial in the rates and evaluate
 exactly over ints/Fractions.  Time-dependent kernels are numeric
-(float64, or mpmath under precision="high"); every infinite lattice sum
-is truncated with a certified Poisson-tail bound.
+(float64, or mpmath under precision="high"); every infinite sum is cut
+with a certified bound.  The weight-kernel sandwich at the end
+(departure_kernel_via_intertwining) is the independent route that the
+verify suite checks departure_kernel against.
 """
 
+import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import lattice, linalg, symfunc
 from .errors import PreconditionError, ToleranceNotAchieved
-from .numerics import Numerics, poisson_cap
+from .numerics import MAX_CAP, Numerics, polynomial_absorb_constant
 from .rates import as_rates
 from .symfunc import _pow
 
@@ -42,28 +45,6 @@ class KernelValue(NamedTuple):
 
     value: float
     abs_error: float
-
-
-@dataclass(frozen=True)
-class TruncationBox:
-    """Per-coordinate upper bounds for a lattice sum and the certified
-    bound on the probability mass that lies outside."""
-
-    bounds: tuple
-    tail_bound: float
-
-    @classmethod
-    def for_poisson(cls, x, t, nu, tol, numerics=None):
-        """Box with M_k = x_k + cap_k such that the free Poisson motion
-        started at x stays inside except with probability < tol."""
-        nm = numerics or Numerics()
-        nu = as_rates(nu)
-        caps, tail = [], nm.scalar(0)
-        for k, r in enumerate(nu):
-            cap, tl = poisson_cap(nm.scalar(r) * nm.scalar(t), tol / len(nu), nm)
-            caps.append(x[k] + cap)
-            tail = tail + tl
-        return cls(tuple(caps), float(tail))
 
 
 def _check_chamber(x, name="z"):
@@ -108,16 +89,16 @@ def taylor_weight(n, t):
     return math.exp(n * math.log(t) - math.lgamma(n + 1))
 
 
-def window_weight(n, t, nu, i, j, rel_tol=None):
+def window_weight(n, t, nu, i, j):
     """Convolution of taylor_weight with the rate-window coefficients:
 
         sum_{k=0}^{i-j} (-1)^k e_k(nu_{j+1..i}) taylor_weight(n+k, t)   j <= i,
         sum_{k>=0}           h_k(nu_{i+1..j}) taylor_weight(n+k, t)     i <= j.
 
-    The second series has nonnegative terms; it is cut once a geometric
-    tail bound certifies the remainder below rel_tol times the partial
-    sum, with a floor of 8 terms (factorial decay of taylor_weight beats
-    the polynomially-weighted geometric growth of h_k)."""
+    The finite sum is generic over the scalar type of t.  The series is
+    departure_kernel's entry series (_entry_series) with the factor
+    e^(-nu_i t) nu_i^n taken back out, so it shares that cut: float t is
+    evaluated in double precision, mpf t in high precision."""
     nu = as_rates(nu)
     last = nu.n_stations
     if not (0 <= i <= last and 0 <= j <= last):
@@ -137,26 +118,12 @@ def window_weight(n, t, nu, i, j, rel_tol=None):
     if t == 0:
         # only the k = -n term survives
         return symfunc.window_h(-n, i, j, vals) * t**0
-    if rel_tol is None:
-        rel_tol = mpmath.mpf(10) ** (-mpmath.mp.dps - 2) if isinstance(t, mpmath.mpf) else 1e-16
-    m = j - i
-    numax = max(float(v) for v in vals[i + 1 : j + 1])
-    tf = float(t)
-    total = taylor_weight(n, t) * 0
-    k = 0
-    while True:
-        total = total + symfunc.window_h(k, i, j, vals) * taylor_weight(n + k, t)
-        k += 1
-        if k < 8 or n + k < 1:
-            continue
-        # term_k <= binom(k+m-1, m-1) numax^k w_{n+k}(t), ratio
-        # rho = numax t (k+m) / ((k+1)(n+k+1)) eventually < 1
-        bound = math.comb(k + m - 1, m - 1) * numax**k * taylor_weight(n + k, tf)
-        rho = numax * tf * (k + m) / ((k + 1) * (n + k + 1))
-        if rho < 1 and bound / (1 - rho) <= rel_tol * float(total):
-            return total
-        if k > 200000:
-            raise ToleranceNotAchieved(float(rel_tol), bound, "window series cutoff")
+    nm = Numerics("high" if isinstance(t, mpmath.mpf) else "double")
+    with nm.arithmetic():
+        _, logabs, _, _ = _entry_series(i, j, 0, n, 1, t, nu, math.log(_cut_budget(nm)), nm)
+        rate = nm.scalar(vals[i])
+        out = nm.exp(logabs[0] + rate * nm.scalar(t) - n * nm.log(rate))
+    return out if nm.high else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +172,15 @@ def change_of_measure(z, z2, t, nu, lam):
     return math.exp(s)
 
 
-def departure_kernel(d, d2, t, nu, numerics=None, rel_tol=None):
+def departure_kernel(d, d2, t, nu, numerics=None):
     """Transition probability of the departure-count vector,
 
         prod_k [e^(-nu_k t) nu_k^(d2_k - d_k)] det{ window_weight(d2_i - d_j - i + j, t, nu, i, j) },
 
-    with the prefactor folded into the matrix rows/columns so entries
-    stay scaled.  Exactly zero when d2_k < d_k for some k (the zero
-    pattern of the lower-triangle entries forces a singular block)."""
+    with the prefactor folded into the entries so that every term is a
+    Poisson pmf times bounded factors (see departure_kernel_stack).
+    Exactly zero when d2_k < d_k for some k.  The series cuts change the
+    value by at most 1e-18 (10^-(dps+2) in high precision)."""
     nu = as_rates(nu)
     nm = numerics or Numerics()
     d = _check_chamber(d, "d")
@@ -222,18 +190,236 @@ def departure_kernel(d, d2, t, nu, numerics=None, rel_tol=None):
         raise PreconditionError("points must have one coordinate per rate")
     if t < 0:
         raise PreconditionError("t must be nonnegative")
-    ts = nm.scalar(t)
-    rates = [nm.scalar(r) for r in nu]
-    rowfac = [nm.exp(-rates[a] * ts) * rates[a] ** (d2[a] - a) for a in range(n1)]
-    colfac = [rates[b] ** (b - d[b]) for b in range(n1)]
-    mat = [
-        [
-            rowfac[a] * colfac[b] * window_weight(d2[a] - d[b] - a + b, ts, nu, a, b, rel_tol)
-            for b in range(n1)
-        ]
-        for a in range(n1)
-    ]
-    return linalg.det(mat)
+    if t == 0:
+        return nm.scalar(1 if d == d2 else 0)
+    values, _, _ = departure_kernel_stack(d, d2, 1, t, nu, _cut_budget(nm), nm)
+    return values[0] if nm.high else float(values[0])
+
+
+def departure_kernel_stack(d, d2, count, t, nu, budget, numerics):
+    """departure_kernel(d, d2 + c, t) for c = 0..count-1 (c is added to
+    every coordinate of d2).  Returns (values, cut, roundoff): cut bounds
+    the summed error of the series cuts and is at most budget; roundoff
+    estimates the summed float round-off, which cut does not cover.
+    t must be positive.
+
+    With n = d2_a + c - d_b - a + b, entry (a, b) of slice c is
+
+        (nu_a/nu_b)^(d_b - b) sum_k coef_k nu_a^-k pois(nu_a t, n + k),
+
+    coef_k = 1 on the diagonal (k = 0 only), (-1)^k e_k(nu_{b+1..a}) for
+    a > b (k <= a - b), and h_k(nu_{a+1..b}) for a < b, a series cut
+    where its certified tail drops below e^lt (_h_cut).  A step in c moves
+    n by one, so each entry is one log-space correlation over all c.
+    The entries are kept as sign and log|.|, so no factor overflows.
+
+    Entry errors E_ab change a determinant by at most
+    perm(|A| + E) - perm(|A|) (_log_perm_diff), which carries the cuts.
+    The first lt assumes permanents of unit size; a larger one misses
+    the budget, and every cut is then lowered below the worst one by the
+    measured excess.  The round-off estimate reruns the determinants
+    with every entry moved by its estimated relative error, with a fixed
+    pseudo-random sign, and takes N+1 times the summed change."""
+    nu = as_rates(nu)
+    nm = numerics
+    n1 = len(nu)
+    log_budget = math.log(budget)
+    lt = log_budget - math.log(count * n1 * n1)
+    with nm.arithmetic():
+        for _ in range(3):
+            shape = (count, n1, n1)
+            sign = np.zeros(shape, dtype=int)
+            logabs = np.empty(shape, dtype=object if nm.high else float)
+            logcut = np.full((n1, n1), -np.inf)
+            logrel = np.full((n1, n1), -np.inf)
+            for a in range(n1):
+                for b in range(n1):
+                    n0 = d2[a] - d[b] - a + b
+                    sign[:, a, b], logabs[:, a, b], logcut[a, b], logrel[a, b] = _entry_series(
+                        a, b, d[b] - b, n0, count, t, nu, lt, nm
+                    )
+            log_cut = _log_perm_diff(np.asarray(logabs, dtype=float), logcut)
+            if log_cut <= log_budget:
+                values = _stack_dets(sign, logabs, nm)
+                signs = np.random.default_rng(0).choice((-1, 1), size=shape)
+                moved = _stack_dets(sign, logabs + signs * np.exp(logrel), nm)
+                roundoff = n1 * float(np.abs(np.asarray(moved - values, dtype=float)).sum())
+                return values, math.exp(log_cut), roundoff
+            lt = min(lt, logcut.max()) - (log_cut - log_budget) - math.log(2.0)
+    raise ToleranceNotAchieved(budget, math.exp(log_cut), "h-series cut")
+
+
+def _cut_budget(nm):
+    return 10.0 ** -(nm.dps + 2) if nm.high else 1e-18
+
+
+def _array(values, nm):
+    return np.array(values, dtype=object if nm.high else float)
+
+
+def _entry_series(a, b, shift, n0, count, t, nu, lt, nm):
+    """Sign and log|.| of (nu_a/nu_b)^shift sum_k coef_k nu_a^-k
+    pois(nu_a t, n + k) for n = n0..n0+count-1 (coefficients as in
+    departure_kernel_stack), the log of the bound on its cut, and the log
+    of an estimate of its relative round-off."""
+    vals = nu.values
+    rate = nm.scalar(vals[a])
+    lrate = nm.log(rate)
+    mu = rate * nm.scalar(t)
+    logcut = -math.inf
+    if a == b:
+        logc, sg = _array([0], nm), np.ones(1, dtype=int)
+    elif a > b:
+        ks = range(a - b + 1)
+        coefs = [nm.scalar(symfunc.window_e(k, b, a, vals)) for k in ks]
+        logc = nm.log(_array(coefs, nm)) - _array(list(ks), nm) * lrate
+        sg = np.array([(-1) ** k for k in ks])
+    else:
+        # h_k over the window rates scaled by their maximum is at most
+        # binom(k+m-1, m-1), so the terms stay bounded
+        numax = max(nm.scalar(v) for v in vals[a + 1 : b + 1])
+        fl = nu.as_floats()
+        cut, logcut = _h_cut(
+            n0, fl[a] * float(t), float(numax) / fl[a], b - a - 1,
+            shift * (math.log(fl[a]) - math.log(fl[b])), lt,
+        )
+        table = symfunc.window_h_table(cut, a, b, [nm.scalar(v) / numax for v in vals])
+        ks = _array(list(range(cut + 1)), nm)
+        logc = nm.log(_array(table, nm)) + ks * (nm.log(numax) - lrate)
+        sg = np.ones(cut + 1, dtype=int)
+    hi = n0 + count + len(logc) - 2
+    logpmf = nm.poisson_logpmf_table(mu, n0, hi)
+    sign, logabs = _log_correlate(logpmf, count, logc, sg, nm)
+    const = shift * (lrate - nm.log(nm.scalar(vals[b])))
+    if shift:
+        logabs = logabs + const
+    # every exponent is a sum of parts no larger than mag, each rounded
+    # once; the sum over k adds about one unit of round-off per term
+    fmu = float(mu)
+    mag = abs(max(hi, 0) * math.log(fmu)) + math.lgamma(max(hi, 0) + 1) + fmu
+    mag += float(max(abs(v) for v in logc)) + abs(float(const))
+    unit = 10.0 ** -nm.dps if nm.high else 2.0**-53
+    return sign, logabs, logcut, math.log(unit * (2 * mag + len(logc) + 4))
+
+
+def _log_correlate(logpmf, count, logc, sg, nm):
+    """Sign and log|.| of sum_k sg_k exp(logpmf[c + k] + logc_k) for
+    c = 0..count-1, each sum shifted by its largest exponent; the
+    (c, k) terms are formed about 2^20 at a time."""
+    sign = np.zeros(count, dtype=int)
+    logabs = np.empty(count, dtype=logpmf.dtype)
+    ks = np.arange(len(logc))
+    step = max(1, (1 << 20) // len(logc))
+    for start in range(0, count, step):
+        cs = np.arange(start, min(count, start + step))
+        terms = logpmf[cs[:, None] + ks[None, :]] + logc[None, :]
+        top = terms.max(axis=1)
+        top = np.where(top == -np.inf, 0, top)
+        total = (sg[None, :] * nm.exp(terms - top[:, None])).sum(axis=1)
+        sign[cs] = (total > 0).astype(int) - (total < 0).astype(int)
+        logabs[cs] = nm.log(abs(total)) + top
+    return sign, logabs
+
+
+def _h_cut(n0, mu, ratio, deg, log_f, lt):
+    """Smallest series length K whose tail bound is below e^lt, and the
+    log of that bound, for the entry e^log_f sum_{k>=0} hhat_k ratio^k
+    pois(mu, n + k) with hhat_k <= binom(k+deg, deg) and n >= n0.
+
+    binom(k+deg, deg) <= A (1+delta)^k (polynomial_absorb_constant); with
+    G = max(1, (1+delta) ratio) the exact tilt identity
+    pois(mu, j) G^j = e^{mu(G-1)} pois(mu G, j) bounds the tail past K by
+
+        e^log_f A G^-n e^{mu(G-1)} P(Poisson(mu G) > n + K),
+
+    which decreases in n, so the bound at n0 covers every n."""
+    if deg == 0:
+        delta, absorb = 0.0, 1.0
+    else:
+        delta = min(1.0, deg / (mu * ratio))
+        absorb = polynomial_absorb_constant(deg, delta)
+    g = max(1.0, (1.0 + delta) * ratio)
+    lam = mu * g
+    base = log_f + math.log(absorb) - n0 * math.log(g) + mu * (g - 1.0)
+    c = 0.0
+    while True:
+        cut = max(0, math.ceil(lam + c * math.sqrt(lam) + c * c) - n0)
+        log_tail = base + _log_poisson_sf(lam, n0 + cut)
+        if log_tail <= lt:
+            return cut, log_tail
+        if cut > MAX_CAP:
+            detail = f"h-series cut exceeded {MAX_CAP}"
+            raise ToleranceNotAchieved(math.exp(lt), math.exp(log_tail), detail)
+        c += 1.0
+
+
+def _log_poisson_sf(mu, m):
+    """log P(Poisson(mu) > m), also where the probability underflows."""
+    sf = Numerics().poisson_sf(mu, m)
+    if sf > 1e-300:
+        return math.log(sf)
+    # deep tail, m far above mu: pmf ratios past m+1 are below mu/(m+2)
+    return (m + 1) * math.log(mu) - math.lgamma(m + 2) - mu - math.log1p(-mu / (m + 2))
+
+
+def _log_perm_diff(logabs, logerr):
+    """log sum_c [perm(|A| + E) - perm(|A|)] over the slices c, for
+    |A| = exp(logabs) and E = exp(logerr).
+
+    Recursion over the column sets S used by the first |S| rows:
+    P_S = sum_j P_{S-j} |A|_rj and, for G = perm(|A| + E) - P,
+    G_S = sum_j (P_{S-j} E_rj + G_{S-j} (|A| + E)_rj).  Every term is
+    nonnegative, so nothing cancels, and all of it runs in log space."""
+    count, n1, _ = logabs.shape
+    logerr = np.broadcast_to(logerr, logabs.shape)
+    both = np.logaddexp(logabs, logerr)
+    perm = {0: np.zeros(count)}
+    diff = {0: np.full(count, -np.inf)}
+    for cols in range(1, 1 << n1):
+        r = bin(cols).count("1") - 1
+        js = [j for j in range(n1) if cols >> j & 1]
+        perm[cols] = np.logaddexp.reduce([perm[cols ^ 1 << j] + logabs[:, r, j] for j in js])
+        diff[cols] = np.logaddexp.reduce(
+            [perm[cols ^ 1 << j] + logerr[:, r, j] for j in js]
+            + [diff[cols ^ 1 << j] + both[:, r, j] for j in js]
+        )
+    return float(np.logaddexp.reduce(diff[(1 << n1) - 1]))
+
+
+def _stack_dets(sign, logabs, nm):
+    """Determinants of the slices sign * exp(logabs), by Gaussian
+    elimination with partial pivoting run on the whole stack at once.
+    The rows are scaled to unit maximum first, and the rows still to be
+    eliminated again after every step, with the scales kept in log
+    space: the row scales of one slice can multiply to e^700 and more
+    while its determinant is a probability, so a single scaling would
+    let the elimination underflow."""
+    count, n1, _ = logabs.shape
+    top = logabs.max(axis=2)
+    top = np.where(top == -np.inf, 0, top)
+    mats = sign * nm.exp(logabs - top[:, :, None])
+    logdet = top.sum(axis=1)
+    dsign = np.ones(count, dtype=int)
+    slices = np.arange(count)
+    for k in range(n1):
+        p = k + np.argmax(abs(mats[:, k:, k]), axis=1)
+        swap = p != k
+        rows = mats[slices, p].copy()
+        mats[slices, p] = mats[:, k]
+        mats[:, k] = rows
+        piv = mats[:, k, k]
+        dsign = dsign * np.where(swap, -1, 1) * ((piv > 0).astype(int) - (piv < 0).astype(int))
+        logdet = logdet + nm.log(abs(piv))
+        if k + 1 == n1:
+            break
+        piv = np.where(piv == 0, 1, piv)
+        factors = mats[:, k + 1 :, k] / piv[:, None]
+        rest = mats[:, k + 1 :, k + 1 :] - factors[:, :, None] * mats[:, None, k, k + 1 :]
+        scale = abs(rest).max(axis=2)
+        scale = np.where(scale == 0, 1, scale)
+        mats[:, k + 1 :, k + 1 :] = rest / scale[:, :, None]
+        logdet = logdet + nm.log(scale).sum(axis=1)
+    return dsign * nm.exp(logdet)
 
 
 # ---------------------------------------------------------------------------
@@ -399,13 +585,14 @@ def noncrossing_prob(x, t, nu, tol=1e-9, precision="double"):
 
 
 # ---------------------------------------------------------------------------
-# departure kernel through the weight-kernel sandwich
+# departure kernel through the weight-kernel sandwich (verify oracle)
 
 
-def departure_kernel_via_intertwining(d, d2, t, nu, tol=1e-8, precision="double"):
+def departure_kernel_via_intertwining(d, d2, t, nu, tol=1e-8):
     """Evaluates the sandwich sum_z departure_to_chamber(d,z) *
     sum_{z'} killed_kernel(z,z') * chamber_to_departure(z',d2) on a
-    certified box; agrees with departure_kernel up to tol.
+    certified box; agrees with departure_kernel up to tol.  This is the
+    independent route the verify suite checks departure_kernel against.
 
     The z' sum is restricted to z' >= d2 coordinatewise with z'_N pinned
     to d2_N: outside that region the weight vanishes (as a cancelling
@@ -425,41 +612,13 @@ def departure_kernel_via_intertwining(d, d2, t, nu, tol=1e-8, precision="double"
     if t == 0:
         return KernelValue(1.0 if d == d2 else 0.0, 0.0)
     supp = departure_to_chamber_support(d, nu)
-    fl = nu.as_floats()
-
-    value, bound = _sandwich_sum(
-        supp, t, fl, tol, pinned_target=d2, queue_target=None, precision=precision
-    )
+    value, bound = _sandwich_sum(supp, t, nu.as_floats(), tol, d2)
     return KernelValue(value, bound)
 
 
-def queue_kernel_sum(q, q2, t, nu, tol=1e-8, precision="double"):
-    """sum_z queue_to_chamber(q,z) E_z[chamber_to_queue(X(t), q2); no
-    collision by t], the queue-transition probability via the weight
-    kernels.  Same truncation contract as
-    departure_kernel_via_intertwining; here the target departure vector
-    tracks z'_N, so all N+1 coordinates are free."""
-    nu = as_rates(nu)
-    q = _check_queue(q, nu.n_stations, "q")
-    q2 = _check_queue(q2, nu.n_stations, "q2")
-    if t < 0:
-        raise PreconditionError("t must be nonnegative")
-    if t == 0:
-        return KernelValue(1.0 if q == q2 else 0.0, 0.0)
-    supp = queue_to_chamber_support(q, nu)
-    fl = nu.as_floats()
-    value, bound = _sandwich_sum(
-        supp, t, fl, tol, pinned_target=None, queue_target=queue_to_departures(q2), precision=precision
-    )
-    return KernelValue(value, bound)
-
-
-def _sandwich_sum(supp, t, fl, tol, pinned_target, queue_target, precision):
-    """Shared engine for the two weight-kernel sandwich sums.
-
-    pinned_target: departure vector d2 with z'_N = d2_N pinned, or None.
-    queue_target: anchored departure vector pitilde(q2) whose actual
-    target is pitilde(q2) + z'_N, or None.  Exactly one is set.
+def _sandwich_sum(supp, t, fl, tol, tgt):
+    """Weight-kernel sandwich sum towards the departure vector tgt, with
+    z'_N = tgt_N pinned.
 
     Truncation bound.  Expanding both determinants over permutations,
     each term factors over the coordinates of z' as a Poisson pmf (with
@@ -471,88 +630,46 @@ def _sandwich_sum(supp, t, fl, tol, pinned_target, queue_target, precision):
         scale * prod_k pmf-factor_k * growth_k^{y_k} * binom(y_k + shift + deg, deg)
 
     so grow_weighted_box applies coordinatewise.  scale collects both
-    Leibniz sums, the start weights, the pmf rescaling constants, and
-    the constant offsets of the growth envelope.
+    Leibniz sums, the start weights, the pmf rescaling constants, the
+    constant offsets of the growth envelope and the pinned coordinate's
+    bounded h-window factor.
     """
     n1 = len(fl)
     numax = max(fl)
     numin = min(fl)
-    pinned = pinned_target is not None
-    tgt = pinned_target if pinned else queue_target
 
     zlo = [min(z[k] for z, _ in supp) for k in range(n1)]
-    zhi = [max(z[k] for z, _ in supp) for k in range(n1)]
     vmax = max(z[b] - b for z, _ in supp for b in range(n1))
     vstart = [k + vmax for k in range(n1)]
-    if pinned:
-        # weight vanishes structurally outside z' >= d2, z'_N = d2_N
-        lo = [max(tgt[k], zlo[k]) for k in range(n1)]
-        free = list(range(n1 - 1))
-    else:
-        lo = list(zlo)
-        free = list(range(n1))
-
+    # weight vanishes structurally outside z' >= tgt, z'_N = tgt_N
+    lo = [max(tgt[k], zlo[k]) for k in range(n1)]
     growth = [numax / fl[k] for k in range(n1)]
-    if not pinned:
-        # z'_N lowers every other relative coordinate: effective growth
-        # prod_{k<N} nu_k/numax, always <= 1
-        growth[n1 - 1] = math.prod(fl[:-1]) / numax ** (n1 - 1)
 
     ratmax = numax / numin
     abs_pi = sum(
         abs(float(v)) * math.prod(ratmax ** abs(z[b] - b) for b in range(n1)) for z, v in supp
     )
     deg = max(0, n1 - 2)
-    # binom degree offset: r_ab <= y_a + shift across both modes
-    shift = vmax + 2 * n1 - min(tgt[b] - b for b in range(n1))
-    if not pinned:
-        shift += n1 - lo[n1 - 1]
-    shift = max(0, shift)
+    # binom degree offset: r_ab <= y_a + shift
+    shift = max(0, vmax + 2 * n1 - min(tgt[b] - b for b in range(n1)))
 
     scale = float(math.factorial(n1)) ** 2 * abs_pi
     for k in range(n1):
-        off = vstart[k] - tgt[k] if pinned else vstart[k] - vstart[n1 - 1] - tgt[k]
-        scale *= max(1.0, growth[k] ** off)
-    if pinned:
-        # the pinned coordinate contributes its own bounded h-window factor
-        scale *= math.comb(shift + deg, deg)
+        scale *= max(1.0, growth[k] ** (vstart[k] - tgt[k]))
+    scale *= math.comb(shift + deg, deg)
 
+    free = n1 - 1
     caps, bound = lattice.grow_weighted_box(
-        [lo[k] for k in free],
-        [vstart[k] for k in free],
-        t,
-        [fl[k] for k in free],
-        tol,
-        [growth[k] for k in free],
-        deg,
-        shift,
-        scale,
+        lo[:free], vstart[:free], t, fl[:free], tol, growth[:free], deg, shift, scale
     )
-    hi = [0] * n1
-    for pos, k in enumerate(free):
-        hi[k] = caps[pos]
-    if pinned:
-        hi[n1 - 1] = tgt[n1 - 1]
-        lo[n1 - 1] = tgt[n1 - 1]
+    hi = list(caps) + [tgt[free]]
+    lo[free] = tgt[free]
     if any(lo[k] > hi[k] for k in range(n1)):
-        return (Numerics("high").scalar(0) if precision == "high" else 0.0), bound
-
-    if precision == "high":
-        value = _sandwich_exact_loop(supp, t, fl, lo, hi, pinned, tgt)
-        return value, bound
-    value = _sandwich_batched(supp, t, fl, lo, hi, pinned, tgt)
-    return value, bound
+        return 0.0, bound
+    return _sandwich_batched(supp, t, fl, lo, hi, tgt), bound
 
 
-def _h_value_tables(fl, rmax, n1):
-    """h-window tables h(b,N)_r for r = 0..rmax, one per column b."""
-    return [
-        np.array(symfunc.window_h_table(max(rmax, 0), b, n1 - 1, fl), dtype=float)
-        for b in range(n1)
-    ]
-
-
-def _sandwich_batched(supp, t, fl, lo, hi, pinned, tgt):
+def _sandwich_batched(supp, t, fl, lo, hi, tgt):
     n1 = len(fl)
     idx = np.arange(n1)
 
@@ -563,19 +680,17 @@ def _sandwich_batched(supp, t, fl, lo, hi, pinned, tgt):
     nmd = Numerics()
     pmf = [nmd.poisson_pmf_table(fl[a] * float(t), mlo, mhi) for a in range(n1)]
 
-    rmax = max(hi) - (min(tgt) if pinned else min(tgt) + lo[n1 - 1]) + n1
-    htab = _h_value_tables(fl, rmax, n1)
+    # h-window tables h(b,N)_r for r = 0..rmax, one per column b
+    rmax = max(0, max(hi) - min(tgt) + n1)
+    htab = [np.array(symfunc.window_h_table(rmax, b, n1 - 1, fl), dtype=float) for b in range(n1)]
 
     total = 0.0
-    for chunk in _chunked_tuples(lo, hi, 200000):
+    points = lattice.ordered_tuples(lo, hi)
+    for chunk in iter(lambda: list(itertools.islice(points, 200000)), []):
         Z = np.asarray(chunk, dtype=np.int64)
         P = Z.shape[0]
         # weight-kernel determinant stack (independent of the start z)
-        if pinned:
-            rel = Z
-        else:
-            rel = Z - Z[:, n1 - 1 : n1]
-        r = rel[:, :, None] - np.asarray(tgt)[None, None, :] - idx[:, None] + idx[None, :]
+        r = Z[:, :, None] - np.asarray(tgt)[None, None, :] - idx[:, None] + idx[None, :]
         L = np.zeros((P, n1, n1))
         for b in range(n1):
             rb = r[:, :, b]
@@ -583,7 +698,7 @@ def _sandwich_batched(supp, t, fl, lo, hi, pinned, tgt):
             L[:, :, b] = np.where(ok, htab[b][np.clip(rb, 0, len(htab[b]) - 1)], 0.0)
         rowfac = np.empty((P, n1))
         for a in range(n1):
-            rowfac[:, a] = fl[a] ** (-(rel[:, a] - a).astype(float))
+            rowfac[:, a] = fl[a] ** (-(Z[:, a] - a).astype(float))
         colfac = np.array([fl[b] ** (tgt[b] - b) for b in range(n1)])
         L *= rowfac[:, :, None] * colfac[None, None, :]
         sL, mL = lattice.DetStackAccumulator.logdet(L)
@@ -603,34 +718,5 @@ def _sandwich_batched(supp, t, fl, lo, hi, pinned, tgt):
             sC, mC = lattice.DetStackAccumulator.logdet(C)
             vals = lattice.DetStackAccumulator.combine([(sL, mL), (sC, mC)])
             total += float(pival) * vals.sum()
-    return total
+    return float(total)
 
-
-def _sandwich_exact_loop(supp, t, fl, lo, hi, pinned, tgt):
-    nm = Numerics("high")
-    n1 = len(fl)
-    exact = tuple(Fraction(v) for v in fl)
-    total = nm.scalar(0)
-    for zp in lattice.ordered_tuples(lo, hi):
-        target = tgt if pinned else tuple(tgt[k] + zp[n1 - 1] for k in range(n1))
-        lam = chamber_to_departure(zp, target, exact)
-        if lam == 0:
-            continue
-        lam_s = nm.scalar(lam)
-        for z, pival in supp:
-            if any(zp[k] < z[k] for k in range(n1)):
-                continue
-            p = killed_poisson_kernel(z, zp, t, fl, nm)
-            total = total + nm.scalar(pival) * p * lam_s
-    return total
-
-
-def _chunked_tuples(lo, hi, chunk):
-    buf = []
-    for z in lattice.ordered_tuples(lo, hi):
-        buf.append(z)
-        if len(buf) >= chunk:
-            yield buf
-            buf = []
-    if buf:
-        yield buf

@@ -7,8 +7,6 @@ exact division; floats and mpmath values get partial pivoting.
 
 from fractions import Fraction
 
-import numpy as np
-
 
 def det(matrix):
     """Determinant of a square list-of-lists (or ndarray) of scalars."""
@@ -78,12 +76,3 @@ def det_int(matrix):
         prev = pk[k]
     return sign * m[n - 1][n - 1]
 
-
-def det_stack(stack):
-    """Determinants of a (m, n, n) float array, one per slice."""
-    a = np.asarray(stack, dtype=float)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValueError("expected a stack of square matrices")
-    if a.shape[1] == 1:
-        return a[:, 0, 0].copy()
-    return np.linalg.det(a)

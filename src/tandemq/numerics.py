@@ -8,12 +8,13 @@ deep tails (transition probabilities far below 1e-12) where float64
 round-off in signed sums would start to matter.
 """
 
+import contextlib
 import math
 from fractions import Fraction
 
 import mpmath
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .errors import ToleranceNotAchieved
 
@@ -49,30 +50,41 @@ class Numerics:
                 return mpmath.mpf(x)
         return float(x)
 
+    def arithmetic(self):
+        """Context in which mpmath arithmetic runs at this precision;
+        a no-op in double precision."""
+        return mpmath.workdps(self.dps) if self.high else contextlib.nullcontext()
+
     def exp(self, x):
+        """Elementwise exp of a scalar or an array."""
         if self.high:
             with mpmath.workdps(self.dps):
-                return mpmath.e ** mpmath.mpf(x)
-        return math.exp(x)
+                return np.frompyfunc(mpmath.exp, 1, 1)(x)
+        return np.exp(x)
 
-    def zeros(self, n):
+    def log(self, x):
+        """Elementwise natural log of a scalar or an array (log 0 = -inf)."""
         if self.high:
-            a = np.empty(n, dtype=object)
-            a[:] = mpmath.mpf(0)
-            return a
-        return np.zeros(n)
+            with mpmath.workdps(self.dps):
+                return np.frompyfunc(mpmath.log, 1, 1)(x)
+        with np.errstate(divide="ignore"):
+            return np.log(x)
+
+    def poisson_logpmf_table(self, mu, lo, hi):
+        """log pmf of Poisson(mu) on integers lo..hi inclusive (-inf for k < 0)."""
+        if self.high:
+            return self.log(self.poisson_pmf_table(mu, lo, hi))
+        ks = np.arange(lo, hi + 1)
+        out = np.full(len(ks), -np.inf)
+        mask = ks >= 0
+        out[mask] = special.xlogy(ks[mask], float(mu)) - special.gammaln(ks[mask] + 1) - float(mu)
+        return out
 
     def poisson_pmf_table(self, mu, lo, hi):
         """pmf of Poisson(mu) on integers lo..hi inclusive (0 for k < 0)."""
-        ks = np.arange(lo, hi + 1)
         if not self.high:
-            out = np.zeros(len(ks))
-            mask = ks >= 0
-            if float(mu) == 0.0:
-                out[mask & (ks == 0)] = 1.0
-            else:
-                out[mask] = stats.poisson.pmf(ks[mask], float(mu))
-            return out
+            return np.exp(self.poisson_logpmf_table(mu, lo, hi))
+        ks = np.arange(lo, hi + 1)
         with mpmath.workdps(self.dps):
             mu = mpmath.mpf(mu)
             out = np.empty(len(ks), dtype=object)
@@ -117,20 +129,6 @@ def poisson_cap(mu, tol, numerics=None):
         c += 1.0
 
 
-def tilted_poisson_tail(mu, m, g, numerics=None):
-    """Upper bound on sum_{k>m} pmf_Poisson(mu)(k) * g^k for g >= 1.
-
-    Uses the exact exponential-tilt identity
-        sum_k pmf(mu,k) g^k f(k) = e^{mu(g-1)} sum_k pmf(mu*g,k) f(k).
-    """
-    nm = numerics or Numerics()
-    if g < 1:
-        g = 1.0
-    mu = nm.scalar(mu)
-    gs = nm.scalar(g)
-    return nm.exp(mu * (gs - 1)) * nm.poisson_sf(mu * gs, m)
-
-
 def polynomial_absorb_constant(degree, delta, shift=0):
     """max over m >= 0 of binom(m + shift + degree, degree) * (1+delta)^-m.
 
@@ -146,3 +144,4 @@ def polynomial_absorb_constant(degree, delta, shift=0):
             best = val
         elif m > degree / delta + 4:
             return best
+

@@ -1,9 +1,9 @@
 """Transition probabilities of the queue-length vector.
 
 The flagship quantities are the empty-to-empty probability kt00 in two
-permutation-expansion forms, the general kt via the weight-kernel
-sandwich, a polynomial-weight form for equal rates, and the classical
-Bessel series for a single station.  All lattice truncations carry
+permutation-expansion forms, the general kt as a finite sum of
+departure-kernel determinants over the completion count, and the
+classical Bessel series for a single station.  All truncations carry
 certified error bounds, returned alongside the value.
 """
 
@@ -11,13 +11,10 @@ import itertools
 import math
 from fractions import Fraction
 
-import mpmath
-import numpy as np
-
-from . import lattice, symfunc
-from .errors import PreconditionError
-from .kernels import KernelValue, queue_kernel_sum, queue_to_chamber_support, queue_to_departures
-from .numerics import Numerics
+from . import lattice
+from .errors import PreconditionError, ToleranceNotAchieved
+from .kernels import KernelValue, _check_queue, departure_kernel_stack, queue_to_departures
+from .numerics import Numerics, poisson_cap
 from .rates import as_rates
 from .symfunc import _pow
 
@@ -198,98 +195,55 @@ def kt00_stationary(t, nu, tol=1e-10, precision="double"):
 
 def kt_general(q, q2, t, nu, tol=1e-8, precision="double"):
     """Transition probability of the queue-length vector between
-    arbitrary states, via the weight-kernel sandwich.  No rate
-    assumptions beyond positivity."""
-    return queue_kernel_sum(q, q2, t, nu, tol=tol, precision=precision)
+    arbitrary states, as a finite sum over the number c of jobs that have
+    left the last station by time t:
 
+        kt(q, q2, t) = sum_c departure_kernel(pi(q), pi(q2, c), t),
 
-def kt_equal_rates_to_empty(q, t, nu, tol=1e-8, precision="double"):
-    """Probability of reaching the empty system when every rate equals
-    the common value nu_0 = ... = nu_N.
+    pi = queue_to_departures; all terms come from one
+    departure_kernel_stack.  No rate assumptions beyond positivity:
+    equal, coincident and unstable rates take the same route.
 
-    The target weight collapses to a normalized Vandermonde polynomial
-    in the ordered coordinates,
-
-        prod_{0<=i<j<=N-1} (z_i - z_j - i + j) / (j - i),
-
-    so the sandwich sum has polynomial (not geometric) growth."""
+    abs_error = tail + cut, each at most tol/2.  tail: the arrival count
+    is c + |q2| - |q|, so the terms past the last c hold at most
+    P(Poisson(nu_0 t) > poisson_cap).  cut: the summed error of the
+    h-series cuts inside the determinants.  Float round-off is not
+    included; when its estimate exceeds tol (the determinants cancel
+    when a service rate is below an earlier one, at large t) the call
+    raises ToleranceNotAchieved instead of returning a value.  Between
+    empty states the service rates are sorted first, which leaves the
+    value unchanged."""
     nu = as_rates(nu)
-    vals = nu.as_floats()
-    if max(vals) - min(vals) > 1e-12 * max(vals):
-        raise PreconditionError("all rates must be equal on this path")
-    q = tuple(int(v) for v in q)
-    if len(q) != nu.n_stations or any(v < 0 for v in q):
-        raise PreconditionError("q must be a vector of queue lengths")
+    q = _check_queue(q, nu.n_stations, "q")
+    q2 = _check_queue(q2, nu.n_stations, "q2")
     if t < 0:
         raise PreconditionError("t must be nonnegative")
+    if tol <= 0:
+        raise PreconditionError("tol must be positive")
     if t == 0:
-        return KernelValue(1.0 if all(v == 0 for v in q) else 0.0, 0.0)
-    if precision != "double":
-        raise PreconditionError("equal-rates path is double precision only")
-    rate = vals[0]
-    n1 = len(nu)
-    supp = queue_to_chamber_support(q, nu)
-    return _poly_weight_sum(supp, t, rate, n1, tol)
-
-
-def _poly_weight_sum(supp, t, rate, n1, tol):
-    """sum_z pi(z) sum_{z'} killed_kernel(z,z') W(z') for the
-    equal-rates polynomial weight W."""
-    norm = 1.0
-    for i in range(n1 - 1):
-        for j in range(i + 1, n1 - 1):
-            norm *= j - i
-    zlo = [min(z[k] for z, _ in supp) for k in range(n1)]
-    vmax = max(z[b] - b for z, _ in supp for b in range(n1))
-    vstart = [k + vmax for k in range(n1)]
-    lo = list(zlo)
-
-    # |W| <= norm^-1 prod_k (1 + y_k + c)^(n1-2) with c the start spread
-    deg = max(0, n1 - 2)
-    spread = vmax - min(z[b] - b for z, _ in supp for b in range(n1)) + 2 * n1
-    shift = spread + 1
-    abs_pi = sum(abs(float(v)) for _, v in supp)
-    scale = float(math.factorial(n1)) * abs_pi * float(math.factorial(deg)) ** n1 / norm
-
-    caps, bound = lattice.grow_weighted_box(
-        lo, vstart, t, [rate] * n1, tol, [1.0] * n1, deg, shift, scale
-    )
-
-    nmd = Numerics()
-    shifts = [z[b] - b for z, _ in supp for b in range(n1)]
-    mlo = min(lo[k] - k for k in range(n1)) - max(shifts)
-    mhi = max(caps[k] - k for k in range(n1)) - min(shifts)
-    pmf = nmd.poisson_pmf_table(rate * float(t), mlo, mhi)
-
-    idx = np.arange(n1)
-    total = 0.0
-    buf = []
-
-    def flush(chunk):
-        nonlocal total
-        Z = np.asarray(chunk, dtype=np.int64)
-        U = Z - idx[None, :]
-        W = np.ones(Z.shape[0])
-        for i in range(n1 - 1):
-            for j in range(i + 1, n1 - 1):
-                W *= U[:, i] - U[:, j]
-        W /= norm
-        shifted = U
-        for z, pival in supp:
-            zs = np.array([z[b] - b for b in range(n1)])
-            m = shifted[:, :, None] - zs[None, None, :] - mlo
-            C = pmf[np.clip(m, 0, len(pmf) - 1)] * (m >= 0)
-            dets = np.linalg.det(C) if n1 > 1 else C[:, 0, 0]
-            total += float(pival) * float(np.dot(W, dets))
-
-    for zp in lattice.ordered_tuples(lo, caps):
-        buf.append(zp)
-        if len(buf) >= 200000:
-            flush(buf)
-            buf = []
-    if buf:
-        flush(buf)
-    return KernelValue(total, bound)
+        return KernelValue(1.0 if q == q2 else 0.0, 0.0)
+    if not any(q) and not any(q2):
+        # from an empty start the departures from the last station do not
+        # depend on the order of the stations (./M/1 interchangeability),
+        # and with increasing service rates the determinants do not cancel
+        nu = as_rates((nu[0],) + tuple(sorted(nu.services)))
+    nm = Numerics(precision)
+    cap, tail = poisson_cap(nm.scalar(nu[0]) * nm.scalar(t), tol / 2, nm)
+    d = queue_to_departures(q)
+    base = queue_to_departures(q2)
+    # departures never decrease, so every term with c < first is zero
+    first = max(d[k] - base[k] for k in range(len(d)))
+    last = cap + sum(q) - sum(q2)
+    if last < first:
+        return KernelValue(nm.scalar(0) if nm.high else 0.0, float(tail))
+    target = tuple(v + first for v in base)
+    values, cut, roundoff = departure_kernel_stack(d, target, last - first + 1, t, nu, tol / 2, nm)
+    if roundoff > tol:
+        detail = "determinant cancellation exceeds the round-off budget; try precision='high'"
+        raise ToleranceNotAchieved(tol, roundoff, detail)
+    with nm.arithmetic():
+        value = values.sum()
+    return KernelValue(value if nm.high else float(value), float(tail) + cut)
 
 
 def mm1_kt(q, q2, t, nu, rel_tol=1e-15):

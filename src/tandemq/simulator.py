@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse, stats
+from scipy import sparse
 
 from .errors import PreconditionError, ToleranceNotAchieved
 from .kernels import KernelValue, _check_chamber, _check_queue
-from .numerics import poisson_cap
+from .numerics import Numerics, poisson_cap
 from .rates import as_rates
 
 BLOCK = 65536
@@ -245,7 +245,7 @@ def uniformization_kt(q, q2, t, nu, trunc, tol=1e-8):
     P, lam = _uniformized_matrix(fl, n, cap)
     mu = lam * float(t)
     n_terms, _ = poisson_cap(mu, tol / 2)
-    weights = stats.poisson.pmf(np.arange(n_terms + 1), mu)
+    weights = Numerics().poisson_pmf_table(mu, 0, n_terms)
     v = np.zeros(P.shape[0])
     v[np.ravel_multi_index(q, (cap + 1,) * n)] = 1.0
     target = np.ravel_multi_index(q2, (cap + 1,) * n)

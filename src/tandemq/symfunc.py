@@ -77,11 +77,6 @@ def window_h_table(rmax, i, j, alpha):
     return _h_table(rmax, alpha[i + 1 : j + 1])
 
 
-def window_e_table(rmax, i, j, alpha):
-    _check_window(i, j, alpha)
-    return _e_table(rmax, alpha[i + 1 : j + 1])
-
-
 def _check_window(i, j, alpha):
     if not (0 <= i <= j <= len(alpha) - 1):
         raise PreconditionError(f"window ({i},{j}) out of range for {len(alpha)} variables")

@@ -36,20 +36,6 @@ class CheckResult:
         return f"{self.name}: {status} (residual={self.residual:.3g}; {self.detail})"
 
 
-def _chamber_tuples(lo, hi, n):
-    out = []
-
-    def rec(prefix, top):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for v in range(min(top, hi), lo - 1, -1):
-            rec(prefix + [v], v)
-
-    rec([], hi)
-    return out
-
-
 def _rand_fractions(rng, n, lo=1, hi=9):
     return tuple(Fraction(rng.randint(lo, hi), rng.randint(1, 4)) for _ in range(n))
 
@@ -198,7 +184,7 @@ def _pi_lambda_sweep(n1, cap, irates):
     so both determinants are evaluated with the powers stripped; with
     integer rates everything stays in integer arithmetic."""
     N = n1 - 1
-    ds = _chamber_tuples(0, cap, n1)
+    ds = list(lattice.ordered_tuples([0] * n1, [cap] * n1))
     lam_cache = {}
 
     def lam_det(z, d2):
@@ -222,20 +208,11 @@ def _pi_lambda_sweep(n1, cap, irates):
         zlo = [d[N] - N + j for j in range(n1)]
         zhi = [max(d[a] - a for a in range(n1)) + j for j in range(n1)]
         supp = []
-
-        def rec(prefix, k):
-            if k == n1:
-                z = tuple(prefix)
-                v = det_int([[_signed_e(d[a] - z[b] - a + b, a, N, irates) for b in range(n1)]
-                             for a in range(n1)])
-                if v:
-                    supp.append((z, v))
-                return
-            top = zhi[k] if k == 0 else min(zhi[k], prefix[k - 1])
-            for val in range(top, zlo[k] - 1, -1):
-                rec(prefix + [val], k + 1)
-
-        rec([], 0)
+        for z in lattice.ordered_tuples(zlo, zhi):
+            v = det_int([[_signed_e(d[a] - z[b] - a + b, a, N, irates) for b in range(n1)]
+                         for a in range(n1)])
+            if v:
+                supp.append((z, v))
         for d2 in ds:
             total = sum(pv * lam_det(z, d2) for z, pv in supp)
             bad += total != (1 if d == d2 else 0)
@@ -255,7 +232,7 @@ def check_pi_lambda_inverse(budget, rng):
     nu = tuple(Fraction(v) for v in (3, 7, 2))
     d = (3, 1, 0)
     for z, pv in kernels.departure_to_chamber_support(d, nu):
-        for d2 in _chamber_tuples(0, 3, 3):
+        for d2 in lattice.ordered_tuples([0] * 3, [3] * 3):
             lhs = pv * kernels.chamber_to_departure(z, d2, nu)
             strip = det_int(
                 [[_signed_e(d[a] - z[b] - a + b, a, 2, (3, 7, 2)) for b in range(3)]
@@ -354,7 +331,7 @@ def check_intertwining_relation(budget, rng):
         # principle, but the departure kernel vanishes unless its source
         # is between 0 and its target, so the sum is exactly finite
         rhs = 0.0
-        for y in _chamber_tuples(0, max(d), n1):
+        for y in lattice.ordered_tuples([0] * n1, [max(d)] * n1):
             lv = kernels.chamber_to_departure(x, y, nu)
             if lv:
                 rhs += float(lv) * kernels.departure_kernel(y, d, t, nu)
@@ -404,7 +381,7 @@ def check_chapman_kolmogorov(budget, rng):
         d, d2 = _rand_departure_pair(rng, n1, spread=2)
         whole = kernels.departure_kernel(d, d2, t + s, nu)
         parts = 0.0
-        for m in _chamber_tuples(0, max(d2), n1):
+        for m in lattice.ordered_tuples([0] * n1, [max(d2)] * n1):
             if any(m[k] < d[k] or m[k] > d2[k] for k in range(n1)):
                 continue
             parts += kernels.departure_kernel(d, m, t, nu) * kernels.departure_kernel(

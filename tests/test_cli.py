@@ -77,13 +77,26 @@ def test_kt_path_dispatch():
     assert bessel.returncode == 0
     assert bessel.stdout.splitlines()[1].rstrip("\r").split(",")[-1] == "bessel"
     equal = run_cli("kt", "--rates", "1,1,1", "--q", "1,0", "--q2", "0,0", "--t", "1")
-    assert equal.stdout.splitlines()[1].rstrip("\r").split(",")[-1] == "equal-rates"
+    assert equal.stdout.splitlines()[1].rstrip("\r").split(",")[-1] == "departure-sum"
     general = run_cli("kt", "--rates", "1,2,4", "--q", "1,0", "--q2", "0,1", "--t", "1")
-    assert general.stdout.splitlines()[1].rstrip("\r").split(",")[-1] == "intertwining"
+    assert general.stdout.splitlines()[1].rstrip("\r").split(",")[-1] == "departure-sum"
+
+
+def test_kt_coincident_rates_to_empty():
+    # coincident (not all equal) rates with an empty target used to be
+    # sent to the equal-rates path, which refused them with exit 2
+    from tandemq.simulator import uniformization_kt
+
+    r = run_cli("kt", "--rates", "1,2,2", "--q", "2,1", "--q2", "0,0", "--t", "6")
+    assert r.returncode == 0, r.stderr
+    row = r.stdout.splitlines()[1].rstrip("\r").split(",")
+    value, abs_error = float(row[3]), float(row[4])
+    ref = uniformization_kt((2, 1), (0, 0), 6.0, (1, 2, 2), 40, tol=1e-9)
+    assert abs(value - ref.value) <= abs_error + ref.abs_error + 1e-12
 
 
 def test_kt_agrees_across_paths():
-    # the intertwining route at the empty state must reproduce kt00
+    # the departure-sum route at the empty state must reproduce kt00
     general = run_cli("kt", "--rates", "1,2,4", "--q", "0,0", "--q2", "0,0", "--t", "1")
     v1 = float(general.stdout.splitlines()[1].split(",")[3])
     kt00 = run_cli("kt00", "--rates", "1,2,4", "--t", "1")

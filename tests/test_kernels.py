@@ -13,7 +13,6 @@ import pytest
 from tandemq import linalg
 from tandemq.errors import PreconditionError
 from tandemq.kernels import (
-    TruncationBox,
     chamber_to_departure,
     chamber_to_queue,
     change_of_measure,
@@ -24,7 +23,6 @@ from tandemq.kernels import (
     departures_to_queue,
     killed_poisson_kernel,
     noncrossing_prob,
-    queue_kernel_sum,
     queue_to_chamber_support,
     queue_to_departures,
     taylor_weight,
@@ -156,13 +154,23 @@ def test_departure_kernel_zero_below_start():
 
 
 def test_departure_kernel_row_sums_to_one():
+    # counter k moves at most a Poisson(nu_k t) number of times
     nu, t, d = (1.0, 2.0), 1.0, (0, 0)
-    box = TruncationBox.for_poisson(d, t, nu, 1e-12)
-    total = sum(
-        departure_kernel(d, d2, t, nu)
-        for d2 in ordered_tuples(list(d), list(box.bounds))
-    )
-    assert abs(total - 1.0) <= box.tail_bound + 1e-11
+    caps, tail = [], 0.0
+    for k, r in enumerate(nu):
+        cap, tl = poisson_cap(r * t, 1e-12 / len(nu))
+        caps.append(d[k] + cap)
+        tail += tl
+    total = sum(departure_kernel(d, d2, t, nu) for d2 in ordered_tuples(list(d), caps))
+    assert abs(total - 1.0) <= tail + 1e-11
+
+
+def test_departure_kernel_large_t_stays_a_probability():
+    # rate powers and Taylor weights of this size overflow unless kept in log form
+    for nu in ((1, 2, 3, 4), (1.0, 2.0, 3.0, 4.0)):
+        v = departure_kernel((0, 0, 0, 0), (3, 3, 3, 3), 150, nu)
+        assert isinstance(v, float)
+        assert math.isfinite(v) and 0.0 <= v <= 1.0
 
 
 def test_departure_kernel_vs_intertwining_points():
@@ -315,17 +323,6 @@ def test_noncrossing_rejects_bad_input():
         noncrossing_prob((1, 0), -1.0, (1, 2))
     with pytest.raises(PreconditionError):
         noncrossing_prob((1, 0, 0), 1.0, (1, 2))
-
-
-def test_truncation_box_contract():
-    box = TruncationBox.for_poisson((3, 1), 2.0, (1, 2), 1e-9)
-    assert box.tail_bound < 1e-9
-    assert box.bounds[0] >= 3 and box.bounds[1] >= 1
-
-
-def test_queue_kernel_sum_identity_time_zero():
-    assert queue_kernel_sum((1, 0), (1, 0), 0.0, (1, 2, 3)) == (1.0, 0.0)
-    assert queue_kernel_sum((1, 0), (0, 1), 0.0, (1, 2, 3)) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

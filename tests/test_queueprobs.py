@@ -1,7 +1,7 @@
 """Queue-probability layer: the two permutation expansions of the
 empty-system probability against each other and against uniformization,
-the general sandwich path, the equal-rates path, the Bessel closed form,
-and the harmonic weight."""
+the general completion-count sum (including equal, coincident and
+unstable rates), the Bessel closed form, and the harmonic weight."""
 
 import math
 import random
@@ -9,14 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from tandemq.errors import PreconditionError
+from tandemq.errors import PreconditionError, ToleranceNotAchieved
 from tandemq.queueprobs import (
     chamber_harmonic,
     kt00_direct,
     kt00_gap,
     kt00_gap_relative,
     kt00_stationary,
-    kt_equal_rates_to_empty,
     kt_general,
     mm1_kt,
     stationary_empty_prob,
@@ -133,27 +132,53 @@ def test_kt_general_vs_uniformization():
 
 def test_kt_general_time_zero():
     assert kt_general((2, 1), (2, 1), 0.0, (1, 2, 3)) == (1.0, 0.0)
+    assert kt_general((1, 0), (0, 1), 0.0, (1, 2, 3)) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "nu, t",
+    [((1, 2, 4), 30.0), ((1, 2, 3, 5), 5.0), ((1, 2, 3, 5), 20.0)],
+)
+def test_kt_general_matches_stationary_form(nu, t):
+    # inputs the weight-kernel sandwich refused (weighted box point limit)
+    zero = (0,) * (len(nu) - 1)
+    a = kt_general(zero, zero, t, nu, tol=1e-9)
+    b = kt00_stationary(t, nu, tol=1e-12)
+    assert isinstance(a.value, float)
+    assert abs(a.value - b.value) <= a.abs_error + b.abs_error + 1e-12
+
+
+def test_kt_general_refuses_cancelling_determinants():
+    # a service rate below an earlier one: at large t the determinants
+    # cancel far beyond double round-off, and the call must say so
+    with pytest.raises(ToleranceNotAchieved, match="cancellation"):
+        kt_general((1, 0, 0), (0, 0, 0), 60.0, (1, 1.5, 4, 2), tol=1e-9)
+    # between empty states the services are sorted first
+    a = kt_general((0, 0, 0), (0, 0, 0), 60.0, (1, 1.5, 4, 2), tol=1e-9)
+    b = kt00_stationary(60.0, (1, 1.5, 4, 2), tol=1e-12)
+    assert abs(a.value - b.value) <= a.abs_error + b.abs_error + 1e-12
+
+
+def test_kt_general_high_precision_agrees():
+    lo = kt_general((1, 0), (0, 1), 1.0, (1, 2, 4), tol=1e-10)
+    hi = kt_general((1, 0), (0, 1), 1.0, (1, 2, 4), tol=1e-10, precision="high")
+    assert abs(float(hi.value) - lo.value) <= lo.abs_error + hi.abs_error + 1e-12
 
 
 def test_equal_rates_path():
-    a = kt_equal_rates_to_empty((1, 0), 1.0, (1, 1, 1), tol=1e-9)
+    a = kt_general((1, 0), (0, 0), 1.0, (1, 1, 1), tol=1e-9)
     b = uniformization_kt((1, 0), (0, 0), 1.0, (1, 1, 1), 40, tol=1e-9)
     assert abs(a.value - b.value) <= a.abs_error + b.abs_error + 1e-8
-    assert kt_equal_rates_to_empty((0, 0), 0.0, (1, 1, 1)) == (1.0, 0.0)
+    assert kt_general((0, 0), (0, 0), 0.0, (1, 1, 1)) == (1.0, 0.0)
 
 
 def test_equal_rates_decays_at_criticality():
     # rho = 1: no stationary atom at the empty state, values drift to 0
     vals = [
-        kt_equal_rates_to_empty((0, 0), t, (1, 1, 1), tol=1e-9).value
+        kt_general((0, 0), (0, 0), t, (1, 1, 1), tol=1e-9).value
         for t in (2.0, 6.0, 12.0)
     ]
     assert vals[0] > vals[1] > vals[2] > 0
-
-
-def test_equal_rates_rejects_distinct():
-    with pytest.raises(PreconditionError):
-        kt_equal_rates_to_empty((0, 0), 1.0, (1, 1, 2))
 
 
 def test_mm1_row_stochastic():

@@ -20,7 +20,6 @@ from tandemq.symfunc import (
     schur,
     window_e,
     window_h,
-    window_e_table,
     window_h_table,
 )
 
@@ -96,10 +95,8 @@ def test_window_is_restriction():
 def test_window_tables_agree_pointwise():
     alpha = (2, 3, 5, 7)
     ht = window_h_table(6, 1, 3, alpha)
-    et = window_e_table(6, 1, 3, alpha)
     for r in range(7):
         assert ht[r] == window_h(r, 1, 3, alpha)
-        assert et[r] == window_e(r, 1, 3, alpha)
 
 
 def test_window_index_order_violation():
