@@ -1,9 +1,9 @@
 """Cross-check the determinantal formulas against two independent routes.
 
 For each time point the table shows the empty-to-empty probability from
-the direct arrangement sum, the stationary-corrected sum, uniformization
-of the truncated generator, and a Monte Carlo estimate with a 95%
-half-width.  Disagreement beyond the printed bounds means a bug.
+the direct arrangement sum, the stationary-corrected sum, the
+departure-kernel sum that `tandemq kt` uses, uniformization of the
+truncated generator, and a Monte Carlo estimate with a 95% half-width.  Disagreement beyond the printed bounds means a bug.
 
 usage: python3 scripts/crosscheck_grid.py --rates 1,2,4 --t 0.25,0.5,1,2,4 --reps 200000
 """
@@ -30,18 +30,21 @@ def main(argv=None):
     ts = [float(s) for s in args.t.split(",") if s.strip()]
 
     print(f"rates {tuple(float(v) for v in nu)}   pi0 {float(queueprobs.stationary_empty_prob(nu)):.10f}")
-    print(f"{'t':>6} {'direct':>14} {'stationary':>14} {'uniformized':>14} {'simulated':>14} {'+/-':>9}")
+    print(f"{'t':>6} {'direct':>14} {'stationary':>14} {'departure-sum':>14} {'uniformized':>14}"
+          f" {'simulated':>14} {'+/-':>9}")
     worst = 0.0
     for t in ts:
         a = queueprobs.kt00_direct(t, nu, tol=1e-10)
         b = queueprobs.kt00_stationary(t, nu, tol=1e-10)
+        g = queueprobs.kt_general(zero, zero, t, nu, tol=1e-10)
         u = simulator.uniformization_kt(zero, zero, t, nu, args.cap, tol=1e-9)
         cfg = simulator.SimConfig(rates=nu.values, horizon=t, seed=args.seed,
                                   replications=args.reps)
         est = simulator.simulate_queue_prob(zero, zero, cfg=cfg)
-        spread = max(a.value, b.value, u.value) - min(a.value, b.value, u.value)
+        values = (a.value, b.value, g.value, u.value)
+        spread = max(values) - min(values)
         worst = max(worst, spread)
-        print(f"{t:6.2f} {a.value:14.10f} {b.value:14.10f} {u.value:14.10f}"
+        print(f"{t:6.2f} {a.value:14.10f} {b.value:14.10f} {g.value:14.10f} {u.value:14.10f}"
               f" {est.mean:14.10f} {est.half_width_95:9.1e}")
         if abs(est.mean - b.value) > max(3 * est.half_width_95 / 1.96, 1e-12):
             print(f"       simulation off by more than 3 sigma at t={t:g}", file=sys.stderr)

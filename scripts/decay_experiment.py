@@ -15,6 +15,7 @@ import math
 import sys
 
 from tandemq import asymptotics, queueprobs
+from tandemq.errors import PreconditionError
 from tandemq.kernels import noncrossing_prob
 from tandemq.rates import RateVector
 
@@ -59,14 +60,14 @@ def main(argv=None):
         series.append((t, gap))
         prev = (t, gap)
 
-    if len(series) >= 4:
+    try:
         fitted, window, n = asymptotics.fit_decay_rate(series, floor=0.0)
-        print()
-        print(f"fitted rate    {fitted:.6f} over t in [{window[0]:g}, {window[1]:g}] ({n} points)")
-        print(f"analytic rate  {theta:.6f}   relative offset {(fitted - theta) / theta:+.2%}")
-    else:
-        print("\nnot enough certified points for a fit", file=sys.stderr)
+    except PreconditionError as exc:
+        print(f"\nnot enough certified points for a fit: {exc}", file=sys.stderr)
         return 1
+    print()
+    print(f"fitted rate    {fitted:.6f} over t in [{window[0]:g}, {window[1]:g}] ({n} points)")
+    print(f"analytic rate  {theta:.6f}   relative offset {(fitted - theta) / theta:+.2%}")
     return 0
 
 

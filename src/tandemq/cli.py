@@ -180,7 +180,7 @@ def cmd_relaxation(args):
                 "fit_window": [rep.fit_window[0], rep.fit_window[1]],
                 "fit_points": rep.n_points,
                 "ratio_t": t_big,
-                "ratio_to_leading_term": gap_big / denom,
+                "ratio_to_leading_term": float(gap_big / denom),
             }
         )
     sys.stdout.write(_to_json(report) + "\n")

@@ -25,33 +25,24 @@ verify suite checks departure_kernel against.
 import itertools
 import math
 from fractions import Fraction
-from typing import NamedTuple
 
 import mpmath
 import numpy as np
 
 from . import lattice, linalg, symfunc
 from .errors import PreconditionError, ToleranceNotAchieved
-from .numerics import MAX_CAP, Numerics, polynomial_absorb_constant
+from .numerics import HIGH_DPS, MAX_CAP, KernelValue, Numerics, evaluation, polynomial_absorb_constant
 from .rates import as_rates
 from .symfunc import _pow
 
 
-class KernelValue(NamedTuple):
-    """Numeric value plus a certified bound on the truncation error.
-
-    abs_error covers lattice truncation only; float round-off is not
-    included (use precision="high" where cancellation matters)."""
-
-    value: float
-    abs_error: float
-
-
-def _check_chamber(x, name="z"):
+def _check_chamber(x, name="z", n1=None):
     x = tuple(int(v) for v in x)
     for k in range(len(x) - 1):
         if x[k] < x[k + 1]:
             raise PreconditionError(f"{name}={x} is not weakly decreasing")
+    if n1 is not None and len(x) != n1:
+        raise PreconditionError("points must have one coordinate per rate")
     return x
 
 
@@ -95,17 +86,24 @@ def window_weight(n, t, nu, i, j):
         sum_{k=0}^{i-j} (-1)^k e_k(nu_{j+1..i}) taylor_weight(n+k, t)   j <= i,
         sum_{k>=0}           h_k(nu_{i+1..j}) taylor_weight(n+k, t)     i <= j.
 
-    The finite sum is generic over the scalar type of t.  The series is
+    The finite cases are exact over int/Fraction t.  The series is
     departure_kernel's entry series (_entry_series) with the factor
-    e^(-nu_i t) nu_i^n taken back out, so it shares that cut: float t is
-    evaluated in double precision, mpf t in high precision."""
+    e^(-nu_i t) nu_i^n taken back out, so it shares that cut.  Other cases
+    run in double precision, or in high precision when t is an mpf."""
     nu = as_rates(nu)
     last = nu.n_stations
     if not (0 <= i <= last and 0 <= j <= last):
         raise PreconditionError(f"window indices ({i},{j}) out of range")
+    if isinstance(t, (int, Fraction)) and (j <= i or t <= 0):
+        return _window_weight.__wrapped__(n, t, nu, i, j, nm=None)
+    return _window_weight(n, t, nu, i, j, precision="high" if isinstance(t, mpmath.mpf) else "double")
+
+
+@evaluation
+def _window_weight(n, t, nu, i, j, *, nm):
+    vals = nu.values
     if i == j:
         return taylor_weight(n, t)
-    vals = nu.values
     if j < i:
         total = taylor_weight(n, t) * 0
         for k in range(i - j + 1):
@@ -118,19 +116,17 @@ def window_weight(n, t, nu, i, j):
     if t == 0:
         # only the k = -n term survives
         return symfunc.window_h(-n, i, j, vals) * t**0
-    nm = Numerics("high" if isinstance(t, mpmath.mpf) else "double")
-    with nm.arithmetic():
-        _, logabs, _, _ = _entry_series(i, j, 0, n, 1, t, nu, math.log(_cut_budget(nm)), nm)
-        rate = nm.scalar(vals[i])
-        out = nm.exp(logabs[0] + rate * nm.scalar(t) - n * nm.log(rate))
-    return out if nm.high else float(out)
+    _, logabs, _, _ = _entry_series(i, j, 0, n, 1, t, nu, math.log(_cut_budget(nm)), nm)
+    rate = nm.scalar(vals[i])
+    return nm.exp(logabs[0] + rate * nm.scalar(t) - n * nm.log(rate))
 
 
 # ---------------------------------------------------------------------------
 # killed Poisson kernel and the departure kernel
 
 
-def killed_poisson_kernel(z, z2, t, nu, numerics=None):
+@evaluation
+def killed_poisson_kernel(z, z2, t, nu, *, nm):
     """Transition probability of the ordered Poisson system:
 
         prod_k [nu_k^(z2_k - z_k) e^(-nu_k t)] det{ w_{z2_i - z_j - i + j}(t) }
@@ -139,22 +135,18 @@ def killed_poisson_kernel(z, z2, t, nu, numerics=None):
     pois(nu_i t, (z2_i - i) - (z_j - j)) * (nu_i/nu_j)^(z_j - j), which
     keeps every matrix entry within a bounded factor of a probability."""
     nu = as_rates(nu)
-    nm = numerics or Numerics()
-    z = _check_chamber(z, "z")
-    z2 = _check_chamber(z2, "z2")
     n1 = len(nu)
-    if len(z) != n1 or len(z2) != n1:
-        raise PreconditionError("points must have one coordinate per rate")
+    z = _check_chamber(z, "z", n1)
+    z2 = _check_chamber(z2, "z2", n1)
     if t < 0:
         raise PreconditionError("t must be nonnegative")
-    fl = nu.as_floats()
     mat = [[None] * n1 for _ in range(n1)]
     for a in range(n1):
         mu = nm.scalar(nu[a]) * nm.scalar(t)
         for b in range(n1):
             mab = (z2[a] - a) - (z[b] - b)
             pmf = nm.poisson_pmf_table(mu, mab, mab)[0]
-            const = nm.scalar(fl[a] / fl[b]) ** (z[b] - b)
+            const = (nm.scalar(nu[a]) / nm.scalar(nu[b])) ** (z[b] - b)
             mat[a][b] = pmf * const
     return linalg.det(mat)
 
@@ -172,7 +164,8 @@ def change_of_measure(z, z2, t, nu, lam):
     return math.exp(s)
 
 
-def departure_kernel(d, d2, t, nu, numerics=None):
+@evaluation
+def departure_kernel(d, d2, t, nu, *, nm):
     """Transition probability of the departure-count vector,
 
         prod_k [e^(-nu_k t) nu_k^(d2_k - d_k)] det{ window_weight(d2_i - d_j - i + j, t, nu, i, j) },
@@ -180,23 +173,20 @@ def departure_kernel(d, d2, t, nu, numerics=None):
     with the prefactor folded into the entries so that every term is a
     Poisson pmf times bounded factors (see departure_kernel_stack).
     Exactly zero when d2_k < d_k for some k.  The series cuts change the
-    value by at most 1e-18 (10^-(dps+2) in high precision)."""
+    value by at most 1e-18 (10^-(HIGH_DPS+2) in high precision)."""
     nu = as_rates(nu)
-    nm = numerics or Numerics()
-    d = _check_chamber(d, "d")
-    d2 = _check_chamber(d2, "d2")
     n1 = len(nu)
-    if len(d) != n1 or len(d2) != n1:
-        raise PreconditionError("points must have one coordinate per rate")
+    d = _check_chamber(d, "d", n1)
+    d2 = _check_chamber(d2, "d2", n1)
     if t < 0:
         raise PreconditionError("t must be nonnegative")
     if t == 0:
-        return nm.scalar(1 if d == d2 else 0)
+        return 1 if d == d2 else 0
     values, _, _ = departure_kernel_stack(d, d2, 1, t, nu, _cut_budget(nm), nm)
-    return values[0] if nm.high else float(values[0])
+    return values[0]
 
 
-def departure_kernel_stack(d, d2, count, t, nu, budget, numerics):
+def departure_kernel_stack(d, d2, count, t, nu, budget, nm):
     """departure_kernel(d, d2 + c, t) for c = 0..count-1 (c is added to
     every coordinate of d2).  Returns (values, cut, roundoff): cut bounds
     the summed error of the series cuts and is at most budget; roundoff
@@ -221,40 +211,34 @@ def departure_kernel_stack(d, d2, count, t, nu, budget, numerics):
     with every entry moved by its estimated relative error, with a fixed
     pseudo-random sign, and takes N+1 times the summed change."""
     nu = as_rates(nu)
-    nm = numerics
     n1 = len(nu)
     log_budget = math.log(budget)
     lt = log_budget - math.log(count * n1 * n1)
-    with nm.arithmetic():
-        for _ in range(3):
-            shape = (count, n1, n1)
-            sign = np.zeros(shape, dtype=int)
-            logabs = np.empty(shape, dtype=object if nm.high else float)
-            logcut = np.full((n1, n1), -np.inf)
-            logrel = np.full((n1, n1), -np.inf)
-            for a in range(n1):
-                for b in range(n1):
-                    n0 = d2[a] - d[b] - a + b
-                    sign[:, a, b], logabs[:, a, b], logcut[a, b], logrel[a, b] = _entry_series(
-                        a, b, d[b] - b, n0, count, t, nu, lt, nm
-                    )
-            log_cut = _log_perm_diff(np.asarray(logabs, dtype=float), logcut)
-            if log_cut <= log_budget:
-                values = _stack_dets(sign, logabs, nm)
-                signs = np.random.default_rng(0).choice((-1, 1), size=shape)
-                moved = _stack_dets(sign, logabs + signs * np.exp(logrel), nm)
-                roundoff = n1 * float(np.abs(np.asarray(moved - values, dtype=float)).sum())
-                return values, math.exp(log_cut), roundoff
-            lt = min(lt, logcut.max()) - (log_cut - log_budget) - math.log(2.0)
+    for _ in range(3):
+        shape = (count, n1, n1)
+        sign = np.zeros(shape, dtype=int)
+        logabs = np.empty(shape, dtype=nm.dtype)
+        logcut = np.full((n1, n1), -np.inf)
+        logrel = np.full((n1, n1), -np.inf)
+        for a in range(n1):
+            for b in range(n1):
+                n0 = d2[a] - d[b] - a + b
+                sign[:, a, b], logabs[:, a, b], logcut[a, b], logrel[a, b] = _entry_series(
+                    a, b, d[b] - b, n0, count, t, nu, lt, nm
+                )
+        log_cut = _log_perm_diff(np.asarray(logabs, dtype=float), logcut)
+        if log_cut <= log_budget:
+            values = _stack_dets(sign, logabs, nm)
+            signs = np.random.default_rng(0).choice((-1, 1), size=shape)
+            moved = _stack_dets(sign, logabs + signs * np.exp(logrel), nm)
+            roundoff = n1 * float(np.abs(np.asarray(moved - values, dtype=float)).sum())
+            return values, math.exp(log_cut), roundoff
+        lt = min(lt, logcut.max()) - (log_cut - log_budget) - math.log(2.0)
     raise ToleranceNotAchieved(budget, math.exp(log_cut), "h-series cut")
 
 
 def _cut_budget(nm):
-    return 10.0 ** -(nm.dps + 2) if nm.high else 1e-18
-
-
-def _array(values, nm):
-    return np.array(values, dtype=object if nm.high else float)
+    return 10.0 ** -(HIGH_DPS + 2) if nm.high else 1e-18
 
 
 def _entry_series(a, b, shift, n0, count, t, nu, lt, nm):
@@ -268,11 +252,11 @@ def _entry_series(a, b, shift, n0, count, t, nu, lt, nm):
     mu = rate * nm.scalar(t)
     logcut = -math.inf
     if a == b:
-        logc, sg = _array([0], nm), np.ones(1, dtype=int)
+        logc, sg = np.zeros(1, dtype=nm.dtype), np.ones(1, dtype=int)
     elif a > b:
         ks = range(a - b + 1)
         coefs = [nm.scalar(symfunc.window_e(k, b, a, vals)) for k in ks]
-        logc = nm.log(_array(coefs, nm)) - _array(list(ks), nm) * lrate
+        logc = nm.log(np.array(coefs, dtype=nm.dtype)) - np.array(ks, dtype=nm.dtype) * lrate
         sg = np.array([(-1) ** k for k in ks])
     else:
         # h_k over the window rates scaled by their maximum is at most
@@ -284,8 +268,8 @@ def _entry_series(a, b, shift, n0, count, t, nu, lt, nm):
             shift * (math.log(fl[a]) - math.log(fl[b])), lt,
         )
         table = symfunc.window_h_table(cut, a, b, [nm.scalar(v) / numax for v in vals])
-        ks = _array(list(range(cut + 1)), nm)
-        logc = nm.log(_array(table, nm)) + ks * (nm.log(numax) - lrate)
+        ks = np.arange(cut + 1).astype(nm.dtype)
+        logc = nm.log(np.array(table, dtype=nm.dtype)) + ks * (nm.log(numax) - lrate)
         sg = np.ones(cut + 1, dtype=int)
     hi = n0 + count + len(logc) - 2
     logpmf = nm.poisson_logpmf_table(mu, n0, hi)
@@ -298,7 +282,7 @@ def _entry_series(a, b, shift, n0, count, t, nu, lt, nm):
     fmu = float(mu)
     mag = abs(max(hi, 0) * math.log(fmu)) + math.lgamma(max(hi, 0) + 1) + fmu
     mag += float(max(abs(v) for v in logc)) + abs(float(const))
-    unit = 10.0 ** -nm.dps if nm.high else 2.0**-53
+    unit = 10.0**-HIGH_DPS if nm.high else 2.0**-53
     return sign, logabs, logcut, math.log(unit * (2 * mag + len(logc) + 4))
 
 
@@ -435,11 +419,9 @@ def chamber_to_departure(z, d, nu, method="determinant"):
     method="gt_sum" instead sums the interlacing-pattern weights with
     shape z and left edge d (same value; independent route)."""
     nu = as_rates(nu)
-    z = _check_chamber(z, "z")
-    d = _check_chamber(d, "d")
     n1 = len(nu)
-    if len(z) != n1 or len(d) != n1:
-        raise PreconditionError("points must have one coordinate per rate")
+    z = _check_chamber(z, "z", n1)
+    d = _check_chamber(d, "d", n1)
     vals = nu.values
     if method == "gt_sum":
         total = 0
@@ -468,11 +450,9 @@ def departure_to_chamber(d, z, nu):
 
     Exact over exact rates; support in z is finite for fixed d."""
     nu = as_rates(nu)
-    d = _check_chamber(d, "d")
-    z = _check_chamber(z, "z")
     n1 = len(nu)
-    if len(z) != n1 or len(d) != n1:
-        raise PreconditionError("points must have one coordinate per rate")
+    d = _check_chamber(d, "d", n1)
+    z = _check_chamber(z, "z", n1)
     vals = nu.values
     mat = []
     for a in range(n1):
@@ -560,7 +540,8 @@ def queue_to_chamber_support(q, nu):
 # noncrossing probability
 
 
-def noncrossing_prob(x, t, nu, tol=1e-9, precision="double"):
+@evaluation
+def noncrossing_prob(x, t, nu, tol=1e-9, *, nm):
     """P(the independent Poisson counters started at x in the chamber
     keep their order through time t), with certified truncation error.
 
@@ -579,9 +560,8 @@ def noncrossing_prob(x, t, nu, tol=1e-9, precision="double"):
         raise PreconditionError("start point must have one coordinate per rate")
     if t == 0:
         return KernelValue(1.0, 0.0)
-    nm = Numerics(precision)
     value, tail, _ = lattice.survival_probability(x, t, nu.values, tol, nm)
-    return KernelValue(value, float(tail))
+    return KernelValue(value, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -600,11 +580,9 @@ def departure_kernel_via_intertwining(d, d2, t, nu, tol=1e-8):
     Points with z' not above z contribute exactly zero through the pmf
     zero pattern and need no filtering."""
     nu = as_rates(nu)
-    d = _check_chamber(d, "d")
-    d2 = _check_chamber(d2, "d2")
     n1 = len(nu)
-    if len(d) != n1 or len(d2) != n1:
-        raise PreconditionError("points must have one coordinate per rate")
+    d = _check_chamber(d, "d", n1)
+    d2 = _check_chamber(d2, "d2", n1)
     if t < 0:
         raise PreconditionError("t must be nonnegative")
     if tol <= 0:

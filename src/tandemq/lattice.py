@@ -73,18 +73,17 @@ def chain_sum(tables, numerics):
     tables[i] is a 1-D array over a common integer grid.  Works for both
     float64 and object (mpmath) arrays.
     """
-    nm = numerics
     arr = tables[-1]
     for i in range(len(tables) - 2, -1, -1):
         c = np.cumsum(arr)
         shifted = np.empty_like(c)
-        shifted[0] = nm.scalar(0) if c.dtype == object else 0.0
+        shifted[0] = numerics.scalar(0)
         shifted[1:] = c[:-1]
         arr = tables[i] * shifted
     return arr.sum()
 
 
-def survival_probability(x, t, nu, tol, numerics=None):
+def survival_probability(x, t, nu, tol, nm):
     """P(independent Poisson particles started at x, with rates nu, keep
     their strict ordering x_0 - 0 > x_1 - 1 > ... throughout [0, t]).
 
@@ -95,7 +94,6 @@ def survival_probability(x, t, nu, tol, numerics=None):
     x_i + poisson_cap(nu_i t), and the neglected mass is at most the sum
     of the per-coordinate Poisson tails.
     """
-    nm = numerics or Numerics()
     n1 = len(nu)
     mus = [nm.scalar(r) * nm.scalar(t) for r in nu]
     caps, tail = [], nm.scalar(0)
@@ -118,7 +116,7 @@ def survival_probability(x, t, nu, tol, numerics=None):
             sl = pmf[i][off : off + grid]
             if top < yhi:
                 sl = sl.copy()
-                sl[top - ylo + 1 :] = nm.scalar(0) if nm.high else 0.0
+                sl[top - ylo + 1 :] = nm.scalar(0)
             tables[i][j] = sl
 
     rate_scalars = [nm.scalar(r) for r in nu]
@@ -195,9 +193,7 @@ class DetStackAccumulator:
         return out
 
 
-def grow_weighted_box(
-    start_lo, start_hi, t, nu, tol, growth, poly_degree, poly_shift, scale, numerics=None
-):
+def grow_weighted_box(start_lo, start_hi, t, nu, tol, growth, poly_degree, poly_shift, scale):
     """Choose per-coordinate caps so that the out-of-box part of
     sum_z P(z) * W(z) is provably below tol, where P factors into
     independent Poisson(nu_k t) increments from starts in
@@ -209,7 +205,6 @@ def grow_weighted_box(
     the tilted tail is exact: sum_{m>M} pmf(mu,m) g^m =
     e^{mu(g-1)} P(Poisson(mu g) > M).  Returns (caps, bound).
     """
-    nm = numerics or Numerics()
     n1 = len(nu)
     delta = 0.25
     absorb = polynomial_absorb_constant(poly_degree, delta, poly_shift)
@@ -227,7 +222,7 @@ def grow_weighted_box(
         bound = 0.0
         for k in range(n1):
             tail_k = absorb * math.exp(mus[k] * (gts[k] - 1.0)) * float(
-                nm.poisson_sf(mus[k] * gts[k], caps[k] - start_hi[k])
+                Numerics().poisson_sf(mus[k] * gts[k], caps[k] - start_hi[k])
             )
             rest = math.exp(sum(log_totals[j] for j in range(n1) if j != k))
             bound += tail_k * rest

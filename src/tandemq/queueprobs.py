@@ -11,10 +11,12 @@ import itertools
 import math
 from fractions import Fraction
 
+from scipy.special import ive
+
 from . import lattice
 from .errors import PreconditionError, ToleranceNotAchieved
-from .kernels import KernelValue, _check_queue, departure_kernel_stack, queue_to_departures
-from .numerics import Numerics, poisson_cap
+from .kernels import _check_queue, departure_kernel_stack, queue_to_departures
+from .numerics import KernelValue, evaluation, poisson_cap
 from .rates import as_rates
 from .symfunc import _pow
 
@@ -110,25 +112,23 @@ def _stationary_coefficients(nu):
     return out
 
 
-def _survival_expansion(coeffs, t, nu, tol, precision):
+def _survival_expansion(coeffs, t, nu, tol, nm):
     """sum_sigma c_sigma P^{sigma(nu)}(no crossing by t), with the
     truncation budget split by total coefficient mass."""
-    nu = as_rates(nu)
-    nm = Numerics(precision)
     total_mass = float(sum(abs(c) for _, c in coeffs))
     tol_term = tol / max(total_mass, 1.0)
     value = nm.scalar(0)
     err = 0.0
     for sigma, c in coeffs:
         perm_rates = tuple(nu.values[k] for k in sigma)
-        x0 = (0,) * len(nu)
-        v, tail, _ = lattice.survival_probability(x0, t, perm_rates, tol_term, nm)
+        v, tail, _ = lattice.survival_probability((0,) * len(nu), t, perm_rates, tol_term, nm)
         value = value + nm.scalar(c) * v
         err += abs(float(c)) * float(tail)
-    return KernelValue(value if nm.high else float(value), err)
+    return KernelValue(value, err)
 
 
-def kt00_direct(t, nu, tol=1e-10, precision="double"):
+@evaluation
+def kt00_direct(t, nu, tol=1e-10, *, nm):
     """Empty-to-empty transition probability as a sum of N! noncrossing
     probabilities over arrangements with the arrival rate last.
 
@@ -139,10 +139,11 @@ def kt00_direct(t, nu, tol=1e-10, precision="double"):
         raise PreconditionError("t must be nonnegative")
     if t == 0:
         return KernelValue(1.0, 0.0)
-    return _survival_expansion(_direct_coefficients(nu), t, nu, tol, precision)
+    return _survival_expansion(_direct_coefficients(nu), t, nu, tol, nm)
 
 
-def kt00_gap(t, nu, tol=1e-10, precision="double"):
+@evaluation
+def kt00_gap(t, nu, tol=1e-10, *, nm):
     """kt00(t) - stationary_empty_prob, computed directly from the
     complementary arrangements so no cancellation against the
     equilibrium value occurs.  Needs stability and all rates distinct."""
@@ -152,12 +153,11 @@ def kt00_gap(t, nu, tol=1e-10, precision="double"):
     if t < 0:
         raise PreconditionError("t must be nonnegative")
     if t == 0:
-        pi0 = float(stationary_empty_prob(nu))
-        return KernelValue(1.0 - pi0, 0.0)
-    return _survival_expansion(_stationary_coefficients(nu), t, nu, tol, precision)
+        return KernelValue(1 - nm.scalar(stationary_empty_prob(nu)), 0.0)
+    return _survival_expansion(_stationary_coefficients(nu), t, nu, tol, nm)
 
 
-def kt00_gap_relative(t, nu, rel_tol=1e-4, precision="double"):
+def kt00_gap_relative(t, nu, rel_tol=1e-4, *, precision="double"):
     """kt00_gap with the truncation tolerance tightened iteratively until
     the certified bound drops below rel_tol times the value itself.
 
@@ -180,20 +180,19 @@ def kt00_gap_relative(t, nu, rel_tol=1e-4, precision="double"):
     return kv
 
 
-def kt00_stationary(t, nu, tol=1e-10, precision="double"):
+@evaluation
+def kt00_stationary(t, nu, tol=1e-10, *, nm):
     """Empty-to-empty transition probability as equilibrium value plus
     exponentially small correction terms.
 
     Needs stability and all N+1 rates distinct; preferable to
     kt00_direct at large t, where the correction terms are tiny."""
-    gap = kt00_gap(t, nu, tol, precision)
-    nm = Numerics(precision)
-    pi0 = nm.scalar(stationary_empty_prob(nu))
-    value = pi0 + gap.value
-    return KernelValue(value if nm.high else float(value), gap.abs_error)
+    gap = kt00_gap(t, nu, tol, precision=nm.precision)
+    return KernelValue(nm.scalar(stationary_empty_prob(nu)) + gap.value, gap.abs_error)
 
 
-def kt_general(q, q2, t, nu, tol=1e-8, precision="double"):
+@evaluation
+def kt_general(q, q2, t, nu, tol=1e-8, *, nm):
     """Transition probability of the queue-length vector between
     arbitrary states, as a finite sum over the number c of jobs that have
     left the last station by time t:
@@ -227,7 +226,6 @@ def kt_general(q, q2, t, nu, tol=1e-8, precision="double"):
         # depend on the order of the stations (./M/1 interchangeability),
         # and with increasing service rates the determinants do not cancel
         nu = as_rates((nu[0],) + tuple(sorted(nu.services)))
-    nm = Numerics(precision)
     cap, tail = poisson_cap(nm.scalar(nu[0]) * nm.scalar(t), tol / 2, nm)
     d = queue_to_departures(q)
     base = queue_to_departures(q2)
@@ -235,15 +233,13 @@ def kt_general(q, q2, t, nu, tol=1e-8, precision="double"):
     first = max(d[k] - base[k] for k in range(len(d)))
     last = cap + sum(q) - sum(q2)
     if last < first:
-        return KernelValue(nm.scalar(0) if nm.high else 0.0, float(tail))
+        return KernelValue(0, tail)
     target = tuple(v + first for v in base)
     values, cut, roundoff = departure_kernel_stack(d, target, last - first + 1, t, nu, tol / 2, nm)
     if roundoff > tol:
         detail = "determinant cancellation exceeds the round-off budget; try precision='high'"
         raise ToleranceNotAchieved(tol, roundoff, detail)
-    with nm.arithmetic():
-        value = values.sum()
-    return KernelValue(value if nm.high else float(value), float(tail) + cut)
+    return KernelValue(values.sum(), float(tail) + cut)
 
 
 def mm1_kt(q, q2, t, nu, rel_tol=1e-15):
@@ -254,10 +250,10 @@ def mm1_kt(q, q2, t, nu, rel_tol=1e-15):
                              + rho^((q2-q-1)/2) I_{q+q2+1}
                              + (1-rho) rho^q2 sum_{l>=q+q2+2} rho^(-l/2) I_l ],
 
-    all Bessel arguments 2 sqrt(nu_0 nu_1) t.  Scaled Bessel values keep
-    every factor bounded; the series tail is cut by a geometric bound."""
-    from scipy.special import ive
-
+    all Bessel arguments 2 sqrt(nu_0 nu_1) t.  Each term is one exp of a
+    sum of logs; the series tail is cut by a geometric bound.  A scaled
+    Bessel value below 1e-300 counts as 0 (and 1e-300 in abs_error) where
+    the term stays below 1e-300; elsewhere it raises ToleranceNotAchieved."""
     nu = as_rates(nu)
     if nu.n_stations != 1:
         raise PreconditionError("mm1_kt needs exactly one station")
@@ -269,26 +265,37 @@ def mm1_kt(q, q2, t, nu, rel_tol=1e-15):
     if t == 0:
         return KernelValue(1.0 if q == q2 else 0.0, 0.0)
     lam, mu = nu.as_floats()
-    rho = lam / mu
+    rho, lrho = lam / mu, math.log(lam) - math.log(mu)
     x = 2.0 * math.sqrt(lam * mu) * t
     # e^{-(lam+mu)t} I_l(x) = ive(l, x) * e^{x - (lam+mu)t}, exponent <= 0
-    damp = math.exp(x - (lam + mu) * t)
-    out = rho ** ((q2 - q) / 2.0) * ive(q2 - q, x)
-    out += rho ** ((q2 - q - 1) / 2.0) * ive(q + q2 + 1, x)
-    tail_bound = 0.0
-    if rho != 1.0:
+    ldamp = x - (lam + mu) * t
+    err = 0.0
+
+    def term(ell, power):
+        # rho^power e^{-(lam+mu)t} I_ell(x)
+        nonlocal err
+        b = ive(ell, x)
+        if b >= 1e-300:
+            return math.exp(power * lrho + math.log(b) + ldamp)
+        if power * lrho + ldamp > 0:
+            raise ToleranceNotAchieved(rel_tol, math.inf, f"Bessel I_{ell}({x:g}) underflows")
+        err += 1e-300 * max(1.0, abs(1.0 - rho))
+        return 0.0
+
+    out = term(q2 - q, (q2 - q) / 2.0) + term(q + q2 + 1, (q2 - q - 1) / 2.0)
+    if lam != mu:
         acc = 0.0
         ell = q + q2 + 2
         while True:
-            term = rho ** (-ell / 2.0) * ive(ell, x)
-            acc += term
+            v = term(ell, q2 - ell / 2.0)
+            acc += v
+            # I_{l+1}(x)/I_l(x) <= x/(l + sqrt(l^2+x^2)), decreasing in l
+            ratio = math.exp(-lrho / 2.0) * x / (ell + math.sqrt(ell * ell + x * x))
             ell += 1
-            # I_{l+1}(x)/I_l(x) <= x/(l+1 + sqrt((l+1)^2+x^2)), decreasing in l
-            if ell > x:
-                ratio = rho ** (-0.5) * x / (ell + math.sqrt(ell * ell + x * x))
-                if ratio < 1 and term * ratio / (1 - ratio) <= rel_tol * max(acc, 1e-300):
-                    tail_bound = term * ratio / (1 - ratio)
+            if ell > x and ratio < 1:
+                tail = max(v, 1e-300) * ratio / (1 - ratio)
+                if tail <= rel_tol * acc + 1e-300:
                     break
-        out += (1.0 - rho) * rho**q2 * acc
-        tail_bound *= abs(1.0 - rho) * rho**q2
-    return KernelValue(out * damp, tail_bound * damp)
+        out += (1.0 - rho) * acc
+        err += abs(1.0 - rho) * tail
+    return KernelValue(out, err)

@@ -18,7 +18,7 @@ import numpy as np
 from . import asymptotics, kernels, lattice, queueprobs, simulator, symfunc
 from .errors import PreconditionError
 from .linalg import det_int
-from .numerics import Numerics, poisson_cap
+from .numerics import poisson_cap
 
 SUITES = ("identities", "oracles", "asymptotics", "all")
 BUDGETS = ("fast", "full")
@@ -326,7 +326,6 @@ def check_intertwining_relation(budget, rng):
         t = rng.choice([0.25, 0.5, 1.0])
         x = tuple(sorted((rng.randint(0, 2) for _ in range(n1)), reverse=True))
         d = tuple(sorted((rng.randint(0, 2) for _ in range(n1)), reverse=True))
-        nm = Numerics("double")
         # rhs: the weight kernel from x has unbounded support downward in
         # principle, but the departure kernel vanishes unless its source
         # is between 0 and its target, so the sum is exactly finite
@@ -339,7 +338,7 @@ def check_intertwining_relation(budget, rng):
         caps = [x[k] + poisson_cap(nu[k] * t, 1e-13)[0] + 4 for k in range(n1)]
         lhs = 0.0
         for y in lattice.ordered_tuples(list(x), caps):
-            kv = kernels.killed_poisson_kernel(x, y, t, nu, nm)
+            kv = kernels.killed_poisson_kernel(x, y, t, nu)
             if kv:
                 lhs += kv * float(kernels.chamber_to_departure(y, d, nu))
         worst = max(worst, abs(lhs - rhs))
@@ -356,12 +355,11 @@ def check_harmonic_expectation(budget, rng):
         lam = tuple(sorted(_rand_distinct_fractions(rng, n1), reverse=True))
         t = rng.choice([0.25, 0.5])
         x = tuple(sorted((rng.randint(0, 2) for _ in range(n1)), reverse=True))
-        nm = Numerics("double")
         fl = tuple(float(v) for v in lam)
         caps = [x[k] + poisson_cap(fl[k] * t, 1e-13)[0] + 4 for k in range(n1)]
         acc = 0.0
         for y in lattice.ordered_tuples(list(x), caps):
-            kv = kernels.killed_poisson_kernel(x, y, t, fl, nm)
+            kv = kernels.killed_poisson_kernel(x, y, t, fl)
             if kv:
                 acc += kv * queueprobs.chamber_harmonic(fl, y)
         ref = queueprobs.chamber_harmonic(fl, x)

@@ -104,6 +104,18 @@ def test_kt_agrees_across_paths():
     assert abs(v1 - v2) < 1e-6
 
 
+def test_kt_single_station_large_t():
+    # the Bessel series overflowed its rho^(-l/2) factor here
+    from tandemq.queueprobs import kt_general
+
+    r = run_cli("kt", "--rates", "1,5", "--q", "0", "--q2", "0", "--t", "200")
+    assert r.returncode == 0, r.stderr
+    row = r.stdout.splitlines()[1].rstrip("\r").split(",")
+    value, abs_error = float(row[3]), float(row[4])
+    ref = kt_general((0,), (0,), 200.0, (1, 5))
+    assert abs(value - ref.value) <= abs_error + ref.abs_error
+
+
 def test_kt_rejects_negative_queue():
     r = run_cli("kt", "--rates", "1,2", "--q", "-1", "--q2", "0", "--t", "1")
     assert r.returncode == 2
@@ -129,6 +141,16 @@ def test_relaxation_with_grid_fits():
     # pre-asymptotic grid: fitted rate is near, but above, the limit rate
     assert rep["analytic_rate"] < rep["fitted_rate"] < 1.5 * rep["analytic_rate"]
     assert 0.5 < rep["ratio_to_leading_term"] < 1.5
+
+
+def test_relaxation_with_grid_high_precision():
+    args = ("relaxation", "--rates", "1,4,2", "--t", "52,64,76,88,100")
+    hi = run_cli(*args, "--precision", "high")
+    assert hi.returncode == 0, hi.stderr
+    lo = run_cli(*args)
+    assert lo.returncode == 0, lo.stderr
+    rep_hi, rep_lo = json.loads(hi.stdout), json.loads(lo.stdout)
+    assert rep_hi["fitted_rate"] == pytest.approx(rep_lo["fitted_rate"], abs=1e-9)
 
 
 def test_relaxation_unstable_exit_2():

@@ -1,0 +1,89 @@
+"""The precision contract of the public evaluations: precision="high"
+results do not depend on the caller's mpmath context, agree with double
+precision within their bounds, and double precision returns plain
+floats."""
+
+from fractions import Fraction
+
+import mpmath
+import pytest
+
+from tandemq import (
+    departure_kernel,
+    departure_kernel_via_intertwining,
+    killed_poisson_kernel,
+    kt00_direct,
+    kt00_gap,
+    kt00_gap_relative,
+    kt00_stationary,
+    kt_general,
+    mm1_kt,
+    noncrossing_prob,
+    numerics,
+    uniformization_kt,
+    window_weight,
+)
+
+# name -> call taking the precision keyword; small N and t
+EVALUATIONS = {
+    "kt00_direct": lambda p: kt00_direct(1.0, (1, 2, 4), tol=1e-12, precision=p),
+    "kt00_gap": lambda p: kt00_gap(1.5, (1, 4, 2), tol=1e-14, precision=p),
+    "kt00_stationary": lambda p: kt00_stationary(1.0, (1, 2, 4), tol=1e-12, precision=p),
+    "kt00_gap_relative": lambda p: kt00_gap_relative(2.0, (1, 4, 2), precision=p),
+    "kt_general": lambda p: kt_general((1, 0), (0, 1), 1.0, (1, 2, 4), tol=1e-12, precision=p),
+    "noncrossing_prob": lambda p: noncrossing_prob((1, 0), 1.0, (1, 2), tol=1e-14, precision=p),
+    "departure_kernel": lambda p: departure_kernel((1, 0), (2, 1), 1.0, (1, 2), precision=p),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATIONS))
+def test_high_precision_ignores_caller_context(name):
+    call = EVALUATIONS[name]
+    with mpmath.workdps(15):
+        low_ctx = call("high")
+    with mpmath.workdps(80):
+        high_ctx = call("high")
+    assert low_ctx == high_ctx
+    double = call("double")
+    if isinstance(double, tuple):
+        hi_val, hi_err = low_ctx
+        assert isinstance(hi_val, mpmath.mpf) and type(hi_err) is float
+        bound = double.abs_error + hi_err + 1e-12
+        assert abs(double.value - float(hi_val)) <= bound
+    else:
+        assert isinstance(low_ctx, mpmath.mpf)
+        assert abs(double - float(low_ctx)) <= 1e-12
+
+
+def test_high_precision_matches_wider_reference(monkeypatch):
+    # the same evaluation with every operation at 60 digits
+    got = kt00_gap(60.0, (1, 4, 2), tol=1e-40, precision="high")
+    monkeypatch.setattr(numerics, "HIGH_DPS", 60)
+    with mpmath.workdps(60):
+        ref = kt00_gap(60.0, (1, 4, 2), tol=1e-40, precision="high")
+    assert abs(got.value - ref.value) <= 1e-40 * ref.value
+
+
+def test_double_precision_returns_floats():
+    values = [call("double") for call in EVALUATIONS.values()]
+    values += [
+        mm1_kt(1, 2, 1.0, (1, 2)),
+        uniformization_kt((1, 0), (0, 1), 1.0, (1, 2, 4), 30, tol=1e-9),
+        departure_kernel_via_intertwining((1, 0), (2, 1), 1.0, (1, 2), tol=1e-9),
+        noncrossing_prob((0, 0), 0.0, (1, 2)),
+        kt00_gap(0.0, (1, 2, 4)),
+        kt_general((0, 0), (3, 0), 1e-3, (1, 2, 4)),
+    ]
+    for kv in values:
+        if isinstance(kv, tuple):
+            assert type(kv.value) is float and type(kv.abs_error) is float, kv
+        else:
+            assert type(kv) is float, kv
+    for v in (
+        killed_poisson_kernel((1, 0), (2, 1), 1.0, (1, 2)),
+        departure_kernel((1, 0), (1, 0), 0.0, (1, 2)),
+        window_weight(0, 1.0, (1, 2), 0, 1),
+        window_weight(0, Fraction(1), (1, 2), 0, 1),
+    ):
+        assert type(v) is float, v
+    assert isinstance(window_weight(0, mpmath.mpf(1), (1, 2), 0, 1), mpmath.mpf)
