@@ -2,8 +2,9 @@
 
 For each time point the table shows the empty-to-empty probability from
 the direct arrangement sum, the stationary-corrected sum, the
-departure-kernel sum that `tandemq kt` uses, uniformization of the
-truncated generator, and a Monte Carlo estimate with a 95% half-width.  Disagreement beyond the printed bounds means a bug.
+departure-kernel sum that `tandemq kt00` and `tandemq kt` both use,
+uniformization of the truncated generator, and a Monte Carlo estimate
+with a 95% half-width.  Disagreement beyond the printed bounds means a bug.
 
 usage: python3 scripts/crosscheck_grid.py --rates 1,2,4 --t 0.25,0.5,1,2,4 --reps 200000
 """

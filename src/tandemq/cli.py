@@ -1,10 +1,13 @@
 """Command line interface.
 
-Subcommands: kt00, kt, relaxation, verify, simulate.  Numbers are
-serialized with 17 significant digits so reruns are byte-identical;
-tables go to stdout as RFC-4180 CSV (default) or JSON, diagnostics to
-stderr.  Exit codes: 0 success, 2 usage or precondition, 3 requested
-tolerance not achieved, 4 verification failure.
+Subcommands: kt00, kt, relaxation, verify, simulate.  kt00 and kt take
+one route for every rate vector and every N: queueprobs.kt_general, the
+departure-kernel sum (kt00 between empty states); the closed forms of
+queueprobs serve verify as oracles.  Numbers are serialized with 17
+significant digits so reruns are byte-identical; tables go to stdout as
+RFC-4180 CSV (default) or JSON, diagnostics to stderr.  Exit codes: 0
+success, 2 usage or precondition, 3 requested tolerance not achieved, 4
+verification failure.
 """
 
 import argparse
@@ -90,30 +93,30 @@ def _parse_int_vector(text, flag):
 # subcommands
 
 
+def _kt_rows(args, nu, q, q2):
+    """One row per --t value, all from queueprobs.kt_general.  The route
+    column is named method in kt00 tables and path in kt tables."""
+    rows = []
+    for t in _parse_t_grid(args.t):
+        kv = queueprobs.kt_general(q, q2, t, nu, tol=args.tol, precision=args.precision)
+        rows.append(
+            {
+                "q": q,
+                "q2": q2,
+                "t": t,
+                "value": float(kv.value),
+                "abs_error": float(kv.abs_error),
+                "method": "departure-sum",
+                "path": "departure-sum",
+            }
+        )
+    return rows
+
+
 def cmd_kt00(args):
     nu = RateVector.loads(args.rates)
-    ts = _parse_t_grid(args.t)
-    method = args.method
-    if method == "auto":
-        if nu.is_stable() and nu.is_distinct():
-            method = "stationary"
-        elif nu.is_distinct(service_only=True):
-            method = "direct"
-        else:
-            method = "general"
-        print(f"tandemq: auto method -> {method}", file=sys.stderr)
-    rows = []
-    for t in ts:
-        if method == "stationary":
-            kv = queueprobs.kt00_stationary(t, nu, tol=args.tol, precision=args.precision)
-        elif method == "direct":
-            kv = queueprobs.kt00_direct(t, nu, tol=args.tol, precision=args.precision)
-        else:
-            zero = (0,) * nu.n_stations
-            kv = queueprobs.kt_general(zero, zero, t, nu, tol=args.tol, precision=args.precision)
-        rows.append(
-            {"t": t, "value": float(kv.value), "abs_error": float(kv.abs_error), "method": method}
-        )
+    zero = (0,) * nu.n_stations
+    rows = _kt_rows(args, nu, zero, zero)
     _emit_rows(rows, ("t", "value", "abs_error", "method"), args.format)
     return 0
 
@@ -125,25 +128,7 @@ def cmd_kt(args):
     q2 = _parse_int_vector(args.q2, "--q2")
     if len(q) != n or len(q2) != n:
         raise PreconditionError(f"--q and --q2 must have {n} entries for these rates")
-    ts = _parse_t_grid(args.t)
-    rows = []
-    for t in ts:
-        if n == 1:
-            path = "bessel"
-            kv = queueprobs.mm1_kt(q[0], q2[0], t, nu)
-        else:
-            path = "departure-sum"
-            kv = queueprobs.kt_general(q, q2, t, nu, tol=args.tol, precision=args.precision)
-        rows.append(
-            {
-                "q": q,
-                "q2": q2,
-                "t": t,
-                "value": float(kv.value),
-                "abs_error": float(kv.abs_error),
-                "path": path,
-            }
-        )
+    rows = _kt_rows(args, nu, q, q2)
     _emit_rows(rows, ("q", "q2", "t", "value", "abs_error", "path"), args.format)
     return 0
 
@@ -274,7 +259,6 @@ def build_parser():
     s = sub.add_parser("kt00", help="empty-to-empty transition probability")
     _add_common(s, 1e-10)
     s.add_argument("--t", action="append", required=True, help="time point(s), repeatable or comma list")
-    s.add_argument("--method", choices=("auto", "direct", "stationary", "general"), default="auto")
     s.set_defaults(func=cmd_kt00)
 
     s = sub.add_parser("kt", help="general queue-vector transition probability")

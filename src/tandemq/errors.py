@@ -11,8 +11,9 @@ class PreconditionError(TandemError, ValueError):
 
 class CoincidentRatesError(PreconditionError):
     """Rates are closer than the distinctness threshold for a method that
-    divides by rate differences.  The generic lattice route does not need
-    distinctness and is suggested in the message."""
+    divides by rate differences (the closed forms kt00_direct, kt00_gap,
+    kt00_stationary and the relaxation asymptotics).  kt_general needs no
+    distinct rates."""
 
 
 class UnstableRatesError(PreconditionError):

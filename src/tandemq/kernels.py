@@ -373,36 +373,36 @@ def _log_perm_diff(logabs, logerr):
 def _stack_dets(sign, logabs, nm):
     """Determinants of the slices sign * exp(logabs), by Gaussian
     elimination with partial pivoting run on the whole stack at once.
-    The rows are scaled to unit maximum first, and the rows still to be
-    eliminated again after every step, with the scales kept in log
-    space: the row scales of one slice can multiply to e^700 and more
-    while its determinant is a probability, so a single scaling would
-    let the elimination underflow."""
+    Every entry stays in sign and log|.| form: an update a - f b becomes
+    top + log|s_a e^(l_a - top) - s_fb e^(l_fb - top)|, top the larger of
+    the two logs, and only the log-determinant is exponentiated.  The
+    entries of one slice can span e^-650 to e^1250 while its determinant
+    is a probability, so no common scaling keeps them all representable."""
     count, n1, _ = logabs.shape
-    top = logabs.max(axis=2)
-    top = np.where(top == -np.inf, 0, top)
-    mats = sign * nm.exp(logabs - top[:, :, None])
-    logdet = top.sum(axis=1)
+    sign, logabs = sign.copy(), logabs.copy()
     dsign = np.ones(count, dtype=int)
+    logdet = np.zeros(count, dtype=logabs.dtype)
     slices = np.arange(count)
     for k in range(n1):
-        p = k + np.argmax(abs(mats[:, k:, k]), axis=1)
-        swap = p != k
-        rows = mats[slices, p].copy()
-        mats[slices, p] = mats[:, k]
-        mats[:, k] = rows
-        piv = mats[:, k, k]
-        dsign = dsign * np.where(swap, -1, 1) * ((piv > 0).astype(int) - (piv < 0).astype(int))
-        logdet = logdet + nm.log(abs(piv))
+        p = k + np.argmax(logabs[:, k:, k], axis=1)
+        for arr in (sign, logabs):
+            rows = arr[slices, p].copy()
+            arr[slices, p] = arr[:, k]
+            arr[:, k] = rows
+        dsign = dsign * np.where(p != k, -1, 1) * sign[:, k, k]
+        logdet = logdet + logabs[:, k, k]
         if k + 1 == n1:
             break
-        piv = np.where(piv == 0, 1, piv)
-        factors = mats[:, k + 1 :, k] / piv[:, None]
-        rest = mats[:, k + 1 :, k + 1 :] - factors[:, :, None] * mats[:, None, k, k + 1 :]
-        scale = abs(rest).max(axis=2)
-        scale = np.where(scale == 0, 1, scale)
-        mats[:, k + 1 :, k + 1 :] = rest / scale[:, :, None]
-        logdet = logdet + nm.log(scale).sum(axis=1)
+        # entry (i, j) past k loses (a_ik / a_kk) a_kj
+        lpiv = np.where(logabs[:, k, k] == -np.inf, 0, logabs[:, k, k])
+        s2 = -(sign[:, k + 1 :, k] * sign[:, k, k, None])[:, :, None] * sign[:, None, k, k + 1 :]
+        l2 = (logabs[:, k + 1 :, k] - lpiv[:, None])[:, :, None] + logabs[:, None, k, k + 1 :]
+        l1 = logabs[:, k + 1 :, k + 1 :]
+        top = np.maximum(l1, l2)
+        top = np.where(top == -np.inf, 0, top)
+        total = sign[:, k + 1 :, k + 1 :] * nm.exp(l1 - top) + s2 * nm.exp(l2 - top)
+        sign[:, k + 1 :, k + 1 :] = (total > 0).astype(int) - (total < 0).astype(int)
+        logabs[:, k + 1 :, k + 1 :] = nm.log(abs(total)) + top
     return dsign * nm.exp(logdet)
 
 

@@ -1,10 +1,12 @@
 """Transition probabilities of the queue-length vector.
 
-The flagship quantities are the empty-to-empty probability kt00 in two
-permutation-expansion forms, the general kt as a finite sum of
-departure-kernel determinants over the completion count, and the
-classical Bessel series for a single station.  All truncations carry
-certified error bounds, returned alongside the value.
+The flagship quantity is the general kt as a finite sum of
+departure-kernel determinants over the completion count (kt_general),
+which serves every pair of states and every N.  The empty-to-empty
+probability kt00 in two permutation-expansion forms and the classical
+Bessel series for a single station are kept as oracles; the gap
+kt00 - pi0 (kt00_gap) is the route of the relaxation diagnostics.  All
+truncations carry certified error bounds, returned alongside the value.
 """
 
 import itertools
@@ -201,7 +203,10 @@ def kt_general(q, q2, t, nu, tol=1e-8, *, nm):
 
     pi = queue_to_departures; all terms come from one
     departure_kernel_stack.  No rate assumptions beyond positivity:
-    equal, coincident and unstable rates take the same route.
+    equal, coincident and unstable rates take the same route, and so do
+    empty-to-empty (kt00) and single-station (N=1) transitions.  This is
+    the route of both `tandemq kt00` and `tandemq kt`; kt00_direct,
+    kt00_stationary and mm1_kt are its oracles.
 
     abs_error = tail + cut, each at most tol/2.  tail: the arrival count
     is c + |q2| - |q|, so the terms past the last c hold at most

@@ -70,29 +70,15 @@ class RateVector:
         """rho_j = nu_0 / nu_j for each station j."""
         return tuple(_div(self.values[0], v) for v in self.services)
 
-    def is_stable(self):
-        return all(self.values[0] < v for v in self.services)
-
     def require_stable(self):
-        if not self.is_stable():
+        if not all(self.values[0] < v for v in self.services):
             raise UnstableRatesError(
                 f"unstable: arrival rate {self.values[0]} must be below every service rate"
             )
 
-    def min_relative_gap(self, service_only=False):
-        vals = self.services if service_only else self.values
-        gap = float("inf")
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                a, b = float(vals[i]), float(vals[j])
-                gap = min(gap, abs(a - b) / max(a, b))
-        return gap
-
-    def is_distinct(self, eps=EPS_DISTINCT, service_only=False):
-        return self.min_relative_gap(service_only=service_only) >= eps
-
     def require_distinct(self, eps=EPS_DISTINCT, service_only=False, hint=""):
-        if not self.is_distinct(eps, service_only=service_only):
+        vals = [float(v) for v in (self.services if service_only else self.values)]
+        if any(abs(a - b) / max(a, b) < eps for i, a in enumerate(vals) for b in vals[i + 1 :]):
             which = "service rates" if service_only else "all rates"
             msg = f"rates not distinct: {which} must have pairwise relative gap >= {eps:g}"
             if hint:

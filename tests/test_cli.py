@@ -4,11 +4,14 @@ codes, and byte-stable serialization."""
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from tandemq import cli
 from tandemq.errors import ToleranceNotAchieved
+from tandemq.queueprobs import kt00_direct, kt00_stationary, mm1_kt, stationary_empty_prob
+from tandemq.simulator import uniformization_kt
 
 
 def run_cli(*args, env=None):
@@ -20,18 +23,27 @@ def run_cli(*args, env=None):
     )
 
 
+def kt00_rows(r):
+    """(t, value, abs_error, method) of each row of a kt00 CSV table."""
+    rows = [ln.rstrip("\r").split(",") for ln in r.stdout.strip().splitlines()[1:]]
+    return [(float(t), float(v), float(e), m) for t, v, e, m in rows]
+
+
 def test_kt00_csv_table():
     r = run_cli("kt00", "--rates", "1,2,4", "--t", "0.5,1")
     assert r.returncode == 0
     lines = r.stdout.strip().splitlines()
     assert lines[0].rstrip("\r") == "t,value,abs_error,method"
-    rows = [ln.rstrip("\r").split(",") for ln in lines[1:]]
-    assert [row[0] for row in rows] == ["0.5", "1"]
-    assert all(row[3] == "stationary" for row in rows)
-    vals = [float(row[1]) for row in rows]
+    assert [ln.split(",")[0] for ln in lines[1:]] == ["0.5", "1"]
+    rows = kt00_rows(r)
+    assert all(m == "departure-sum" for _, _, _, m in rows)
+    vals = [v for _, v, _, _ in rows]
     assert all(0.375 < v < 1.0 for v in vals)
     assert vals[0] > vals[1]
-    assert "auto method -> stationary" in r.stderr
+    for t, v, e, _ in rows:
+        ref = kt00_stationary(t, (1, 2, 4), tol=1e-12)
+        assert abs(v - ref.value) <= e + ref.abs_error + 1e-12
+    assert r.stderr == ""
 
 
 def test_kt00_short_time_near_one():
@@ -41,26 +53,30 @@ def test_kt00_short_time_near_one():
 
 
 def test_kt00_method_dispatch():
-    direct = run_cli("kt00", "--rates", "1,2,4", "--t", "1", "--method", "direct")
-    stat = run_cli("kt00", "--rates", "1,2,4", "--t", "1", "--method", "stationary")
-    general = run_cli("kt00", "--rates", "1,2,4", "--t", "1", "--method", "general")
-    a = float(direct.stdout.splitlines()[1].split(",")[1])
-    b = float(stat.stdout.splitlines()[1].split(",")[1])
-    c = float(general.stdout.splitlines()[1].split(",")[1])
-    assert abs(a - b) < 1e-8 and abs(a - c) < 1e-6
-
-
-def test_kt00_auto_falls_back_when_unstable():
-    # unstable but distinct services: auto must route to the direct form
-    r = run_cli("kt00", "--rates", "3,2,5", "--t", "1")
+    # one route; the closed forms are its oracles
+    r = run_cli("kt00", "--rates", "1,2,4", "--t", "1")
     assert r.returncode == 0
-    assert "auto method -> direct" in r.stderr
+    [(t, value, abs_error, method)] = kt00_rows(r)
+    assert method == "departure-sum"
+    for ref in (kt00_direct(t, (1, 2, 4), tol=1e-12), kt00_stationary(t, (1, 2, 4), tol=1e-12)):
+        assert abs(value - ref.value) <= abs_error + ref.abs_error + 1e-12
 
 
-def test_kt00_coincident_services_exit_2():
-    r = run_cli("kt00", "--rates", "1,2,2", "--t", "1", "--method", "direct")
-    assert r.returncode == 2
-    assert "rates not distinct" in r.stderr
+def test_kt00_unstable_rates():
+    r = run_cli("kt00", "--rates", "3,2,5", "--t", "1")
+    assert r.returncode == 0, r.stderr
+    [(t, value, abs_error, _)] = kt00_rows(r)
+    ref = kt00_direct(t, (3, 2, 5), tol=1e-12)
+    assert abs(value - ref.value) <= abs_error + ref.abs_error + 1e-12
+
+
+def test_kt00_coincident_services():
+    # the closed forms divide by rate differences; this route does not
+    r = run_cli("kt00", "--rates", "1,2,2", "--t", "1")
+    assert r.returncode == 0, r.stderr
+    [(t, value, abs_error, _)] = kt00_rows(r)
+    ref = uniformization_kt((0, 0), (0, 0), t, (1, 2, 2), 40, tol=1e-12)
+    assert abs(value - ref.value) <= abs_error + ref.abs_error + 1e-12
 
 
 def test_kt00_json_reruns_identical():
@@ -73,9 +89,9 @@ def test_kt00_json_reruns_identical():
 
 
 def test_kt_path_dispatch():
-    bessel = run_cli("kt", "--rates", "1,2", "--q", "0", "--q2", "0", "--t", "1")
-    assert bessel.returncode == 0
-    assert bessel.stdout.splitlines()[1].rstrip("\r").split(",")[-1] == "bessel"
+    single = run_cli("kt", "--rates", "1,2", "--q", "0", "--q2", "0", "--t", "1")
+    assert single.returncode == 0
+    assert single.stdout.splitlines()[1].rstrip("\r").split(",")[-1] == "departure-sum"
     equal = run_cli("kt", "--rates", "1,1,1", "--q", "1,0", "--q2", "0,0", "--t", "1")
     assert equal.stdout.splitlines()[1].rstrip("\r").split(",")[-1] == "departure-sum"
     general = run_cli("kt", "--rates", "1,2,4", "--q", "1,0", "--q2", "0,1", "--t", "1")
@@ -85,8 +101,6 @@ def test_kt_path_dispatch():
 def test_kt_coincident_rates_to_empty():
     # coincident (not all equal) rates with an empty target used to be
     # sent to the equal-rates path, which refused them with exit 2
-    from tandemq.simulator import uniformization_kt
-
     r = run_cli("kt", "--rates", "1,2,2", "--q", "2,1", "--q2", "0,0", "--t", "6")
     assert r.returncode == 0, r.stderr
     row = r.stdout.splitlines()[1].rstrip("\r").split(",")
@@ -96,24 +110,41 @@ def test_kt_coincident_rates_to_empty():
 
 
 def test_kt_agrees_across_paths():
-    # the departure-sum route at the empty state must reproduce kt00
-    general = run_cli("kt", "--rates", "1,2,4", "--q", "0,0", "--q2", "0,0", "--t", "1")
-    v1 = float(general.stdout.splitlines()[1].split(",")[3])
-    kt00 = run_cli("kt00", "--rates", "1,2,4", "--t", "1")
-    v2 = float(kt00.stdout.splitlines()[1].split(",")[1])
-    assert abs(v1 - v2) < 1e-6
+    # kt between empty states and kt00 run one route: the same digits
+    grid = ("--t", "0.5,1,4", "--tol", "1e-10")
+    kt = run_cli("kt", "--rates", "1,2,4", "--q", "0,0", "--q2", "0,0", *grid)
+    kt00 = run_cli("kt00", "--rates", "1,2,4", *grid)
+    assert kt.returncode == 0 and kt00.returncode == 0
+    kt_cells = [ln.split(",")[3:5] for ln in kt.stdout.splitlines()[1:]]
+    kt00_cells = [ln.split(",")[1:3] for ln in kt00.stdout.splitlines()[1:]]
+    assert kt_cells == kt00_cells
+    for t, value, abs_error, _ in kt00_rows(kt00):
+        ref = kt00_direct(t, (1, 2, 4), tol=1e-12)
+        assert abs(value - ref.value) <= abs_error + ref.abs_error + 1e-12
 
 
 def test_kt_single_station_large_t():
-    # the Bessel series overflowed its rho^(-l/2) factor here
-    from tandemq.queueprobs import kt_general
-
-    r = run_cli("kt", "--rates", "1,5", "--q", "0", "--q2", "0", "--t", "200")
+    # the Bessel series overflowed its rho^(-l/2) factor at t=200, and its
+    # scaled Bessel values underflowed (exit 3) at t=300; at t=300 the
+    # relaxation factor is below e^-450, so the value is pi0 = 0.8
+    r = run_cli("kt", "--rates", "1,5", "--q", "0", "--q2", "0", "--t", "200,300")
     assert r.returncode == 0, r.stderr
-    row = r.stdout.splitlines()[1].rstrip("\r").split(",")
-    value, abs_error = float(row[3]), float(row[4])
-    ref = kt_general((0,), (0,), 200.0, (1, 5))
-    assert abs(value - ref.value) <= abs_error + ref.abs_error
+    rows = [ln.rstrip("\r").split(",") for ln in r.stdout.splitlines()[1:]]
+    (v200, e200), (v300, e300) = [(float(row[3]), float(row[4])) for row in rows]
+    ref = mm1_kt(0, 0, 200.0, (1, 5))
+    assert abs(v200 - ref.value) <= e200 + ref.abs_error + 1e-12
+    assert abs(v300 - 0.8) <= e300 + 1e-12
+
+
+def test_kt_large_t_product_form(capsys):
+    # row-scaled elimination flushed entries more than e^-745 below their
+    # row maximum to 0 and printed 0.1627; the relaxation factor at t=700
+    # is below e^-80, so the value is pi0 = 160/819
+    argv = ["kt", "--rates", "1,1.8,2.6,3.5", "--q", "0,0,0", "--q2", "0,0,0", "--t", "700"]
+    assert cli.main(argv) == 0
+    row = capsys.readouterr().out.splitlines()[1].rstrip("\r").split(",")
+    pi0 = stationary_empty_prob(tuple(Fraction(v) for v in ("1", "1.8", "2.6", "3.5")))
+    assert abs(float(row[3]) - float(pi0)) <= float(row[4]) + 1e-12
 
 
 def test_kt_rejects_negative_queue():
@@ -197,7 +228,7 @@ def test_tolerance_failure_exit_3(monkeypatch, capsys):
     def boom(*a, **k):
         raise ToleranceNotAchieved(1e-10, 1e-3, "forced")
 
-    monkeypatch.setattr(cli.queueprobs, "kt00_stationary", boom)
+    monkeypatch.setattr(cli.queueprobs, "kt_general", boom)
     code = cli.main(["kt00", "--rates", "1,2", "--t", "1"])
     assert code == 3
     assert "tolerance" in capsys.readouterr().err.lower()

@@ -148,6 +148,14 @@ def test_kt_general_matches_stationary_form(nu, t):
     assert abs(a.value - b.value) <= a.abs_error + b.abs_error + 1e-12
 
 
+def test_kt_general_large_t_product_form():
+    # row-scaled elimination flushed entries more than e^-745 below their
+    # row maximum to 0 and returned 0; the relaxation factor at t=700 is
+    # below e^-80, so the value is the product form (1/2)(3/4)(1/4)
+    a = kt_general((1, 0), (0, 1), 700.0, (1, 2, 4))
+    assert abs(a.value - 3 / 32) <= a.abs_error + 1e-12
+
+
 def test_kt_general_refuses_cancelling_determinants():
     # a service rate below an earlier one: at large t the determinants
     # cancel far beyond double round-off, and the call must say so
