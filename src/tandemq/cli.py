@@ -13,6 +13,7 @@ verification failure.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -74,11 +75,14 @@ def _parse_t_grid(values):
         for part in str(chunk).split(","):
             part = part.strip()
             if part:
-                out.append(float(part))
+                try:
+                    out.append(float(part))
+                except ValueError as exc:
+                    raise PreconditionError(f"cannot parse --t {part!r}") from exc
     if not out:
         raise PreconditionError("at least one --t value is required")
-    if any(t < 0 for t in out):
-        raise PreconditionError("t must be nonnegative")
+    if not all(0 <= t < math.inf for t in out):
+        raise PreconditionError("t must be finite and nonnegative")
     return out
 
 
@@ -237,16 +241,17 @@ def cmd_simulate(args):
 # parser
 
 
-def _add_common(sp, tol_default):
+def _add_common(sp, tol_default=None):
     sp.add_argument("--rates", required=True, help="comma-separated rates: arrival,service1,...")
-    sp.add_argument("--tol", type=float, default=tol_default, help="absolute error target")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument(
         "--precision",
         choices=("double", "high"),
         default=os.environ.get(PRECISION_ENV, "double"),
         help=f"arithmetic mode (env {PRECISION_ENV})",
     )
+    if tol_default is not None:
+        sp.add_argument("--tol", type=float, default=tol_default, help="absolute error target")
+        sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def build_parser():
@@ -268,8 +273,8 @@ def build_parser():
     s.add_argument("--q2", required=True, help="final queue lengths, comma separated")
     s.set_defaults(func=cmd_kt)
 
-    s = sub.add_parser("relaxation", help="relaxation time and decay diagnostics")
-    _add_common(s, 1e-10)
+    s = sub.add_parser("relaxation", help="relaxation time and decay diagnostics (JSON)")
+    _add_common(s)
     s.add_argument("--t", action="append", help="optional time grid for a decay-rate fit")
     s.set_defaults(func=cmd_relaxation)
 

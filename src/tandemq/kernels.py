@@ -31,7 +31,9 @@ import numpy as np
 
 from . import lattice, linalg, symfunc
 from .errors import PreconditionError, ToleranceNotAchieved
-from .numerics import HIGH_DPS, MAX_CAP, KernelValue, Numerics, evaluation, polynomial_absorb_constant
+from .numerics import (
+    HIGH_DPS, KernelValue, Numerics, evaluation, poisson_log_cap, polynomial_absorb_constant
+)
 from .rates import as_rates
 from .symfunc import _pow
 
@@ -138,8 +140,8 @@ def killed_poisson_kernel(z, z2, t, nu, *, nm):
     n1 = len(nu)
     z = _check_chamber(z, "z", n1)
     z2 = _check_chamber(z2, "z2", n1)
-    if t < 0:
-        raise PreconditionError("t must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise PreconditionError("t must be finite and nonnegative")
     mat = [[None] * n1 for _ in range(n1)]
     for a in range(n1):
         mu = nm.scalar(nu[a]) * nm.scalar(t)
@@ -316,34 +318,17 @@ def _h_cut(n0, mu, ratio, deg, log_f, lt):
 
         e^log_f A G^-n e^{mu(G-1)} P(Poisson(mu G) > n + K),
 
-    which decreases in n, so the bound at n0 covers every n."""
+    which decreases in n, so the bound at n0 covers every n.  K is
+    max(0, m - n0) for the smallest m that meets e^lt (poisson_log_cap)."""
     if deg == 0:
         delta, absorb = 0.0, 1.0
     else:
         delta = min(1.0, deg / (mu * ratio))
         absorb = polynomial_absorb_constant(deg, delta)
     g = max(1.0, (1.0 + delta) * ratio)
-    lam = mu * g
     base = log_f + math.log(absorb) - n0 * math.log(g) + mu * (g - 1.0)
-    c = 0.0
-    while True:
-        cut = max(0, math.ceil(lam + c * math.sqrt(lam) + c * c) - n0)
-        log_tail = base + _log_poisson_sf(lam, n0 + cut)
-        if log_tail <= lt:
-            return cut, log_tail
-        if cut > MAX_CAP:
-            detail = f"h-series cut exceeded {MAX_CAP}"
-            raise ToleranceNotAchieved(math.exp(lt), math.exp(log_tail), detail)
-        c += 1.0
-
-
-def _log_poisson_sf(mu, m):
-    """log P(Poisson(mu) > m), also where the probability underflows."""
-    sf = Numerics().poisson_sf(mu, m)
-    if sf > 1e-300:
-        return math.log(sf)
-    # deep tail, m far above mu: pmf ratios past m+1 are below mu/(m+2)
-    return (m + 1) * math.log(mu) - math.lgamma(m + 2) - mu - math.log1p(-mu / (m + 2))
+    m, log_sf = poisson_log_cap(mu * g, lt - base, "h-series cut")
+    return max(0, m - n0), base + log_sf
 
 
 def _log_perm_diff(logabs, logerr):
@@ -549,18 +534,16 @@ def noncrossing_prob(x, t, nu, tol=1e-9, *, nm):
     each assignment contributes a product-form term summed over strictly
     decreasing chains by prefix sums, so the cost is (N+1)! times a few
     cumulative sums over the truncation range."""
-    x = _check_chamber(x, "x")
+    rates = tuple(nu)
+    x = _check_chamber(x, "x", len(rates))
+    if not all(v > 0 for v in rates):
+        raise PreconditionError(f"rates must be positive, got {rates}")
     if t < 0:
         raise PreconditionError("t must be nonnegative")
-    if len(x) == 1:
-        # one counter, nothing to cross
+    if len(x) == 1 or t == 0:
+        # one counter, or no time, leaves nothing to cross
         return KernelValue(1.0, 0.0)
-    nu = as_rates(nu)
-    if len(x) != len(nu):
-        raise PreconditionError("start point must have one coordinate per rate")
-    if t == 0:
-        return KernelValue(1.0, 0.0)
-    value, tail, _ = lattice.survival_probability(x, t, nu.values, tol, nm)
+    value, tail, _ = lattice.survival_probability(x, t, rates, tol, nm)
     return KernelValue(value, tail)
 
 

@@ -8,7 +8,7 @@ Internal engines shared by the kernel and queue-probability modules:
 * batched enumeration of weakly decreasing tuples inside a box, with
   determinant stacks evaluated in log-magnitude/sign form so that large
   kernel weights cannot overflow;
-* box growth loops that certify a tail bound before any sum is taken.
+* box caps that certify a tail bound before any sum is taken.
 
 Nothing in here is part of the public interface.
 """
@@ -19,13 +19,7 @@ import math
 import numpy as np
 
 from .errors import ToleranceNotAchieved
-from .numerics import (
-    MAX_BOX_POINTS,
-    MAX_CAP,
-    Numerics,
-    poisson_cap,
-    polynomial_absorb_constant,
-)
+from .numerics import MAX_BOX_POINTS, MAX_CAP, poisson_cap, poisson_log_cap, polynomial_absorb_constant
 
 
 def ordered_tuples(lo, hi):
@@ -90,17 +84,17 @@ def survival_probability(x, t, nu, tol, nm):
     Returns (value, tail_bound, caps).  The determinant representation of
     the killed kernel is expanded over column assignments; each term is a
     chain sum weighted by kappa_tau = prod_i nu_i^(a_tau(i) - a_i) with
-    a_j = x_j - j.  Truncation: coordinate i is capped at
-    x_i + poisson_cap(nu_i t), and the neglected mass is at most the sum
-    of the per-coordinate Poisson tails.
+    a_j = x_j - j.  Truncation: coordinate i is capped at x_i +
+    poisson_cap(nu_i t, tol/(N+1)), and the neglected mass is at most the
+    (float) sum of those tails, which sits just below tol.
     """
     n1 = len(nu)
     mus = [nm.scalar(r) * nm.scalar(t) for r in nu]
-    caps, tail = [], nm.scalar(0)
+    caps, tail = [], 0.0
     for i in range(n1):
-        cap, tl = poisson_cap(mus[i], tol / n1, nm)
+        cap, tl = poisson_cap(mus[i], tol / n1)
         caps.append(x[i] + cap)
-        tail = tail + tl
+        tail += tl
 
     a = [x[j] - j for j in range(n1)]
     ylo, yhi = min(a), max(caps[i] - i for i in range(n1))
@@ -203,34 +197,24 @@ def grow_weighted_box(start_lo, start_hi, t, nu, tol, growth, poly_degree, poly_
 
     The polynomial factor is absorbed into a slightly larger tilt, and
     the tilted tail is exact: sum_{m>M} pmf(mu,m) g^m =
-    e^{mu(g-1)} P(Poisson(mu g) > M).  Returns (caps, bound).
+    e^{mu(g-1)} P(Poisson(mu g) > M).  Coordinate k gets tol/(N+1),
+    divided by scale and the tilted total mass of the other coordinates,
+    and the smallest cap that meets it.  Returns (caps, bound).
     """
     n1 = len(nu)
     delta = 0.25
     absorb = polynomial_absorb_constant(poly_degree, delta, poly_shift)
     mus = [float(r) * float(t) for r in nu]
     gts = [max(1.0, g) * (1.0 + delta) for g in growth]
-    # total tilted mass per coordinate; appears for the non-tail coordinates
-    totals = [absorb * math.exp(mus[k] * (gts[k] - 1.0)) for k in range(n1)]
-    log_totals = [math.log(v) for v in totals]
-    c = 2.0
-    while True:
-        caps = [
-            start_hi[k] + math.ceil(mus[k] * gts[k] + c * math.sqrt(mus[k] * gts[k]) + c * c)
-            for k in range(n1)
-        ]
-        bound = 0.0
-        for k in range(n1):
-            tail_k = absorb * math.exp(mus[k] * (gts[k] - 1.0)) * float(
-                Numerics().poisson_sf(mus[k] * gts[k], caps[k] - start_hi[k])
-            )
-            rest = math.exp(sum(log_totals[j] for j in range(n1) if j != k))
-            bound += tail_k * rest
-        bound *= scale
-        if bound <= tol:
-            return caps, bound
-        if max(caps) - min(start_lo) > MAX_CAP:
-            raise ToleranceNotAchieved(tol, bound, "weighted box cap limit")
-        if count_ordered_tuples(start_lo, caps) > MAX_BOX_POINTS:
-            raise ToleranceNotAchieved(tol, bound, "weighted box point limit")
-        c += 1.0
+    # log of scale times the tilted total mass of every coordinate
+    log_mass = math.log(scale) + sum(math.log(absorb) + mus[k] * (gts[k] - 1.0) for k in range(n1))
+    caps, bound = [], 0.0
+    for k in range(n1):
+        m, log_sf = poisson_log_cap(mus[k] * gts[k], math.log(tol / n1) - log_mass, "weighted box cap")
+        caps.append(start_hi[k] + m)
+        bound += math.exp(log_mass + log_sf)
+    if max(caps) - min(start_lo) > MAX_CAP:
+        raise ToleranceNotAchieved(tol, bound, "weighted box cap limit")
+    if count_ordered_tuples(start_lo, caps) > MAX_BOX_POINTS:
+        raise ToleranceNotAchieved(tol, bound, "weighted box point limit")
+    return caps, bound

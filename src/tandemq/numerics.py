@@ -1,11 +1,13 @@
 """Floating / high-precision numeric kit.
 
 All lattice truncations in this package are certified by Poisson tail
-bounds, so the helpers here revolve around Poisson pmf tables and tail
-probabilities, in either float64 or mpmath arithmetic.  The "high"
-precision mode works at HIGH_DPS decimal digits; it exists for very
-deep tails (transition probabilities far below 1e-12) where float64
-round-off in signed sums would start to matter.  The decorator
+bounds, and every truncation picks the smallest cap whose tail meets
+its budget through one search, poisson_log_cap.  It runs in double log
+space in both modes, since tails only feed the float abs_error.  Pmf
+tables come in float64 or mpmath arithmetic.  The "high" precision mode
+works at HIGH_DPS decimal digits; it exists for very deep tails
+(transition probabilities far below 1e-12) where float64 round-off in
+signed sums would start to matter.  The decorator
 `evaluation` is the only place that enters mpmath's context; the
 Numerics methods assume they run inside it.
 """
@@ -20,8 +22,9 @@ from typing import NamedTuple
 import mpmath
 import numpy as np
 from scipy import special
+from scipy.special import cython_special
 
-from .errors import ToleranceNotAchieved
+from .errors import PreconditionError, ToleranceNotAchieved
 
 HIGH_DPS = 50
 
@@ -103,15 +106,6 @@ class Numerics:
             p = p * mu / k
         return out
 
-    def poisson_sf(self, mu, m):
-        """P(Poisson(mu) > m)."""
-        if m < 0:
-            return self.scalar(1)
-        if not self.high:
-            # regularized lower incomplete gamma; exact identity, no loops
-            return float(special.gammainc(m + 1, float(mu)))
-        return mpmath.gammainc(m + 1, 0, mpmath.mpf(mu), regularized=True)
-
 
 def evaluation(fn):
     """Gives fn, which takes a keyword-only Numerics nm, a keyword-only
@@ -135,20 +129,53 @@ def evaluation(fn):
     return evaluate
 
 
-def poisson_cap(mu, tol, nm=None):
-    """Smallest cap of the form ceil(mu + c*sqrt(mu) + c^2) whose upper
-    Poisson tail is below tol.  Returns (cap, tail)."""
-    nm = nm or Numerics()
-    mu_f = float(mu)
-    c = 1.0
-    while True:
-        cap = math.ceil(mu_f + c * math.sqrt(mu_f) + c * c)
-        tail = nm.poisson_sf(mu, cap)
-        if tail < tol:
-            return cap, tail
-        if cap > MAX_CAP:
-            raise ToleranceNotAchieved(tol, float(tail), f"Poisson cap exceeded {MAX_CAP}")
-        c += 1.0
+def poisson_cap(mu, tol):
+    """Smallest cap with P(Poisson(mu) > cap) below tol > 0, and that
+    tail as a float."""
+    if not 0 < tol < math.inf:
+        raise PreconditionError(f"tol must be positive and finite, got {tol!r}")
+    cap, log_tail = poisson_log_cap(mu, math.log(tol))
+    return cap, math.exp(log_tail)
+
+
+def poisson_log_cap(mu, log_budget, what="Poisson cap"):
+    """Smallest m >= 0 with log P(Poisson(mu) > m) below log_budget, and
+    that log tail: the one truncation search of the package.  The tail
+    must clear the budget by a relative 1e-9, which covers the round-off
+    of gammainc.  Bisects between -1 (tail 1) and the Bernstein cap
+    mu + c sqrt(mu) + c^2, c^2 = -2 log_budget, whose tail is below the
+    budget.  Raises PreconditionError for a non-finite or negative mu or
+    a non-finite budget, ToleranceNotAchieved for an m past MAX_CAP."""
+    mu = float(mu)
+    if not (0 <= mu < math.inf and math.isfinite(log_budget)):
+        raise PreconditionError(f"no Poisson cut for mean {mu!r} and log budget {log_budget!r}")
+    if mu == 0:
+        return 0, -math.inf
+    goal = log_budget + math.log1p(-1e-9)
+    c2 = max(0.0, -2.0 * goal)
+    lo, hi = -1, min(MAX_CAP, math.ceil(mu + math.sqrt(c2 * mu) + c2))
+    hi_log = _log_poisson_sf(mu, hi)
+    if not hi_log < goal:
+        raise ToleranceNotAchieved(math.exp(log_budget), math.exp(hi_log), f"{what} exceeded {MAX_CAP}")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        mid_log = _log_poisson_sf(mu, mid)
+        if mid_log < goal:
+            hi, hi_log = mid, mid_log
+        else:
+            lo = mid
+    return hi, hi_log
+
+
+def _log_poisson_sf(mu, m):
+    """log P(Poisson(mu) > m) for m >= 0, from gammainc down to 1e-300
+    and, where gammainc underflows, from the pmf ratios past m+1, which
+    are below mu/(m+2)."""
+    # a scalar call here costs a fifth of the ufunc's; a search makes a dozen
+    sf = cython_special.gammainc(m + 1, mu)
+    if sf > 1e-300:
+        return math.log(sf)
+    return (m + 1) * math.log(mu) - math.lgamma(m + 2) - mu - math.log1p(-mu / (m + 2))
 
 
 def polynomial_absorb_constant(degree, delta, shift=0):

@@ -208,15 +208,15 @@ def kt_general(q, q2, t, nu, tol=1e-8, *, nm):
     the route of both `tandemq kt00` and `tandemq kt`; kt00_direct,
     kt00_stationary and mm1_kt are its oracles.
 
-    abs_error = tail + cut, each at most tol/2.  tail: the arrival count
+    abs_error = tail + cut, each below tol/2.  tail: the arrival count
     is c + |q2| - |q|, so the terms past the last c hold at most
-    P(Poisson(nu_0 t) > poisson_cap).  cut: the summed error of the
-    h-series cuts inside the determinants.  Float round-off is not
-    included; when its estimate exceeds tol (the determinants cancel
-    when a service rate is below an earlier one, at large t) the call
-    raises ToleranceNotAchieved instead of returning a value.  Between
-    empty states the service rates are sorted first, which leaves the
-    value unchanged."""
+    P(Poisson(nu_0 t) > cap), the smallest cap that meets tol/2.  cut:
+    the summed error of the h-series cuts inside the determinants.
+    Float round-off is not included; when its estimate exceeds tol (the
+    determinants cancel when a service rate is below an earlier one, at
+    large t) the call raises ToleranceNotAchieved instead of returning a
+    value.  Between empty states the service rates are sorted first,
+    which leaves the value unchanged."""
     nu = as_rates(nu)
     q = _check_queue(q, nu.n_stations, "q")
     q2 = _check_queue(q2, nu.n_stations, "q2")
@@ -231,7 +231,7 @@ def kt_general(q, q2, t, nu, tol=1e-8, *, nm):
         # depend on the order of the stations (./M/1 interchangeability),
         # and with increasing service rates the determinants do not cancel
         nu = as_rates((nu[0],) + tuple(sorted(nu.services)))
-    cap, tail = poisson_cap(nm.scalar(nu[0]) * nm.scalar(t), tol / 2, nm)
+    cap, tail = poisson_cap(nm.scalar(nu[0]) * nm.scalar(t), tol / 2)
     d = queue_to_departures(q)
     base = queue_to_departures(q2)
     # departures never decrease, so every term with c < first is zero
@@ -244,7 +244,7 @@ def kt_general(q, q2, t, nu, tol=1e-8, *, nm):
     if roundoff > tol:
         detail = "determinant cancellation exceeds the round-off budget; try precision='high'"
         raise ToleranceNotAchieved(tol, roundoff, detail)
-    return KernelValue(values.sum(), float(tail) + cut)
+    return KernelValue(values.sum(), tail + cut)
 
 
 def mm1_kt(q, q2, t, nu, rel_tol=1e-15):
@@ -265,8 +265,8 @@ def mm1_kt(q, q2, t, nu, rel_tol=1e-15):
     q, q2 = int(q), int(q2)
     if q < 0 or q2 < 0:
         raise PreconditionError("queue lengths must be nonnegative")
-    if t < 0:
-        raise PreconditionError("t must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise PreconditionError("t must be finite and nonnegative")
     if t == 0:
         return KernelValue(1.0 if q == q2 else 0.0, 0.0)
     lam, mu = nu.as_floats()

@@ -184,6 +184,28 @@ def test_relaxation_with_grid_high_precision():
     assert rep_hi["fitted_rate"] == pytest.approx(rep_lo["fitted_rate"], abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kt00", "--rates", "1,2,3", "--t", "nan"],
+        ["kt00", "--rates", "1,2,3", "--t", "inf"],
+        ["kt", "--rates", "1,2", "--q", "0", "--q2", "0", "--t", "1e400"],
+        ["kt00", "--rates", "1,2,3", "--t", "1", "--tol", "nan"],
+        ["kt00", "--rates", "1,2,3", "--t", "abc"],
+    ],
+)
+def test_unusable_t_or_tol_exit_2(argv, capsys):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("option", [["--tol", "1e-3"], ["--format", "csv"]])
+def test_relaxation_takes_no_tol_or_format(option):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["relaxation", "--rates", "1,4,2,3", *option])
+    assert exc.value.code == 2
+
+
 def test_relaxation_unstable_exit_2():
     r = run_cli("relaxation", "--rates", "2,1")
     assert r.returncode == 2

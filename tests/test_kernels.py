@@ -298,6 +298,14 @@ def test_noncrossing_trivial_cases():
     assert noncrossing_prob((5,), 100.0, (3,)) == (1.0, 0.0)
 
 
+def test_noncrossing_one_counter_checks_rates():
+    # the rate count and signs are checked before the one-counter answer
+    with pytest.raises(PreconditionError):
+        noncrossing_prob((0,), 1.0, (1, 2, 3))
+    with pytest.raises(PreconditionError):
+        noncrossing_prob((0,), 1.0, (-1,))
+
+
 def test_noncrossing_vs_killed_kernel_sum():
     # survival = sum over end points of the killed kernel; independent
     # evaluation routes (per-point determinants vs the chain-sum engine)

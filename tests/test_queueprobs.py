@@ -211,3 +211,21 @@ def test_mm1_rejects_bad_args():
         mm1_kt(-1, 0, 1.0, (1, 2))
     with pytest.raises(PreconditionError):
         mm1_kt(0, 0, 1.0, (1, 2, 3))
+
+
+def test_nan_time_is_a_precondition_error():
+    from tandemq.kernels import killed_poisson_kernel, noncrossing_prob
+
+    calls = [
+        lambda: kt_general((0, 0), (0, 0), math.nan, (1, 2, 3)),
+        lambda: kt00_gap(math.nan, (1, 2, 3)),
+        lambda: noncrossing_prob((1, 0), math.nan, (1, 2)),
+        lambda: uniformization_kt((0,), (0,), math.nan, (1, 2), 10),
+        # neither cuts a Poisson sum: mm1_kt looped forever, the kernel returned nan
+        lambda: mm1_kt(0, 0, math.nan, (1, 2)),
+        lambda: mm1_kt(0, 0, math.inf, (1, 2)),
+        lambda: killed_poisson_kernel((1, 0), (2, 1), math.nan, (1, 2)),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionError):
+            call()
