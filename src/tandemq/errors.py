@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class TandemError(Exception):
     """Base class for library errors."""
@@ -22,12 +24,38 @@ class UnstableRatesError(PreconditionError):
 
 class ToleranceNotAchieved(TandemError, RuntimeError):
     """The requested error bound cannot be certified within the configured
-    truncation limits.  Carries the bound that was achieved (CLI exit 3)."""
+    truncation limits.  Carries the bound that was achieved (CLI exit 3),
+    also as natural logs (logs), so that a bound outside the float range
+    still prints as a nonzero number."""
 
-    def __init__(self, requested, achieved, detail=""):
+    def __init__(self, requested, achieved, detail="", logs=None):
         self.requested = float(requested)
         self.achieved = float(achieved)
-        msg = f"requested tolerance {requested:g}, achieved only {achieved:g}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+        self.detail = detail
+        pair = (self.requested, self.achieved)
+        self.logs = logs or tuple(math.log(v) if v > 0 else -math.inf for v in pair)
+        msg = "requested tolerance {}, achieved only {}".format(*map(_fmt, self.logs))
+        super().__init__(msg + (f" ({detail})" if detail else ""))
+
+    @classmethod
+    def from_logs(cls, log_requested, log_achieved, detail=""):
+        return cls(_exp(log_requested), _exp(log_achieved), detail, (log_requested, log_achieved))
+
+    def restated(self, tol):
+        """The same refusal against the caller's tolerance tol, where this
+        one names an internal share of it: the achieved bound becomes tol
+        times the factor by which the limited truncation missed its share."""
+        log_tol = math.log(tol)
+        return self.from_logs(log_tol, log_tol + self.logs[1] - self.logs[0], self.detail)
+
+
+def _exp(log):
+    return math.exp(log) if log < 709.0 else math.inf
+
+
+def _fmt(log):
+    """e^log as %g prints it, also past the float range."""
+    if -700.0 < log < 700.0 or not math.isfinite(log):
+        return f"{_exp(log):g}"
+    k, frac = divmod(log / math.log(10.0), 1.0)
+    return f"{10.0**frac:g}e{int(k):+d}"

@@ -32,7 +32,8 @@ import numpy as np
 from . import lattice, linalg, symfunc
 from .errors import PreconditionError, ToleranceNotAchieved
 from .numerics import (
-    HIGH_DPS, KernelValue, Numerics, evaluation, poisson_log_cap, polynomial_absorb_constant
+    HIGH_DPS, KernelValue, Numerics, check_time, evaluation, poisson_log_cap,
+    polynomial_absorb_constant,
 )
 from .rates import as_rates
 from .symfunc import _pow
@@ -96,6 +97,8 @@ def window_weight(n, t, nu, i, j):
     last = nu.n_stations
     if not (0 <= i <= last and 0 <= j <= last):
         raise PreconditionError(f"window indices ({i},{j}) out of range")
+    if not abs(t) < math.inf:
+        raise PreconditionError(f"t must be finite, got {t!r}")
     if isinstance(t, (int, Fraction)) and (j <= i or t <= 0):
         return _window_weight.__wrapped__(n, t, nu, i, j, nm=None)
     return _window_weight(n, t, nu, i, j, precision="high" if isinstance(t, mpmath.mpf) else "double")
@@ -140,8 +143,7 @@ def killed_poisson_kernel(z, z2, t, nu, *, nm):
     n1 = len(nu)
     z = _check_chamber(z, "z", n1)
     z2 = _check_chamber(z2, "z2", n1)
-    if not 0 <= t < math.inf:
-        raise PreconditionError("t must be finite and nonnegative")
+    check_time(t)
     mat = [[None] * n1 for _ in range(n1)]
     for a in range(n1):
         mu = nm.scalar(nu[a]) * nm.scalar(t)
@@ -180,8 +182,7 @@ def departure_kernel(d, d2, t, nu, *, nm):
     n1 = len(nu)
     d = _check_chamber(d, "d", n1)
     d2 = _check_chamber(d2, "d2", n1)
-    if t < 0:
-        raise PreconditionError("t must be nonnegative")
+    check_time(t)
     if t == 0:
         return 1 if d == d2 else 0
     values, _, _ = departure_kernel_stack(d, d2, 1, t, nu, _cut_budget(nm), nm)
@@ -222,12 +223,15 @@ def departure_kernel_stack(d, d2, count, t, nu, budget, nm):
         logabs = np.empty(shape, dtype=nm.dtype)
         logcut = np.full((n1, n1), -np.inf)
         logrel = np.full((n1, n1), -np.inf)
-        for a in range(n1):
-            for b in range(n1):
-                n0 = d2[a] - d[b] - a + b
-                sign[:, a, b], logabs[:, a, b], logcut[a, b], logrel[a, b] = _entry_series(
-                    a, b, d[b] - b, n0, count, t, nu, lt, nm
-                )
+        try:
+            for a in range(n1):
+                for b in range(n1):
+                    n0 = d2[a] - d[b] - a + b
+                    sign[:, a, b], logabs[:, a, b], logcut[a, b], logrel[a, b] = _entry_series(
+                        a, b, d[b] - b, n0, count, t, nu, lt, nm
+                    )
+        except ToleranceNotAchieved as err:
+            raise err.restated(budget) from None
         log_cut = _log_perm_diff(np.asarray(logabs, dtype=float), logcut)
         if log_cut <= log_budget:
             values = _stack_dets(sign, logabs, nm)
@@ -236,7 +240,7 @@ def departure_kernel_stack(d, d2, count, t, nu, budget, nm):
             roundoff = n1 * float(np.abs(np.asarray(moved - values, dtype=float)).sum())
             return values, math.exp(log_cut), roundoff
         lt = min(lt, logcut.max()) - (log_cut - log_budget) - math.log(2.0)
-    raise ToleranceNotAchieved(budget, math.exp(log_cut), "h-series cut")
+    raise ToleranceNotAchieved.from_logs(log_budget, log_cut, "h-series cut")
 
 
 def _cut_budget(nm):
@@ -530,21 +534,19 @@ def noncrossing_prob(x, t, nu, tol=1e-9, *, nm):
     """P(the independent Poisson counters started at x in the chamber
     keep their order through time t), with certified truncation error.
 
-    The killed-kernel determinant is expanded over column assignments;
-    each assignment contributes a product-form term summed over strictly
-    decreasing chains by prefix sums, so the cost is (N+1)! times a few
-    cumulative sums over the truncation range."""
+    The killed-kernel determinant, summed over strictly decreasing
+    chains, runs as one recursion over the column sets used by the
+    levels below (lattice.survival_probability): 2^(N+1) states, each an
+    array over the truncation range with one prefix sum."""
     rates = tuple(nu)
     x = _check_chamber(x, "x", len(rates))
     if not all(v > 0 for v in rates):
         raise PreconditionError(f"rates must be positive, got {rates}")
-    if t < 0:
-        raise PreconditionError("t must be nonnegative")
+    check_time(t)
     if len(x) == 1 or t == 0:
         # one counter, or no time, leaves nothing to cross
         return KernelValue(1.0, 0.0)
-    value, tail, _ = lattice.survival_probability(x, t, rates, tol, nm)
-    return KernelValue(value, tail)
+    return KernelValue(*lattice.survival_probability(x, t, rates, tol, nm))
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +568,7 @@ def departure_kernel_via_intertwining(d, d2, t, nu, tol=1e-8):
     n1 = len(nu)
     d = _check_chamber(d, "d", n1)
     d2 = _check_chamber(d2, "d2", n1)
-    if t < 0:
-        raise PreconditionError("t must be nonnegative")
+    check_time(t)
     if tol <= 0:
         raise PreconditionError("tol must be positive")
     if t == 0:

@@ -2,9 +2,10 @@
 
 Internal engines shared by the kernel and queue-probability modules:
 
-* chain sums: sum over strictly decreasing integer chains of a product
-  of per-level functions, by prefix sums (used for survival
-  probabilities, where direct enumeration would be quadratic or worse);
+* survival sums: noncrossing probabilities, and signed sums of them
+  over arrangements of the rates on the levels, as one subset recursion
+  over the rates and determinant columns placed so far, each state one
+  prefix-summed array over the truncation range;
 * batched enumeration of weakly decreasing tuples inside a box, with
   determinant stacks evaluated in log-magnitude/sign form so that large
   kernel weights cannot overflow;
@@ -13,8 +14,10 @@ Internal engines shared by the kernel and queue-probability modules:
 Nothing in here is part of the public interface.
 """
 
-import itertools
 import math
+from collections import defaultdict
+from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,87 +64,101 @@ def count_ordered_tuples(lo, hi):
     return int(round(counts.sum()))
 
 
-def chain_sum(tables, numerics):
-    """sum over y_0 > y_1 > ... > y_m of prod_i tables[i][y_i].
+class Arrangements(NamedTuple):
+    """Placements sigma of the rates on the levels 0..N: level i takes a
+    rate sigma(i) from places[i], and sigma weighs scale / prod (1 -
+    nu_sigma(j)/nu_sigma(i)) over the level pairs i < j whose two rates
+    both lie in paired."""
 
-    tables[i] is a 1-D array over a common integer grid.  Works for both
-    float64 and object (mpmath) arrays.
-    """
-    arr = tables[-1]
-    for i in range(len(tables) - 2, -1, -1):
-        c = np.cumsum(arr)
-        shifted = np.empty_like(c)
-        shifted[0] = numerics.scalar(0)
-        shifted[1:] = c[:-1]
-        arr = tables[i] * shifted
-    return arr.sum()
+    places: tuple
+    paired: frozenset = frozenset()
+    scale: object = 1
 
 
-def survival_probability(x, t, nu, tol, nm):
-    """P(independent Poisson particles started at x, with rates nu, keep
-    their strict ordering x_0 - 0 > x_1 - 1 > ... throughout [0, t]).
+def survival_probability(x, t, nu, tol, nm, arrangements=None):
+    """sum_sigma weight_sigma P^sigma, P^sigma the probability that
+    independent Poisson particles started at x, with rate nu_sigma(i) at
+    level i, keep their strict ordering x_0 - 0 > x_1 - 1 > ... through
+    [0, t].  arrangements=None keeps rate i at level i with weight 1.
 
-    Returns (value, tail_bound, caps).  The determinant representation of
-    the killed kernel is expanded over column assignments; each term is a
-    chain sum weighted by kappa_tau = prod_i nu_i^(a_tau(i) - a_i) with
-    a_j = x_j - j.  Truncation: coordinate i is capped at x_i +
-    poisson_cap(nu_i t, tol/(N+1)), and the neglected mass is at most the
-    (float) sum of those tails, which sits just below tol.
-    """
+    Returns (value, bound).  P^sigma is the Karlin-McGregor determinant
+    summed over chains y_0 > ... > y_N; in its expansion over column
+    orders tau, level i with rate r and column j contributes
+    pmf(r t, y_i - a_j) r^(a_j - a_i), a_j = x_j - j.  The sign of tau,
+    the rate powers and the weights all factor over the levels, so one
+    subset recursion, from level N up to level 0, sums over sigma and tau
+    at once.  Its state (R, S) holds the rates and columns placed below
+    as one array over the y grid, with one prefix sum per state:
+    C(2N+2, N+1) states for sums over every sigma, 2^(N+1) for one.
+
+    Truncation: with M = sum_sigma |weight_sigma| (exact), rate r is cut
+    at y_i <= x_i + poisson_cap(nu_r t, tol/(max(M, 1) (N+1))) - i, and
+    the neglected mass is at most M times the (float) sum of those
+    tails, which sits just below tol."""
     n1 = len(nu)
-    mus = [nm.scalar(r) * nm.scalar(t) for r in nu]
-    caps, tail = [], 0.0
-    for i in range(n1):
-        cap, tl = poisson_cap(mus[i], tol / n1)
-        caps.append(x[i] + cap)
-        tail += tl
-
+    places, paired, scale = arrangements or Arrangements(tuple({i} for i in range(n1)))
+    weights, mass = _arrangement_weights([Fraction(v) for v in nu], places, paired, scale)
+    rates = [nm.scalar(r) for r in nu]
     a = [x[j] - j for j in range(n1)]
-    ylo, yhi = min(a), max(caps[i] - i for i in range(n1))
-    mlo, mhi = ylo - max(a), yhi - min(a)
+    # each weight with the rate power nu_r^-a_i of the level i it sits at
+    factors = {
+        (rs, r): nm.scalar(w) * rates[r] ** -a[n1 - 1 - bin(rs).count("1")]
+        for (rs, r), w in weights.items()
+    }
+    cuts = [poisson_cap(r * nm.scalar(t), tol / max(mass, 1.0) / n1) for r in rates]
+    caps, tail = [cap for cap, _ in cuts], sum(tl for _, tl in cuts)
+    ylo = min(a)
+    tops = [{r: x[i] + caps[r] - i - ylo + 1 for r in places[i]} for i in range(n1)]
+    grid = max(n for top in tops for n in top.values())
+    mlo = ylo - max(a)
+    # cols[r][j][y - ylo] = pmf(nu_r t, y - a_j) nu_r^a_j
+    cols = []
+    for r in range(n1):
+        pmf = nm.poisson_pmf_table(rates[r] * nm.scalar(t), mlo, ylo + grid - 1 - min(a))
+        cols.append([pmf[ylo - a[j] - mlo :][:grid] * rates[r] ** a[j] for j in range(n1)])
 
-    pmf = [nm.poisson_pmf_table(mus[i], mlo, mhi) for i in range(n1)]
-    grid = yhi - ylo + 1
-    tables = [[None] * n1 for _ in range(n1)]
-    for i in range(n1):
-        top = caps[i] - i
-        for j in range(n1):
-            off = (ylo - a[j]) - mlo
-            sl = pmf[i][off : off + grid]
-            if top < yhi:
-                sl = sl.copy()
-                sl[top - ylo + 1 :] = nm.scalar(0)
-            tables[i][j] = sl
-
-    rate_scalars = [nm.scalar(r) for r in nu]
-    total = nm.scalar(0)
-    for tau in itertools.permutations(range(n1)):
-        sgn = _perm_sign(tau)
-        # constant from pulling the rate powers out of the determinant's
-        # column permutation: prod_i nu_i^(a_tau(i) - a_i)
-        kappa = nm.scalar(1)
-        for i in range(n1):
-            shift = a[tau[i]] - a[i]
-            if shift:
-                kappa = kappa * rate_scalars[i] ** shift
-        total = total + sgn * kappa * chain_sum([tables[i][tau[i]] for i in range(n1)], nm)
-    return total, tail, caps
+    below = {(0, 0): np.ones(grid, dtype=nm.dtype)}
+    for i in range(n1 - 1, -1, -1):
+        level = defaultdict(lambda: np.zeros(grid, dtype=nm.dtype))
+        for (rs, cs), h in below.items():
+            for r in places[i]:
+                if rs >> r & 1:
+                    continue
+                n = tops[i][r]
+                fh = h[:n] * factors[rs, r]
+                signed = (fh, -fh)
+                for j in range(n1):
+                    if not cs >> j & 1:
+                        # sign(tau): one inversion per lower column placed below
+                        odd = bin(cs & ((1 << j) - 1)).count("1") % 2
+                        level[rs | 1 << r, cs | 1 << j][:n] += cols[r][j][:n] * signed[odd]
+        # chains decrease strictly: level i - 1 sees the sums over y' < y,
+        # and level i's arrays go as soon as their sums are taken
+        for key, g in level.items():
+            level[key] = np.concatenate((g[:1] * 0, np.cumsum(g)))
+        below = level
+    return sum(h[-1] for h in below.values()) * nm.scalar(scale), mass * tail
 
 
-def _perm_sign(tau):
-    sgn, seen = 1, [False] * len(tau)
-    for s in range(len(tau)):
-        if seen[s]:
-            continue
-        ln = 0
-        j = s
-        while not seen[j]:
-            seen[j] = True
-            j = tau[j]
-            ln += 1
-        if ln % 2 == 0:
-            sgn = -sgn
-    return sgn
+def _arrangement_weights(vals, places, paired, scale):
+    """The exact weight of placing rate r one level above the placed
+    rates R, as {(R, r): w} over bitmasks R, and sum_sigma
+    |weight_sigma| over the complete placements (a float), by one
+    recursion over the rate sets."""
+    weights, mass = {}, {0: abs(Fraction(scale))}
+    for i in range(len(vals) - 1, -1, -1):
+        nxt = defaultdict(Fraction)
+        for rs, m in mass.items():
+            for r in places[i]:
+                if not rs >> r & 1:
+                    w = Fraction(1)
+                    for s in paired if r in paired else ():
+                        if rs >> s & 1:
+                            w /= 1 - vals[s] / vals[r]
+                    weights[rs, r] = w
+                    nxt[rs | 1 << r] += m * abs(w)
+        mass = nxt
+    return weights, float(sum(mass.values()))
 
 
 class DetStackAccumulator:

@@ -129,6 +129,13 @@ def evaluation(fn):
     return evaluate
 
 
+def check_time(t):
+    """Raises PreconditionError, naming t, unless 0 <= t < inf; the
+    evaluations call it before they build any table."""
+    if not 0 <= t < math.inf:
+        raise PreconditionError(f"t must be finite and nonnegative, got {t!r}")
+
+
 def poisson_cap(mu, tol):
     """Smallest cap with P(Poisson(mu) > cap) below tol > 0, and that
     tail as a float."""
@@ -156,7 +163,7 @@ def poisson_log_cap(mu, log_budget, what="Poisson cap"):
     lo, hi = -1, min(MAX_CAP, math.ceil(mu + math.sqrt(c2 * mu) + c2))
     hi_log = _log_poisson_sf(mu, hi)
     if not hi_log < goal:
-        raise ToleranceNotAchieved(math.exp(log_budget), math.exp(hi_log), f"{what} exceeded {MAX_CAP}")
+        raise ToleranceNotAchieved.from_logs(log_budget, hi_log, f"{what} exceeded {MAX_CAP}")
     while hi - lo > 1:
         mid = (lo + hi) // 2
         mid_log = _log_poisson_sf(mu, mid)

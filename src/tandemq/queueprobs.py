@@ -3,13 +3,12 @@
 The flagship quantity is the general kt as a finite sum of
 departure-kernel determinants over the completion count (kt_general),
 which serves every pair of states and every N.  The empty-to-empty
-probability kt00 in two permutation-expansion forms and the classical
+probability kt00 in two arrangement-sum forms and the classical
 Bessel series for a single station are kept as oracles; the gap
 kt00 - pi0 (kt00_gap) is the route of the relaxation diagnostics.  All
 truncations carry certified error bounds, returned alongside the value.
 """
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -18,7 +17,7 @@ from scipy.special import ive
 from . import lattice
 from .errors import PreconditionError, ToleranceNotAchieved
 from .kernels import _check_queue, departure_kernel_stack, queue_to_departures
-from .numerics import KernelValue, evaluation, poisson_cap
+from .numerics import KernelValue, check_time, evaluation, poisson_cap
 from .rates import as_rates
 from .symfunc import _pow
 
@@ -66,97 +65,44 @@ def _ratio(a, b):
     return a / b
 
 
-def _exact(v):
-    return v if isinstance(v, (int, Fraction)) else Fraction(v)
-
-
-def _direct_coefficients(nu):
-    """(sigma, coefficient) pairs for the expansion of kt00 over
-    arrangements placing the arrival rate last; coefficients are exact
-    rationals."""
-    nu = as_rates(nu)
-    n1 = len(nu)
-    vals = [_exact(v) for v in nu.values]
-    out = []
-    for rest in itertools.permutations(range(1, n1)):
-        sigma = rest + (0,)
-        den = Fraction(1)
-        for i in range(n1 - 1):
-            for j in range(i + 1, n1 - 1):
-                den *= 1 - vals[sigma[j]] / vals[sigma[i]]
-        if den == 0:
-            raise PreconditionError("service rates must be distinct")
-        out.append((sigma, 1 / den))
-    return out
-
-
-def _stationary_coefficients(nu):
-    """(sigma, coefficient) pairs for the expansion of the gap
-    kt00 - stationary_empty_prob; coefficients are exact rationals and
-    carry the minus sign."""
-    nu = as_rates(nu)
-    n1 = len(nu)
-    vals = [_exact(v) for v in nu.values]
-    pi0 = Fraction(1)
-    for j in range(1, n1):
-        pi0 *= 1 - vals[0] / vals[j]
-    out = []
-    for sigma in itertools.permutations(range(n1)):
-        if sigma[n1 - 1] == 0:
-            continue
-        den = Fraction(1)
-        for i in range(n1):
-            for j in range(i + 1, n1):
-                den *= 1 - vals[sigma[j]] / vals[sigma[i]]
-        if den == 0:
-            raise PreconditionError("rates must be pairwise distinct")
-        out.append((sigma, -pi0 / den))
-    return out
-
-
-def _survival_expansion(coeffs, t, nu, tol, nm):
-    """sum_sigma c_sigma P^{sigma(nu)}(no crossing by t), with the
-    truncation budget split by total coefficient mass."""
-    total_mass = float(sum(abs(c) for _, c in coeffs))
-    tol_term = tol / max(total_mass, 1.0)
-    value = nm.scalar(0)
-    err = 0.0
-    for sigma, c in coeffs:
-        perm_rates = tuple(nu.values[k] for k in sigma)
-        v, tail, _ = lattice.survival_probability((0,) * len(nu), t, perm_rates, tol_term, nm)
-        value = value + nm.scalar(c) * v
-        err += abs(float(c)) * float(tail)
-    return KernelValue(value, err)
-
-
 @evaluation
 def kt00_direct(t, nu, tol=1e-10, *, nm):
     """Empty-to-empty transition probability as a sum of N! noncrossing
-    probabilities over arrangements with the arrival rate last.
+    probabilities over arrangements with the arrival rate last, summed
+    by one subset recursion in C(2N+1, N) states, each an array over the
+    truncation range (lattice.survival_probability).
 
     Needs distinct service rates only; no stability assumption."""
     nu = as_rates(nu)
     nu.require_distinct(service_only=True)
-    if t < 0:
-        raise PreconditionError("t must be nonnegative")
+    check_time(t)
     if t == 0:
         return KernelValue(1.0, 0.0)
-    return _survival_expansion(_direct_coefficients(nu), t, nu, tol, nm)
+    every = frozenset(range(len(nu)))
+    # the arrival rate sits last and stays out of the weights
+    arrangements = lattice.Arrangements((every,) * nu.n_stations + (frozenset({0}),), every - {0})
+    return KernelValue(*lattice.survival_probability((0,) * len(nu), t, nu, tol, nm, arrangements))
 
 
 @evaluation
 def kt00_gap(t, nu, tol=1e-10, *, nm):
     """kt00(t) - stationary_empty_prob, computed directly from the
-    complementary arrangements so no cancellation against the
-    equilibrium value occurs.  Needs stability and all rates distinct."""
+    (N+1)! - N! complementary arrangements so no cancellation against
+    the equilibrium value occurs.  One subset recursion sums them in at
+    most C(2N+2, N+1) states, each an array over the truncation range
+    (lattice.survival_probability).  Needs stability and all rates
+    distinct."""
     nu = as_rates(nu)
     nu.require_stable()
     nu.require_distinct(service_only=False)
-    if t < 0:
-        raise PreconditionError("t must be nonnegative")
+    check_time(t)
     if t == 0:
         return KernelValue(1 - nm.scalar(stationary_empty_prob(nu)), 0.0)
-    return _survival_expansion(_stationary_coefficients(nu), t, nu, tol, nm)
+    every = frozenset(range(len(nu)))
+    pi0 = stationary_empty_prob([Fraction(v) for v in nu])
+    # a service rate sits last; sigma weighs -pi0 / prod_{i<j} (1 - nu_sigma(j)/nu_sigma(i))
+    arrangements = lattice.Arrangements((every,) * nu.n_stations + (every - {0},), every, -pi0)
+    return KernelValue(*lattice.survival_probability((0,) * len(nu), t, nu, tol, nm, arrangements))
 
 
 def kt00_gap_relative(t, nu, rel_tol=1e-4, *, precision="double"):
@@ -220,8 +166,7 @@ def kt_general(q, q2, t, nu, tol=1e-8, *, nm):
     nu = as_rates(nu)
     q = _check_queue(q, nu.n_stations, "q")
     q2 = _check_queue(q2, nu.n_stations, "q2")
-    if t < 0:
-        raise PreconditionError("t must be nonnegative")
+    check_time(t)
     if tol <= 0:
         raise PreconditionError("tol must be positive")
     if t == 0:
@@ -239,8 +184,11 @@ def kt_general(q, q2, t, nu, tol=1e-8, *, nm):
     last = cap + sum(q) - sum(q2)
     if last < first:
         return KernelValue(0, tail)
-    target = tuple(v + first for v in base)
-    values, cut, roundoff = departure_kernel_stack(d, target, last - first + 1, t, nu, tol / 2, nm)
+    target, count = tuple(v + first for v in base), last - first + 1
+    try:
+        values, cut, roundoff = departure_kernel_stack(d, target, count, t, nu, tol / 2, nm)
+    except ToleranceNotAchieved as err:
+        raise err.restated(tol) from None
     if roundoff > tol:
         detail = "determinant cancellation exceeds the round-off budget; try precision='high'"
         raise ToleranceNotAchieved(tol, roundoff, detail)
@@ -265,8 +213,7 @@ def mm1_kt(q, q2, t, nu, rel_tol=1e-15):
     q, q2 = int(q), int(q2)
     if q < 0 or q2 < 0:
         raise PreconditionError("queue lengths must be nonnegative")
-    if not 0 <= t < math.inf:
-        raise PreconditionError("t must be finite and nonnegative")
+    check_time(t)
     if t == 0:
         return KernelValue(1.0 if q == q2 else 0.0, 0.0)
     lam, mu = nu.as_floats()

@@ -21,7 +21,7 @@ from scipy import sparse
 
 from .errors import PreconditionError, ToleranceNotAchieved
 from .kernels import KernelValue, _check_chamber, _check_queue
-from .numerics import Numerics, poisson_cap
+from .numerics import Numerics, check_time, poisson_cap
 from .rates import as_rates
 
 BLOCK = 65536
@@ -239,8 +239,7 @@ def uniformization_kt(q, q2, t, nu, trunc, tol=1e-8):
     q2 = _check_queue(q2, n, "q2")
     if max(q) > cap or max(q2) > cap:
         raise PreconditionError("queue entries must not exceed the truncation cap")
-    if t < 0:
-        raise PreconditionError("t must be nonnegative")
+    check_time(t)
     fl = tuple(nu.as_floats())
     P, lam = _uniformized_matrix(fl, n, cap)
     mu = lam * float(t)

@@ -256,6 +256,20 @@ def test_tolerance_failure_exit_3(monkeypatch, capsys):
     assert "tolerance" in capsys.readouterr().err.lower()
 
 
+def test_refusal_names_caller_tolerance(capsys):
+    # the h-series budget of one entry is near e^-7034; the refusal used to
+    # print it and the achieved tail as underflowed zeros
+    assert cli.main(["kt00", "--rates", "1,2", "--t", "7000"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    err = out.err.strip()
+    assert err.startswith("tandemq: requested tolerance 1e-10, achieved only ")
+    assert err.endswith("(h-series cut exceeded 20000)")
+    achieved = err.split("achieved only ")[1].split()[0]
+    mantissa, exponent = achieved.split("e")
+    assert float(mantissa) > 0 and int(exponent) > 0
+
+
 def test_simulate_kt_reruns_byte_identical():
     args = ("simulate", "kt", "--rates", "1,2", "--q", "0", "--q2", "0",
             "--t", "1", "--seed", "11", "--reps", "20000")

@@ -308,8 +308,15 @@ def test_noncrossing_one_counter_checks_rates():
 
 def test_noncrossing_vs_killed_kernel_sum():
     # survival = sum over end points of the killed kernel; independent
-    # evaluation routes (per-point determinants vs the chain-sum engine)
-    for x, nu, t in [((0, 0), (1.0, 2.0), 1.0), ((2, 1, 0), (1.0, 2.0, 3.0), 0.5)]:
+    # evaluation routes (per-point determinants vs the subset recursion),
+    # up to N=4 and from starts off the staircase x_k = N - k
+    cases = [
+        ((0, 0), (1.0, 2.0), 1.0),
+        ((2, 1, 0), (1.0, 2.0, 3.0), 0.5),
+        ((4, 2, 1, 0), (1.0, 2.0, 3.0, 1.5), 0.25),
+        ((3, 3, 1, 1, 0), (0.6, 1.5, 0.4, 1.2, 0.8), 0.15),
+    ]
+    for x, nu, t in cases:
         kv = noncrossing_prob(x, t, nu, tol=1e-12)
         caps = [x[k] + poisson_cap(nu[k] * t, 1e-13)[0] + 2 for k in range(len(x))]
         brute = sum(

@@ -5,6 +5,8 @@ unstable rates), the Bessel closed form, and the harmonic weight."""
 
 import math
 import random
+import time
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -112,6 +114,32 @@ def test_kt00_gap_relative_certifies():
     assert abs(kv.value - ref.value) <= 2e-3 * kv.value
 
 
+def test_kt00_closed_forms_high_against_double():
+    nu = (1, 4, 2, 3)
+    for form in (kt00_direct, kt00_gap):
+        lo = form(5.0, nu, tol=1e-12)
+        hi = form(5.0, nu, tol=1e-30, precision="high")
+        assert abs(lo.value - float(hi.value)) <= lo.abs_error + hi.abs_error + 1e-12
+    # with int rates the exact weights were float quotients, which put
+    # the two forms 5.8e-17 apart in high precision
+    direct = kt00_direct(5.0, nu, tol=1e-30, precision="high")
+    stationary = kt00_stationary(5.0, nu, tol=1e-30, precision="high")
+    assert abs(direct.value - stationary.value) <= direct.abs_error + stationary.abs_error
+
+
+def test_kt00_gap_five_stations():
+    # 600 arrangements of 720 column orders each, summed term by term,
+    # missed this reference by 4.85e-12 of round-off and took about 20 s
+    nu = (1, 3, 2.5, 1.6, 4, 3.5)
+    start = time.perf_counter()
+    gap = kt00_gap(20.0, nu, tol=1e-14)
+    elapsed = time.perf_counter() - start
+    ref = kt_general((0,) * 5, (0,) * 5, 20.0, nu, tol=1e-12)
+    diff = abs(gap.value - (ref.value - stationary_empty_prob(nu)))
+    assert diff <= gap.abs_error + ref.abs_error + 1e-12
+    assert elapsed < 2.0
+
+
 def test_kt_general_matches_kt00():
     a = kt_general((0, 0), (0, 0), 1.0, (1, 2, 4), tol=1e-9)
     b = kt00_direct(1.0, (1, 2, 4), tol=1e-9)
@@ -214,7 +242,7 @@ def test_mm1_rejects_bad_args():
 
 
 def test_nan_time_is_a_precondition_error():
-    from tandemq.kernels import killed_poisson_kernel, noncrossing_prob
+    from tandemq.kernels import departure_kernel, killed_poisson_kernel, noncrossing_prob, window_weight
 
     calls = [
         lambda: kt_general((0, 0), (0, 0), math.nan, (1, 2, 3)),
@@ -225,7 +253,14 @@ def test_nan_time_is_a_precondition_error():
         lambda: mm1_kt(0, 0, math.nan, (1, 2)),
         lambda: mm1_kt(0, 0, math.inf, (1, 2)),
         lambda: killed_poisson_kernel((1, 0), (2, 1), math.nan, (1, 2)),
+        # these built a pmf table first: a numpy RuntimeWarning, then an
+        # error about a Poisson cut for mean nan
+        lambda: departure_kernel((1, 0), (2, 1), math.nan, (1, 2)),
+        lambda: window_weight(3, math.nan, (1, 2, 4), 0, 2),
+        lambda: departure_kernel((1, 0), (2, 1), math.inf, (1, 2)),
     ]
-    for call in calls:
-        with pytest.raises(PreconditionError):
-            call()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(PreconditionError, match="t must be finite"):
+                call()
