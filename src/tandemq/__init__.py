@@ -20,19 +20,15 @@ from .kernels import (
     KernelValue,
     chamber_to_departure,
     chamber_to_queue,
-    change_of_measure,
     departure_kernel,
     departure_kernel_via_intertwining,
     departure_to_chamber,
     departure_to_chamber_support,
-    departures_to_queue,
     killed_poisson_kernel,
     noncrossing_prob,
     queue_to_chamber,
     queue_to_chamber_support,
     queue_to_departures,
-    taylor_weight,
-    window_weight,
 )
 from .asymptotics import (
     DecayReport,
@@ -96,14 +92,12 @@ __all__ = [
     "chamber_infimum",
     "chamber_to_departure",
     "chamber_to_queue",
-    "change_of_measure",
     "complete_homogeneous",
     "decay_report",
     "departure_kernel",
     "departure_kernel_via_intertwining",
     "departure_to_chamber",
     "departure_to_chamber_support",
-    "departures_to_queue",
     "elementary",
     "enumerate_gt",
     "fit_decay_rate",
@@ -128,11 +122,9 @@ __all__ = [
     "simulate_noncrossing",
     "simulate_queue_prob",
     "stationary_empty_prob",
-    "taylor_weight",
     "uniformization_kt",
     "window_e",
     "window_h",
-    "window_weight",
 ]
 
 __version__ = "0.1.0"

@@ -17,16 +17,18 @@ destination point, columns j the source point, both running 0..N.
 The intertwining weights are polynomial in the rates and evaluate
 exactly over ints/Fractions.  Time-dependent kernels are numeric
 (float64, or mpmath under precision="high"); every infinite sum is cut
-with a certified bound.  The weight-kernel sandwich at the end
-(departure_kernel_via_intertwining) is the independent route that the
-verify suite checks departure_kernel against.
+with a certified bound.  departure_kernel evaluates its entry series
+and determinants in sign and log|.| form (departure_kernel_stack).  The
+weight-kernel sandwich at the end (departure_kernel_via_intertwining)
+is the independent route that the verify suite checks departure_kernel
+against: a lattice sum of products of two float determinants, taken in
+numpy blocks with slogdet, that shares no code with
+departure_kernel_stack.
 """
 
-import itertools
 import math
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from . import lattice, linalg, symfunc
@@ -59,74 +61,6 @@ def _check_queue(q, n_stations, name="q"):
 
 
 # ---------------------------------------------------------------------------
-# weight functions
-
-
-def taylor_weight(n, t):
-    """t^n/n! for n >= 0 and t >= 0, else 0.
-
-    Generic over the scalar type of t (float, Fraction, mpf); large-n
-    float evaluation goes through log space."""
-    if n < 0 or t < 0:
-        return t * 0
-    if n == 0:
-        return t**0
-    if isinstance(t, (int, Fraction)):
-        return Fraction(t) ** n / math.factorial(n)
-    if isinstance(t, mpmath.mpf):
-        return t**n / mpmath.factorial(n)
-    t = float(t)
-    if t == 0.0:
-        return 0.0
-    if n <= 34:
-        return t**n / math.factorial(n)
-    return math.exp(n * math.log(t) - math.lgamma(n + 1))
-
-
-def window_weight(n, t, nu, i, j):
-    """Convolution of taylor_weight with the rate-window coefficients:
-
-        sum_{k=0}^{i-j} (-1)^k e_k(nu_{j+1..i}) taylor_weight(n+k, t)   j <= i,
-        sum_{k>=0}           h_k(nu_{i+1..j}) taylor_weight(n+k, t)     i <= j.
-
-    The finite cases are exact over int/Fraction t.  The series is
-    departure_kernel's entry series (_entry_series) with the factor
-    e^(-nu_i t) nu_i^n taken back out, so it shares that cut.  Other cases
-    run in double precision, or in high precision when t is an mpf."""
-    nu = as_rates(nu)
-    last = nu.n_stations
-    if not (0 <= i <= last and 0 <= j <= last):
-        raise PreconditionError(f"window indices ({i},{j}) out of range")
-    if not abs(t) < math.inf:
-        raise PreconditionError(f"t must be finite, got {t!r}")
-    if isinstance(t, (int, Fraction)) and (j <= i or t <= 0):
-        return _window_weight.__wrapped__(n, t, nu, i, j, nm=None)
-    return _window_weight(n, t, nu, i, j, precision="high" if isinstance(t, mpmath.mpf) else "double")
-
-
-@evaluation
-def _window_weight(n, t, nu, i, j, *, nm):
-    vals = nu.values
-    if i == j:
-        return taylor_weight(n, t)
-    if j < i:
-        total = taylor_weight(n, t) * 0
-        for k in range(i - j + 1):
-            coef = symfunc.window_e(k, j, i, vals)
-            term = coef * taylor_weight(n + k, t)
-            total = total - term if k % 2 else total + term
-        return total
-    if t < 0:
-        return t * 0
-    if t == 0:
-        # only the k = -n term survives
-        return symfunc.window_h(-n, i, j, vals) * t**0
-    _, logabs, _, _ = _entry_series(i, j, 0, n, 1, t, nu, math.log(_cut_budget(nm)), nm)
-    rate = nm.scalar(vals[i])
-    return nm.exp(logabs[0] + rate * nm.scalar(t) - n * nm.log(rate))
-
-
-# ---------------------------------------------------------------------------
 # killed Poisson kernel and the departure kernel
 
 
@@ -144,37 +78,30 @@ def killed_poisson_kernel(z, z2, t, nu, *, nm):
     z = _check_chamber(z, "z", n1)
     z2 = _check_chamber(z2, "z2", n1)
     check_time(t)
-    mat = [[None] * n1 for _ in range(n1)]
+    shifts = [z[b] - b for b in range(n1)]
+    mat = []
     for a in range(n1):
+        # shifts decrease in b, so row a reads one pmf table upwards
+        top = z2[a] - a
         mu = nm.scalar(nu[a]) * nm.scalar(t)
-        for b in range(n1):
-            mab = (z2[a] - a) - (z[b] - b)
-            pmf = nm.poisson_pmf_table(mu, mab, mab)[0]
-            const = (nm.scalar(nu[a]) / nm.scalar(nu[b])) ** (z[b] - b)
-            mat[a][b] = pmf * const
+        pmf = nm.poisson_pmf_table(mu, top - shifts[0], top - shifts[-1])
+        mat.append([
+            pmf[shifts[0] - s] * (nm.scalar(nu[a]) / nm.scalar(nu[b])) ** s
+            for b, s in enumerate(shifts)
+        ])
     return linalg.det(mat)
-
-
-def change_of_measure(z, z2, t, nu, lam):
-    """Factor relating the killed kernels under two rate vectors:
-    killed_poisson_kernel(.., nu) = killed_poisson_kernel(.., lam) * factor."""
-    nu = as_rates(nu)
-    lam = as_rates(lam)
-    if len(nu) != len(lam):
-        raise PreconditionError("rate vectors must have equal length")
-    s = 0.0
-    for k, (r, l) in enumerate(zip(nu.as_floats(), lam.as_floats())):
-        s += (z2[k] - z[k]) * (math.log(r) - math.log(l)) - (r - l) * float(t)
-    return math.exp(s)
 
 
 @evaluation
 def departure_kernel(d, d2, t, nu, *, nm):
     """Transition probability of the departure-count vector,
 
-        prod_k [e^(-nu_k t) nu_k^(d2_k - d_k)] det{ window_weight(d2_i - d_j - i + j, t, nu, i, j) },
+        prod_k [e^(-nu_k t) nu_k^(d2_k - d_k)] det{ sum_k c^(i,j)_k w_(n_ij + k)(t) },
 
-    with the prefactor folded into the entries so that every term is a
+    n_ij = d2_i - d_j - i + j and w_n(t) = t^n/n! (0 for n < 0), with
+    c^(i,j)_k = (-1)^k e_k(nu_{j+1..i}) for j <= i, a finite sum over
+    k <= i - j, and c^(i,j)_k = h_k(nu_{i+1..j}) for i < j, a series.
+    The prefactor is folded into the entries so that every term is a
     Poisson pmf times bounded factors (see departure_kernel_stack).
     Exactly zero when d2_k < d_k for some k.  The series cuts change the
     value by at most 1e-18 (10^-(HIGH_DPS+2) in high precision)."""
@@ -473,7 +400,7 @@ def departure_to_chamber_support(d, nu):
     lo = [d[n1 - 1] - (n1 - 1) + j for j in range(n1)]
     hi = [hi_base + j for j in range(n1)]
     out = []
-    for z in lattice.ordered_tuples(lo, hi):
+    for z in map(tuple, lattice.ordered_points(lo, hi).tolist()):
         val = departure_to_chamber(d, z, exact)
         if val != 0:
             out.append((z, val))
@@ -493,13 +420,6 @@ def queue_to_departures(q, completed=0):
         acc += v
     out.append(acc)
     return tuple(reversed(out))
-
-
-def departures_to_queue(d):
-    """Queue lengths induced by a departure vector: consecutive
-    differences d_k - d_{k+1}."""
-    d = _check_chamber(d, "d")
-    return tuple(d[k] - d[k + 1] for k in range(len(d) - 1))
 
 
 def chamber_to_queue(z, q, nu):
@@ -632,53 +552,51 @@ def _sandwich_sum(supp, t, fl, tol, tgt):
 
 
 def _sandwich_batched(supp, t, fl, lo, hi, tgt):
+    """The sandwich sum over the chamber points Z of the box lo..hi, one
+    block of points per leading coordinate.  Each matrix of both
+    determinant stacks is one gather from a flat table, indexed by the
+    increments y_a = Z_a - a; both stacks go through np.linalg.slogdet,
+    and each point adds sL sC e^(mL + mC) times the start weight."""
     n1 = len(fl)
     idx = np.arange(n1)
+    rates = np.asarray(fl)
+    ylo = min(lo[a] - a for a in range(n1))
+    yhi = max(hi[a] - a for a in range(n1))
 
-    # pmf tables per row over the full increment range
+    # pmf tables per row a over every increment y_a - (z_b - b); entry
+    # (a, b) of the start z sits at flat index y_a + cols[a, b]
     shifts = [z[b] - b for z, _ in supp for b in range(n1)]
-    mlo = min(lo[k] - k for k in range(n1)) - max(shifts)
-    mhi = max(hi[k] - k for k in range(n1)) - min(shifts)
+    mlo, mhi = ylo - max(shifts), yhi - min(shifts)
     nmd = Numerics()
-    pmf = [nmd.poisson_pmf_table(fl[a] * float(t), mlo, mhi) for a in range(n1)]
+    pmf = np.array([nmd.poisson_pmf_table(fl[a] * float(t), mlo, mhi) for a in range(n1)])
+    starts = [
+        (
+            (idx * pmf.shape[1])[:, None] - np.array([z[b] - b for b in range(n1)]) - mlo,
+            np.array([[(fl[a] / fl[b]) ** (z[b] - b) for b in range(n1)] for a in range(n1)]),
+            float(pival),
+        )
+        for z, pival in supp
+    ]
 
-    # h-window tables h(b,N)_r for r = 0..rmax, one per column b
-    rmax = max(0, max(hi) - min(tgt) + n1)
-    htab = [np.array(symfunc.window_h_table(rmax, b, n1 - 1, fl), dtype=float) for b in range(n1)]
+    # h-window tables h(b,N)_r per column b over every increment
+    # r = y_a - (tgt_b - b), 0 for r < 0; entry (a, b) sits at y_a + hcols[b]
+    tshift = np.array([tgt[b] - b for b in range(n1)])
+    rlo, rhi = ylo - tshift.max(), yhi - tshift.min()
+    pad = np.zeros(max(0, -rlo))
+    htab = np.array([
+        np.concatenate((pad, symfunc.window_h_table(rhi, b, n1 - 1, fl)))[max(0, rlo):]
+        for b in range(n1)
+    ])
+    hcols = idx * htab.shape[1] - tshift - rlo
+    colfac = rates ** tshift
 
     total = 0.0
-    points = lattice.ordered_tuples(lo, hi)
-    for chunk in iter(lambda: list(itertools.islice(points, 200000)), []):
-        Z = np.asarray(chunk, dtype=np.int64)
-        P = Z.shape[0]
+    for lead in range(hi[0], lo[0] - 1, -1):
+        y = (lattice.ordered_points([lead] + lo[1:], [lead] + hi[1:]) - idx)[:, :, None]
         # weight-kernel determinant stack (independent of the start z)
-        r = Z[:, :, None] - np.asarray(tgt)[None, None, :] - idx[:, None] + idx[None, :]
-        L = np.zeros((P, n1, n1))
-        for b in range(n1):
-            rb = r[:, :, b]
-            ok = (rb >= 0) & (rb < len(htab[b]))
-            L[:, :, b] = np.where(ok, htab[b][np.clip(rb, 0, len(htab[b]) - 1)], 0.0)
-        rowfac = np.empty((P, n1))
-        for a in range(n1):
-            rowfac[:, a] = fl[a] ** (-(Z[:, a] - a).astype(float))
-        colfac = np.array([fl[b] ** (tgt[b] - b) for b in range(n1)])
-        L *= rowfac[:, :, None] * colfac[None, None, :]
-        sL, mL = lattice.DetStackAccumulator.logdet(L)
-
-        shifted = Z - idx[None, :]
-        for z, pival in supp:
-            zs = np.array([z[b] - b for b in range(n1)])
-            m = shifted[:, :, None] - zs[None, None, :]
-            C = np.zeros((P, n1, n1))
-            for a in range(n1):
-                ma = m[:, a, :] - mlo
-                C[:, a, :] = pmf[a][np.clip(ma, 0, len(pmf[a]) - 1)] * (ma >= 0)
-            const = np.array(
-                [[(fl[a] / fl[b]) ** (z[b] - b) for b in range(n1)] for a in range(n1)]
-            )
-            C *= const[None, :, :]
-            sC, mC = lattice.DetStackAccumulator.logdet(C)
-            vals = lattice.DetStackAccumulator.combine([(sL, mL), (sC, mC)])
-            total += float(pival) * vals.sum()
+        L = htab.ravel()[y + hcols] * (rates[:, None] ** -y.astype(float) * colfac)
+        sL, mL = np.linalg.slogdet(L)
+        for cols, const, weight in starts:
+            sC, mC = np.linalg.slogdet(pmf.ravel()[y + cols] * const)
+            total += weight * (sL * sC * np.exp(mL + mC)).sum()
     return float(total)
-

@@ -6,9 +6,8 @@ Internal engines shared by the kernel and queue-probability modules:
   over arrangements of the rates on the levels, as one subset recursion
   over the rates and determinant columns placed so far, each state one
   prefix-summed array over the truncation range;
-* batched enumeration of weakly decreasing tuples inside a box, with
-  determinant stacks evaluated in log-magnitude/sign form so that large
-  kernel weights cannot overflow;
+* the weakly decreasing integer points of a box, enumerated as one
+  numpy array;
 * box caps that certify a tail bound before any sum is taken.
 
 Nothing in here is part of the public interface.
@@ -25,34 +24,31 @@ from .errors import ToleranceNotAchieved
 from .numerics import MAX_BOX_POINTS, MAX_CAP, poisson_cap, poisson_log_cap, polynomial_absorb_constant
 
 
-def ordered_tuples(lo, hi):
-    """Yield weakly decreasing integer tuples z with lo[k] <= z[k] <= hi[k].
+def ordered_points(lo, hi):
+    """The weakly decreasing integer points z with lo[k] <= z[k] <= hi[k],
+    as an (m, n) int array in lexicographic order, largest first.
 
-    lo and hi are per-coordinate bounds; the weak ordering constraint is
-    applied on top of them.  Yields in lexicographic order.
-    """
+    Built one coordinate at a time: each point so far is repeated once
+    per value its next coordinate can take, hi[k] (or the previous
+    coordinate, if smaller) down to lo[k]."""
+    pts = np.zeros((1, 0), dtype=np.int64)
+    for k in range(len(lo)):
+        tops = np.minimum(hi[k], pts[:, -1]) if k else np.full(1, hi[0], dtype=np.int64)
+        counts = np.maximum(tops - lo[k] + 1, 0)
+        rows = np.repeat(np.arange(len(pts)), counts)
+        # position of each new point within its run of repeats
+        steps = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        pts = np.column_stack((pts[rows], tops[rows] - steps))
+    return pts
+
+
+def count_ordered_points(lo, hi):
+    """len(ordered_points(lo, hi)), without building the points."""
     n = len(lo)
-
-    def rec(prefix, k):
-        if k == n:
-            yield tuple(prefix)
-            return
-        top = hi[k] if not prefix else min(hi[k], prefix[-1])
-        for v in range(top, lo[k] - 1, -1):
-            prefix.append(v)
-            yield from rec(prefix, k + 1)
-            prefix.pop()
-
-    yield from rec([], 0)
-
-
-def count_ordered_tuples(lo, hi):
-    """Number of tuples ordered_tuples(lo, hi) would yield."""
-    n = len(lo)
+    if any(lo[k] > hi[k] for k in range(n)):
+        return 0
     span_lo = min(lo)
     span = max(hi) - span_lo + 1
-    if span <= 0:
-        return 0
     # counts[v] = number of valid suffixes starting with value v at level k
     counts = np.zeros(span, dtype=float)
     counts[lo[n - 1] - span_lo : hi[n - 1] - span_lo + 1] = 1.0
@@ -161,49 +157,6 @@ def _arrangement_weights(vals, places, paired, scale):
     return weights, float(sum(mass.values()))
 
 
-class DetStackAccumulator:
-    """Accumulates sum over lattice points of products of determinant
-    factors, each factor supplied as a row-scaled matrix stack.
-
-    Each factor's determinant is computed after dividing every row by its
-    max-abs entry; the log of the scale factors is added back, so values
-    like kernel weights of size 1e200 never materialize.
-    """
-
-    @staticmethod
-    def logdet(stack):
-        """(sign, log|det|) per slice of a (m, n, n) float stack."""
-        a = np.asarray(stack, dtype=float)
-        scale = np.abs(a).max(axis=2)
-        ok = scale > 0
-        safe = np.where(ok, scale, 1.0)
-        a = a / safe[:, :, None]
-        if a.shape[1] == 1:
-            d = a[:, 0, 0]
-        else:
-            d = np.linalg.det(a)
-        # rows that were identically zero force det 0
-        d = np.where(ok.all(axis=1), d, 0.0)
-        sign = np.sign(d)
-        with np.errstate(divide="ignore"):
-            logmag = np.where(sign != 0, np.log(np.abs(np.where(sign != 0, d, 1.0))), -np.inf)
-        logmag = logmag + np.where(ok, np.log(safe), 0.0).sum(axis=1)
-        return sign, logmag
-
-    @staticmethod
-    def combine(parts):
-        """Given [(sign, logmag), ...], return the per-point products."""
-        sign = parts[0][0].copy()
-        logmag = parts[0][1].copy()
-        for s, lm in parts[1:]:
-            sign = sign * s
-            logmag = logmag + lm
-        out = np.zeros_like(logmag)
-        nz = sign != 0
-        out[nz] = sign[nz] * np.exp(logmag[nz])
-        return out
-
-
 def grow_weighted_box(start_lo, start_hi, t, nu, tol, growth, poly_degree, poly_shift, scale):
     """Choose per-coordinate caps so that the out-of-box part of
     sum_z P(z) * W(z) is provably below tol, where P factors into
@@ -232,6 +185,6 @@ def grow_weighted_box(start_lo, start_hi, t, nu, tol, growth, poly_degree, poly_
         bound += math.exp(log_mass + log_sf)
     if max(caps) - min(start_lo) > MAX_CAP:
         raise ToleranceNotAchieved(tol, bound, "weighted box cap limit")
-    if count_ordered_tuples(start_lo, caps) > MAX_BOX_POINTS:
+    if count_ordered_points(start_lo, caps) > MAX_BOX_POINTS:
         raise ToleranceNotAchieved(tol, bound, "weighted box point limit")
     return caps, bound

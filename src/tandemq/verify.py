@@ -184,7 +184,7 @@ def _pi_lambda_sweep(n1, cap, irates):
     so both determinants are evaluated with the powers stripped; with
     integer rates everything stays in integer arithmetic."""
     N = n1 - 1
-    ds = list(lattice.ordered_tuples([0] * n1, [cap] * n1))
+    ds = list(map(tuple, lattice.ordered_points([0] * n1, [cap] * n1).tolist()))
     lam_cache = {}
 
     def lam_det(z, d2):
@@ -208,7 +208,7 @@ def _pi_lambda_sweep(n1, cap, irates):
         zlo = [d[N] - N + j for j in range(n1)]
         zhi = [max(d[a] - a for a in range(n1)) + j for j in range(n1)]
         supp = []
-        for z in lattice.ordered_tuples(zlo, zhi):
+        for z in map(tuple, lattice.ordered_points(zlo, zhi).tolist()):
             v = det_int([[_signed_e(d[a] - z[b] - a + b, a, N, irates) for b in range(n1)]
                          for a in range(n1)])
             if v:
@@ -232,7 +232,7 @@ def check_pi_lambda_inverse(budget, rng):
     nu = tuple(Fraction(v) for v in (3, 7, 2))
     d = (3, 1, 0)
     for z, pv in kernels.departure_to_chamber_support(d, nu):
-        for d2 in lattice.ordered_tuples([0] * 3, [3] * 3):
+        for d2 in lattice.ordered_points([0] * 3, [3] * 3).tolist():
             lhs = pv * kernels.chamber_to_departure(z, d2, nu)
             strip = det_int(
                 [[_signed_e(d[a] - z[b] - a + b, a, 2, (3, 7, 2)) for b in range(3)]
@@ -330,14 +330,14 @@ def check_intertwining_relation(budget, rng):
         # principle, but the departure kernel vanishes unless its source
         # is between 0 and its target, so the sum is exactly finite
         rhs = 0.0
-        for y in lattice.ordered_tuples([0] * n1, [max(d)] * n1):
+        for y in lattice.ordered_points([0] * n1, [max(d)] * n1).tolist():
             lv = kernels.chamber_to_departure(x, y, nu)
             if lv:
                 rhs += float(lv) * kernels.departure_kernel(y, d, t, nu)
         # lhs: truncate the killed kernel at per-coordinate Poisson caps
         caps = [x[k] + poisson_cap(nu[k] * t, 1e-13)[0] + 4 for k in range(n1)]
         lhs = 0.0
-        for y in lattice.ordered_tuples(list(x), caps):
+        for y in lattice.ordered_points(x, caps).tolist():
             kv = kernels.killed_poisson_kernel(x, y, t, nu)
             if kv:
                 lhs += kv * float(kernels.chamber_to_departure(y, d, nu))
@@ -358,7 +358,7 @@ def check_harmonic_expectation(budget, rng):
         fl = tuple(float(v) for v in lam)
         caps = [x[k] + poisson_cap(fl[k] * t, 1e-13)[0] + 4 for k in range(n1)]
         acc = 0.0
-        for y in lattice.ordered_tuples(list(x), caps):
+        for y in lattice.ordered_points(x, caps).tolist():
             kv = kernels.killed_poisson_kernel(x, y, t, fl)
             if kv:
                 acc += kv * queueprobs.chamber_harmonic(fl, y)
@@ -379,7 +379,7 @@ def check_chapman_kolmogorov(budget, rng):
         d, d2 = _rand_departure_pair(rng, n1, spread=2)
         whole = kernels.departure_kernel(d, d2, t + s, nu)
         parts = 0.0
-        for m in lattice.ordered_tuples([0] * n1, [max(d2)] * n1):
+        for m in lattice.ordered_points([0] * n1, [max(d2)] * n1).tolist():
             if any(m[k] < d[k] or m[k] > d2[k] for k in range(n1)):
                 continue
             parts += kernels.departure_kernel(d, m, t, nu) * kernels.departure_kernel(

@@ -1,7 +1,7 @@
-"""Kernel layer: weight functions against their defining series, the
-killed and departure kernels against hand-expanded determinants and
-brute lattice sums, the weight-kernel pair (exact inverse property), and
-the certified truncation contracts."""
+"""Kernel layer: the killed and departure kernels against hand-expanded
+determinants, closed forms and brute lattice sums, the weight-kernel
+pair (exact inverse property), the lattice enumeration, and the
+certified truncation contracts."""
 
 import itertools
 import math
@@ -15,22 +15,17 @@ from tandemq.errors import PreconditionError
 from tandemq.kernels import (
     chamber_to_departure,
     chamber_to_queue,
-    change_of_measure,
     departure_kernel,
     departure_kernel_via_intertwining,
     departure_to_chamber,
     departure_to_chamber_support,
-    departures_to_queue,
     killed_poisson_kernel,
     noncrossing_prob,
     queue_to_chamber_support,
     queue_to_departures,
-    taylor_weight,
-    window_weight,
 )
-from tandemq.lattice import ordered_tuples
+from tandemq.lattice import count_ordered_points, ordered_points
 from tandemq.numerics import poisson_cap
-from tandemq.symfunc import window_e, window_h
 
 
 def chamber_points(lo, hi, n):
@@ -39,61 +34,42 @@ def chamber_points(lo, hi, n):
             yield z
 
 
-def test_taylor_weight_values():
-    assert taylor_weight(0, 3.5) == 1.0
-    assert taylor_weight(3, Fraction(2)) == Fraction(4, 3)
-    assert taylor_weight(2, -1) == 0
-    assert taylor_weight(-1, 2.0) == 0
-    assert taylor_weight(5, 0.0) == 0.0
-    assert taylor_weight(0, 0.0) == 1.0
+# ---------------------------------------------------------------------------
+# lattice enumeration
 
 
-def test_taylor_weight_log_domain_consistency():
-    # n > 34 switches to exp(n log t - lgamma); must agree with the
-    # exact route to float accuracy
-    for n in (35, 50, 80):
-        exact = float(taylor_weight(n, Fraction(5, 2)))
-        assert abs(taylor_weight(n, 2.5) - exact) <= 1e-13 * exact
-
-
-def test_window_weight_diagonal_and_t0():
-    assert window_weight(4, 1.5, (1, 2, 3), 2, 2) == taylor_weight(4, 1.5)
-    # j < i at t=0: only the k=0 term survives and w_0(0)=1
-    assert window_weight(0, 0.0, (1, 2, 3), 2, 0) == 1.0
-    # i < j at t=0: the k=-n term
-    assert window_weight(-1, 0, (1, 2, 3), 0, 2) == window_h(1, 0, 2, (1, 2, 3))
-
-
-def test_window_weight_finite_sum_exact():
-    nu = (Fraction(1), Fraction(2), Fraction(7, 2))
-    t = Fraction(3, 4)
-    for n in range(-2, 4):
-        want = sum(
-            (-1) ** k * window_e(k, 0, 2, nu) * taylor_weight(n + k, t)
-            for k in range(3)
-        )
-        assert window_weight(n, t, nu, 2, 0) == want
-
-
-def test_window_weight_series_hits_exponential():
-    # h-window over a single rate 2: sum_k 2^k t^k/k! = e^(2t)
-    got = window_weight(0, 1.0, (1, 2), 0, 1)
-    assert abs(got - math.e**2) <= 1e-12 * math.e**2
-
-
-def test_window_weight_index_bounds():
-    with pytest.raises(PreconditionError):
-        window_weight(0, 1.0, (1, 2), 0, 5)
+def test_ordered_points_match_filtered_product():
+    rng = random.Random(11)
+    # one coordinate, two empty boxes, and hi not monotone
+    boxes = [([2], [5]), ([3, 0], [1, 4]), ([0, 0], [-2, 3]), ([0, 0, 0], [1, 4, 2]), ([1, 0, 0], [3, 3, 0])]
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        lo = [rng.randint(-2, 3) for _ in range(n)]
+        boxes.append((lo, [v + rng.randint(-3, 4) for v in lo]))
+    for lo, hi in boxes:
+        want = [
+            z
+            for z in itertools.product(*(range(h, l - 1, -1) for l, h in zip(lo, hi)))
+            if all(z[k] >= z[k + 1] for k in range(len(z) - 1))
+        ]
+        pts = ordered_points(lo, hi)
+        assert pts.shape == (len(want), len(lo))
+        assert list(map(tuple, pts.tolist())) == want
+        assert count_ordered_points(lo, hi) == len(pts)
 
 
 # ---------------------------------------------------------------------------
 # killed Poisson kernel
 
 
+def taylor(n, t):
+    return Fraction(t) ** n / math.factorial(n) if n >= 0 else 0
+
+
 def brute_killed(z, z2, t, nu):
     n1 = len(nu)
     mat = [
-        [taylor_weight(z2[a] - z[b] - a + b, Fraction(t)) for b in range(n1)]
+        [taylor(z2[a] - z[b] - a + b, Fraction(t)) for b in range(n1)]
         for a in range(n1)
     ]
     out = linalg.det(mat)
@@ -133,11 +109,14 @@ def test_killed_kernel_matches_brute_determinant():
 
 def test_change_of_measure_relates_kernels():
     z, z2, t = (1, 0), (3, 1), 0.8
-    base = killed_poisson_kernel(z, z2, t, (1, 2))
-    other = killed_poisson_kernel(z, z2, t, (3, 5))
-    factor = change_of_measure(z, z2, t, (1, 2), (3, 5))
+    # rates nu against lam: prod_k (nu_k/lam_k)^(z2_k - z_k) e^(-(nu_k - lam_k) t)
+    nu, lam = (1, 2), (3, 5)
+    factor = math.prod(
+        (nu[k] / lam[k]) ** (z2[k] - z[k]) * math.exp(-(nu[k] - lam[k]) * t) for k in range(2)
+    )
+    base = killed_poisson_kernel(z, z2, t, nu)
+    other = killed_poisson_kernel(z, z2, t, lam)
     assert abs(base - other * factor) <= 1e-12 * abs(base)
-    assert change_of_measure(z, z2, t, (1, 2), (1, 2)) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +132,15 @@ def test_departure_kernel_zero_below_start():
     assert abs(departure_kernel((2, 1), (1, 1), 1.0, (1, 2))) <= 1e-15
 
 
+def test_departure_kernel_h_series_closed_form():
+    # one arrival and no departure: nu_0 e^(-(nu_0 + nu_1) t) (e^(nu_1 t) - 1)/nu_1;
+    # the h-series entry (0, 1) sums to (e^(nu_1 t) - 1 - nu_1 t)/nu_1^2
+    for nu, t in [((1, 2), 1.0), ((3, 0.5), 2.5), ((0.7, 4), 0.3)]:
+        got = departure_kernel((0, 0), (1, 0), t, nu)
+        want = nu[0] * math.exp(-nu[0] * t) * -math.expm1(-nu[1] * t) / nu[1]
+        assert abs(got - want) <= 1e-14 * want
+
+
 def test_departure_kernel_row_sums_to_one():
     # counter k moves at most a Poisson(nu_k t) number of times
     nu, t, d = (1.0, 2.0), 1.0, (0, 0)
@@ -161,7 +149,7 @@ def test_departure_kernel_row_sums_to_one():
         cap, tl = poisson_cap(r * t, 1e-12 / len(nu))
         caps.append(d[k] + cap)
         tail += tl
-    total = sum(departure_kernel(d, d2, t, nu) for d2 in ordered_tuples(list(d), caps))
+    total = sum(departure_kernel(d, d2, t, nu) for d2 in ordered_points(d, caps).tolist())
     assert abs(total - 1.0) <= tail + 1e-11
 
 
@@ -321,7 +309,7 @@ def test_noncrossing_vs_killed_kernel_sum():
         caps = [x[k] + poisson_cap(nu[k] * t, 1e-13)[0] + 2 for k in range(len(x))]
         brute = sum(
             killed_poisson_kernel(x, z2, t, nu)
-            for z2 in ordered_tuples(list(x), caps)
+            for z2 in ordered_points(x, caps).tolist()
         )
         assert abs(kv.value - brute) <= kv.abs_error + 1e-10
 
@@ -346,18 +334,16 @@ def test_noncrossing_rejects_bad_input():
 
 def test_queue_departure_round_trip():
     assert queue_to_departures((1, 1)) == (2, 1, 0)
-    assert departures_to_queue((2, 1, 0)) == (1, 1)
     base = queue_to_departures((2, 0, 3))
     lifted = queue_to_departures((2, 0, 3), completed=4)
     assert lifted == tuple(v + 4 for v in base)
     rng = random.Random(1)
     for _ in range(20):
         q = tuple(rng.randint(0, 5) for _ in range(rng.randint(1, 4)))
-        assert departures_to_queue(queue_to_departures(q)) == q
+        d = queue_to_departures(q)
+        assert tuple(d[k] - d[k + 1] for k in range(len(q))) == q
 
 
 def test_queue_departure_rejects_negative():
     with pytest.raises(PreconditionError):
         queue_to_departures((1, -1))
-    with pytest.raises(PreconditionError):
-        departures_to_queue((1, 2))

@@ -3,8 +3,6 @@ results do not depend on the caller's mpmath context, agree with double
 precision within their bounds, and double precision returns plain
 floats."""
 
-from fractions import Fraction
-
 import mpmath
 import pytest
 
@@ -21,7 +19,6 @@ from tandemq import (
     noncrossing_prob,
     numerics,
     uniformization_kt,
-    window_weight,
 )
 
 # name -> call taking the precision keyword; small N and t
@@ -82,8 +79,5 @@ def test_double_precision_returns_floats():
     for v in (
         killed_poisson_kernel((1, 0), (2, 1), 1.0, (1, 2)),
         departure_kernel((1, 0), (1, 0), 0.0, (1, 2)),
-        window_weight(0, 1.0, (1, 2), 0, 1),
-        window_weight(0, Fraction(1), (1, 2), 0, 1),
     ):
         assert type(v) is float, v
-    assert isinstance(window_weight(0, mpmath.mpf(1), (1, 2), 0, 1), mpmath.mpf)

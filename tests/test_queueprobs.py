@@ -242,7 +242,7 @@ def test_mm1_rejects_bad_args():
 
 
 def test_nan_time_is_a_precondition_error():
-    from tandemq.kernels import departure_kernel, killed_poisson_kernel, noncrossing_prob, window_weight
+    from tandemq.kernels import departure_kernel, killed_poisson_kernel, noncrossing_prob
 
     calls = [
         lambda: kt_general((0, 0), (0, 0), math.nan, (1, 2, 3)),
@@ -253,10 +253,9 @@ def test_nan_time_is_a_precondition_error():
         lambda: mm1_kt(0, 0, math.nan, (1, 2)),
         lambda: mm1_kt(0, 0, math.inf, (1, 2)),
         lambda: killed_poisson_kernel((1, 0), (2, 1), math.nan, (1, 2)),
-        # these built a pmf table first: a numpy RuntimeWarning, then an
+        # this built a pmf table first: a numpy RuntimeWarning, then an
         # error about a Poisson cut for mean nan
         lambda: departure_kernel((1, 0), (2, 1), math.nan, (1, 2)),
-        lambda: window_weight(3, math.nan, (1, 2, 4), 0, 2),
         lambda: departure_kernel((1, 0), (2, 1), math.inf, (1, 2)),
     ]
     with warnings.catch_warnings():
