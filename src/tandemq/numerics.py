@@ -2,14 +2,16 @@
 
 All lattice truncations in this package are certified by Poisson tail
 bounds, and every truncation picks the smallest cap whose tail meets
-its budget through one search, poisson_log_cap.  It runs in double log
-space in both modes, since tails only feed the float abs_error.  Pmf
-tables come in float64 or mpmath arithmetic.  The "high" precision mode
+its budget through one search, poisson_log_cap.  It sums pmf terms in
+double log space in both modes, since tails only feed the float
+abs_error.  Pmf tables come in float64 or mpmath arithmetic; log k!
+comes from math.lgamma, for the float tables through one module-level
+table, so this module imports no scipy.  The "high" precision mode
 works at HIGH_DPS decimal digits; it exists for very deep tails
 (transition probabilities far below 1e-12) where float64 round-off in
-signed sums would start to matter.  The decorator
-`evaluation` is the only place that enters mpmath's context; the
-Numerics methods assume they run inside it.
+signed sums would start to matter.  The first high-precision Numerics
+imports mpmath.  The decorator `evaluation` is the only place that
+enters mpmath's context; the Numerics methods assume they run inside it.
 """
 
 import contextlib
@@ -19,10 +21,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-import mpmath
 import numpy as np
-from scipy import special
-from scipy.special import cython_special
 
 from .errors import PreconditionError, ToleranceNotAchieved
 
@@ -32,6 +31,25 @@ HIGH_DPS = 50
 # the bound that was achieved instead of looping forever.
 MAX_CAP = 20000
 MAX_BOX_POINTS = 5_000_000
+
+# log k! for k = 0..len-1, from math.lgamma.  A cache of a pure function:
+# it only grows (by doubling) and is never written in place, so every
+# caller sees the same values and an old slice stays valid.
+_log_factorial = np.zeros(2)
+_log_factorial.flags.writeable = False
+
+
+def log_factorials(hi):
+    """log k! for k = 0..hi, a read-only view of the module table, which
+    grows to cover hi."""
+    global _log_factorial
+    n = len(_log_factorial)
+    if hi >= n:
+        size = max(hi + 1, 2 * n)
+        grown = np.concatenate((_log_factorial, [math.lgamma(k + 1.0) for k in range(n, size)]))
+        grown.flags.writeable = False
+        _log_factorial = grown
+    return _log_factorial[: hi + 1]
 
 
 class KernelValue(NamedTuple):
@@ -52,52 +70,65 @@ class Numerics:
         self.precision = precision
         self.high = precision == "high"
         self.dtype = object if self.high else float
+        self.mp = None
+        if self.high:
+            import mpmath
+
+            self.mp = mpmath
 
     def scalar(self, x):
         if not self.high:
             return float(x)
         if isinstance(x, float):
             # decimal round-trip: 0.1 becomes the mpf closest to "0.1"
-            return mpmath.mpf(str(x))
+            return self.mp.mpf(str(x))
         if isinstance(x, Fraction):
-            return mpmath.mpf(x.numerator) / x.denominator
-        return mpmath.mpf(x)
+            return self.mp.mpf(x.numerator) / x.denominator
+        return self.mp.mpf(x)
 
     def exp(self, x):
         """Elementwise exp of a scalar or an array."""
         if self.high:
-            return np.frompyfunc(mpmath.exp, 1, 1)(x)
+            return np.frompyfunc(self.mp.exp, 1, 1)(x)
         return np.exp(x)
 
     def log(self, x):
         """Elementwise natural log of a scalar or an array (log 0 = -inf)."""
         if self.high:
-            return np.frompyfunc(mpmath.log, 1, 1)(x)
+            return np.frompyfunc(self.mp.log, 1, 1)(x)
         with np.errstate(divide="ignore"):
             return np.log(x)
 
     def poisson_logpmf_table(self, mu, lo, hi):
-        """log pmf of Poisson(mu) on integers lo..hi inclusive (-inf for k < 0)."""
+        """log pmf of Poisson(mu) on integers lo..hi inclusive (-inf for k < 0):
+        k log mu - log k! - mu, with log 0! = 0 at mu = 0."""
         if self.high:
             return self.log(self.poisson_pmf_table(mu, lo, hi))
-        ks = np.arange(lo, hi + 1)
-        out = np.full(len(ks), -np.inf)
-        mask = ks >= 0
-        out[mask] = special.xlogy(ks[mask], float(mu)) - special.gammaln(ks[mask] + 1) - float(mu)
+        out = np.full(max(0, hi - lo + 1), -np.inf)
+        start = max(lo, 0)
+        if hi < start:
+            return out
+        mu = float(mu)
+        if mu > 0:
+            ks = np.arange(start, hi + 1)
+            out[start - lo :] = ks * math.log(mu) - log_factorials(hi)[start:] - mu
+        elif start == 0:
+            out[-lo] = 0.0
         return out
 
     def poisson_pmf_table(self, mu, lo, hi):
         """pmf of Poisson(mu) on integers lo..hi inclusive (0 for k < 0)."""
         if not self.high:
             return np.exp(self.poisson_logpmf_table(mu, lo, hi))
+        mp = self.mp
         ks = np.arange(lo, hi + 1)
-        mu = mpmath.mpf(mu)
+        mu = mp.mpf(mu)
         out = np.empty(len(ks), dtype=object)
-        out[:] = mpmath.mpf(0)
+        out[:] = mp.mpf(0)
         if hi < 0:
             return out
         # run the recurrence p_k = p_{k-1} * mu / k from k = 0
-        p = mpmath.e ** (-mu)
+        p = mp.e ** (-mu)
         k = 0
         while k <= hi:
             if k >= lo:
@@ -119,7 +150,7 @@ def evaluation(fn):
     @functools.wraps(fn)
     def evaluate(*args, precision="double", **kwargs):
         nm = Numerics(precision)
-        with mpmath.workdps(HIGH_DPS) if nm.high else contextlib.nullcontext():
+        with nm.mp.workdps(HIGH_DPS) if nm.high else contextlib.nullcontext():
             out = fn(*args, nm=nm, **kwargs)
             if isinstance(out, KernelValue):
                 return KernelValue(nm.scalar(out.value), float(out.abs_error))
@@ -145,14 +176,35 @@ def poisson_cap(mu, tol):
     return cap, math.exp(log_tail)
 
 
+# The walk of poisson_log_cap starts where the tail bound is about
+# e^_LOG_START below the budget (so that bound moves no tail it reports
+# by more than a relative 1e-10, a tenth of the margin), and no more
+# than e^_LOG_GAP below that, so the walk stays short and its first pmf
+# term, in units of the budget, far above the float underflow.
+_LOG_START = -23.0
+_LOG_GAP = 4.0
+
+
 def poisson_log_cap(mu, log_budget, what="Poisson cap"):
     """Smallest m >= 0 with log P(Poisson(mu) > m) below log_budget, and
-    that log tail: the one truncation search of the package.  The tail
-    must clear the budget by a relative 1e-9, which covers the round-off
-    of gammainc.  Bisects between -1 (tail 1) and the Bernstein cap
-    mu + c sqrt(mu) + c^2, c^2 = -2 log_budget, whose tail is below the
-    budget.  Raises PreconditionError for a non-finite or negative mu or
-    a non-finite budget, ToleranceNotAchieved for an m past MAX_CAP."""
+    an upper bound on that log tail: the one truncation search of the
+    package.  Every tail is a sum of the pmf terms
+    exp(k log mu - log k! - mu), kept in log form or in units of the
+    budget, so budgets far below the float range (e^-7034) neither
+    underflow nor return a wrong m.
+
+    Past k >= mu - 1 each pmf term is at most mu/(k+2) times the one
+    before, so P(X > k) <= pmf(k+1)/(1 - mu/(k+2)).  From the Bernstein
+    cap mu + c sqrt(mu) + c^2, c^2 = -2 log_budget (or from above it,
+    until that bound is e^-23 below the budget), Newton steps on the log
+    of the bound go down to a k where it is within e^4 of that; from
+    there a walk adds pmf(k) to P(X > k) one k at a time, down to the
+    first tail that reaches the budget.
+    The tail must clear the budget by a relative 1e-9, which covers the
+    round-off of the log pmf terms (a few ulp of terms below 4e5) and of
+    the walk; the returned log tail includes that round-off.  Raises
+    PreconditionError for a non-finite or negative mu or a non-finite
+    budget, ToleranceNotAchieved for an m past MAX_CAP."""
     mu = float(mu)
     if not (0 <= mu < math.inf and math.isfinite(log_budget)):
         raise PreconditionError(f"no Poisson cut for mean {mu!r} and log budget {log_budget!r}")
@@ -160,29 +212,74 @@ def poisson_log_cap(mu, log_budget, what="Poisson cap"):
         return 0, -math.inf
     goal = log_budget + math.log1p(-1e-9)
     c2 = max(0.0, -2.0 * goal)
-    lo, hi = -1, min(MAX_CAP, math.ceil(mu + math.sqrt(c2 * mu) + c2))
-    hi_log = _log_poisson_sf(mu, hi)
-    if not hi_log < goal:
-        raise ToleranceNotAchieved.from_logs(log_budget, hi_log, f"{what} exceeded {MAX_CAP}")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        mid_log = _log_poisson_sf(mu, mid)
-        if mid_log < goal:
-            hi, hi_log = mid, mid_log
-        else:
-            lo = mid
-    return hi, hi_log
+    hi = min(MAX_CAP, math.ceil(mu + math.sqrt(c2 * mu) + c2))
+    lo = max(0, math.floor(mu) - 1)
+    if hi < lo:
+        # P(X > hi) >= P(X >= floor(mu)) >= 1/2: the median is >= mu - log 2
+        raise ToleranceNotAchieved.from_logs(log_budget, 0.0, f"{what} exceeded {MAX_CAP}")
+    log_mu, lgamma, log1p = math.log(mu), math.lgamma, math.log1p
+
+    # the start k >= lo: log_next = log pmf(k+1), bound = log of its tail bound
+    target = goal + _LOG_START
+    k = hi
+    while True:
+        log_next = (k + 1) * log_mu - lgamma(k + 2.0) - mu
+        bound = log_next - log1p(-mu / (k + 2))
+        if bound < target:
+            break
+        k += k - lo + 1
+    while k > lo and target - bound > _LOG_GAP:
+        # a step down from k raises the log pmf by log((k+1)/mu) at most,
+        # the bound's factor 1/(1 - mu/(k+2)) by a little more
+        step = min(k - lo, int((target - bound) / (math.log(k + 1) - log_mu)))
+        while step >= 1:
+            j = k - step
+            log_j = (j + 1) * log_mu - lgamma(j + 2.0) - mu
+            bound_j = log_j - log1p(-mu / (j + 2))
+            if bound_j < target:
+                break
+            step //= 2
+        if step < 1:
+            break
+        k, log_next, bound = j, log_j, bound_j
+    top, log_tail = k, bound
+    if k > hi:
+        # z = P(X > k)/pmf(k+1) obeys z_(k-1) = 1 + z_k mu/(k+1)
+        z = math.exp(bound - log_next)
+        while k > hi:
+            z = 1.0 + z * mu / (k + 1)
+            k -= 1
+        log_next = (k + 1) * log_mu - lgamma(k + 2.0) - mu
+        log_tail = math.log(z) + log_next
+        if not log_tail < goal:
+            log_tail += _log_roundoff(k + 1, log_mu, mu, top - k)
+            raise ToleranceNotAchieved.from_logs(log_budget, log_tail, f"{what} exceeded {MAX_CAP}")
+    # in units of the budget: t = P(X > k) and p = pmf(k)
+    t = math.exp(log_tail - goal)
+    p = math.exp(min(log_next + math.log(k + 1) - log_mu - goal, 700.0))
+    k = float(k)
+    while k > 0:
+        t_down = t + p
+        if t_down >= 1.0:
+            break
+        t = t_down
+        p = p * k / mu
+        k -= 1.0
+    m = int(k)
+    if t > 1e-300:
+        log_tail = math.log(t) + goal
+    else:
+        # t underflows only for mu below about 1e-280, where the bound is tight
+        log_tail = (m + 1) * log_mu - lgamma(m + 2.0) - mu - log1p(-mu / (m + 2))
+    # the start bound is tight to e^-23 of the budget, and a tail is at most 1
+    return m, min(0.0, log_tail + _log_roundoff(m + 1, log_mu, mu, top - m))
 
 
-def _log_poisson_sf(mu, m):
-    """log P(Poisson(mu) > m) for m >= 0, from gammainc down to 1e-300
-    and, where gammainc underflows, from the pmf ratios past m+1, which
-    are below mu/(m+2)."""
-    # a scalar call here costs a fifth of the ufunc's; a search makes a dozen
-    sf = cython_special.gammainc(m + 1, mu)
-    if sf > 1e-300:
-        return math.log(sf)
-    return (m + 1) * math.log(mu) - math.lgamma(m + 2) - mu - math.log1p(-mu / (m + 2))
+def _log_roundoff(k, log_mu, mu, steps):
+    """Bound on the relative round-off of a tail from pmf(k) and a walk
+    of the given steps: a few ulp of each part of log pmf(k), log k! from
+    math.lgamma being within 4 ulp, and one ulp per step."""
+    return 2.0**-50 * (abs(k * log_mu) + math.lgamma(k + 1.0) + mu + steps + 4)
 
 
 def polynomial_absorb_constant(degree, delta, shift=0):
@@ -200,4 +297,3 @@ def polynomial_absorb_constant(degree, delta, shift=0):
             best = val
         elif m > degree / delta + 4:
             return best
-

@@ -12,8 +12,6 @@ truncations carry certified error bounds, returned alongside the value.
 import math
 from fractions import Fraction
 
-from scipy.special import ive
-
 from . import lattice
 from .errors import PreconditionError, ToleranceNotAchieved
 from .kernels import _check_queue, departure_kernel_stack, queue_to_departures
@@ -207,6 +205,8 @@ def mm1_kt(q, q2, t, nu, rel_tol=1e-15):
     sum of logs; the series tail is cut by a geometric bound.  A scaled
     Bessel value below 1e-300 counts as 0 (and 1e-300 in abs_error) where
     the term stays below 1e-300; elsewhere it raises ToleranceNotAchieved."""
+    from scipy.special import ive
+
     nu = as_rates(nu)
     if nu.n_stations != 1:
         raise PreconditionError("mm1_kt needs exactly one station")

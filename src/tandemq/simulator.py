@@ -12,12 +12,10 @@ and parallel runs produce identical output and reruns are byte-stable.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .errors import PreconditionError, ToleranceNotAchieved
 from .kernels import KernelValue, _check_chamber, _check_queue
@@ -43,8 +41,8 @@ class SimConfig:
         object.__setattr__(self, "rates", vals)
         if self.replications < 1:
             raise PreconditionError("replications must be >= 1")
-        if not self.horizon > 0:
-            raise PreconditionError("horizon must be positive")
+        if not 0 < self.horizon < math.inf:
+            raise PreconditionError(f"horizon must be positive and finite, got {self.horizon!r}")
         if not 0 <= int(self.seed) < 2**64:
             raise PreconditionError("seed must fit in 64 bits")
 
@@ -113,6 +111,8 @@ def _run_blocks(worker, static_args, cfg, jobs=None):
     n_blocks = -(-cfg.replications // BLOCK)
     tasks = [static_args + (int(cfg.seed), b) for b in range(n_blocks)]
     if jobs is not None and jobs > 1 and n_blocks > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(worker, tasks))
     else:
@@ -133,7 +133,8 @@ def simulate_queue_prob(q, q2, t=None, cfg=None, jobs=None):
     q = _check_queue(q, nu.n_stations, "q")
     q2 = _check_queue(q2, nu.n_stations, "q2")
     t = cfg.horizon if t is None else float(t)
-    if not t > 0:
+    check_time(t)
+    if t == 0:
         raise PreconditionError("t must be positive")
     return _run_blocks(_queue_block, (nu.as_floats(), q, q2, t), cfg, jobs)
 
@@ -147,7 +148,8 @@ def simulate_noncrossing(x, t=None, cfg=None, jobs=None):
     if len(x) != len(cfg.rates):
         raise PreconditionError("x must have one coordinate per rate")
     t = cfg.horizon if t is None else float(t)
-    if not t > 0:
+    check_time(t)
+    if t == 0:
         raise PreconditionError("t must be positive")
     if len(x) == 1:
         return Estimate(1.0, 0.0, cfg.replications)
@@ -175,6 +177,8 @@ _MATRIX_CACHE = {}
 def _uniformized_matrix(fl, n, cap):
     """CSR matrix of the uniformized jump chain on {0..cap}^n plus one
     absorbing overflow state, and the uniformization rate."""
+    from scipy import sparse
+
     key = (fl, n, cap)
     if key in _MATRIX_CACHE:
         return _MATRIX_CACHE[key]

@@ -312,3 +312,36 @@ def test_precision_env_flows_through():
     hi = float(r.stdout.splitlines()[1].split(",")[1])
     lo = float(run_cli("kt00", "--rates", "1,2,4", "--t", "1").stdout.splitlines()[1].split(",")[1])
     assert abs(hi - lo) < 1e-9
+
+
+FRESH_EVALUATIONS = """
+import contextlib, io, json, sys
+from tandemq import cli, kt00_gap, mm1_kt, uniformization_kt
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        cli.main(["kt00", "--rates", "1,2,3", "--t", "5"]),
+        cli.main(["kt", "--rates", "1,2,3", "--q", "1,0", "--q2", "0,1", "--t", "2"]),
+        cli.main(["relaxation", "--rates", "1,2,3", "--t", "30,40,50,60,70,80"]),
+    ]
+kt00_gap(1.5, (1, 4, 2), tol=1e-14, precision="high")
+before = scipy_modules()
+# the oracles import what they need on first use (the verify suites,
+# chamber-infimum-vs-scipy among them, run in tests/test_verify.py)
+oracles = [mm1_kt(0, 1, 1.0, (1, 2)).value, uniformization_kt((0,), (1,), 1.0, (1, 2), 40).value]
+print(json.dumps({"codes": codes, "before": before, "oracles": oracles, "after": len(scipy_modules())}))
+"""
+
+
+def test_double_precision_imports_no_scipy():
+    r = subprocess.run([sys.executable, "-c", FRESH_EVALUATIONS], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)
+    assert out["codes"] == [0, 0, 0]
+    assert out["before"] == []
+    mm1, uniform = out["oracles"]
+    assert abs(mm1 - uniform) < 1e-8
+    assert out["after"] > 0

@@ -1,31 +1,64 @@
 """The one truncation search: poisson_cap returns the smallest cap whose
-Poisson tail is below the request, certified against 50-digit tails."""
+Poisson tail is below the request, certified against 50-digit tails; and
+the log k! table and log pmf tables it shares with the kernels."""
 
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from tandemq.errors import PreconditionError, ToleranceNotAchieved
-from tandemq.numerics import MAX_CAP, poisson_cap, poisson_log_cap
+from tandemq.numerics import MAX_CAP, Numerics, log_factorials, poisson_cap, poisson_log_cap
 
 
-def _tail(mu, m):
-    """P(Poisson(mu) > m) at 50 digits."""
+def _log_tail(mu, m):
+    """log P(Poisson(mu) > m) at 50 digits."""
     if m < 0:
-        return mpmath.mpf(1)
+        return mpmath.mpf(0)
+    if mu == 0:
+        return -mpmath.inf
     with mpmath.workdps(50):
-        return mpmath.gammainc(m + 1, 0, mpmath.mpf(mu), regularized=True)
+        return mpmath.log(mpmath.gammainc(m + 1, 0, mpmath.mpf(mu), regularized=True))
 
 
-@pytest.mark.parametrize("mu", [0.0, 0.5, 30.0, 300.0])
+def _check_smallest(mu, log_tol):
+    try:
+        cap, log_tail = poisson_log_cap(mu, log_tol)
+    except ToleranceNotAchieved as exc:
+        # a refusal is right only if MAX_CAP leaves too much, and it names
+        # an upper bound on what MAX_CAP leaves
+        exact = _log_tail(mu, MAX_CAP)
+        assert exact >= log_tol and exc.logs[1] >= exact - 1e-12
+        assert str(exc).endswith(f"(Poisson cap exceeded {MAX_CAP})")
+        return
+    exact = _log_tail(mu, cap)
+    assert exact < log_tol <= _log_tail(mu, cap - 1) or (mu == 0 and cap == 0)
+    # the returned tail is an upper bound, below the budget, and tight
+    assert exact <= log_tail + 1e-12 and log_tail < log_tol
+    assert log_tail <= exact + 1e-9 or mu == 0
+
+
+MUS = [0.0, 0.5, 30.0, 300.0, 5000.0, 19000.0]
+
+
+@pytest.mark.parametrize("mu", MUS)
 @pytest.mark.parametrize("tol", [1e-8, 1e-13, 1e-300])
 def test_poisson_cap_is_smallest(mu, tol):
-    cap, tail = poisson_cap(mu, tol)
-    exact = _tail(mu, cap)
-    assert exact < tol <= _tail(mu, cap - 1) or (mu == 0 and cap == 0)
-    # the returned tail is an upper bound (below 1e-300, the deep-tail one)
-    assert exact <= tail * (1 + 1e-12) and tail < tol
+    _check_smallest(mu, math.log(tol))
+    try:
+        cap, log_tail = poisson_log_cap(mu, math.log(tol))
+    except ToleranceNotAchieved:
+        with pytest.raises(ToleranceNotAchieved):
+            poisson_cap(mu, tol)
+        return
+    assert poisson_cap(mu, tol) == (cap, math.exp(log_tail))
+
+
+@pytest.mark.parametrize("mu", MUS)
+@pytest.mark.parametrize("log_tol", [-3000.0, -7000.0])
+def test_poisson_cap_is_smallest_below_float_range(mu, log_tol):
+    _check_smallest(mu, log_tol)
 
 
 def test_poisson_cap_reference_point():
@@ -38,6 +71,10 @@ def test_poisson_cap_limit():
         poisson_cap(float(MAX_CAP), 1e-10)
     with pytest.raises(ToleranceNotAchieved, match=f"h-series cut exceeded {MAX_CAP}"):
         poisson_log_cap(float(MAX_CAP), -20.0, "h-series cut")
+    # a mean past the cap: at least half the mass lies above it
+    with pytest.raises(ToleranceNotAchieved, match=f"Poisson cap exceeded {MAX_CAP}") as exc:
+        poisson_cap(3.0 * MAX_CAP, 1e-10)
+    assert exc.value.achieved == 1.0
 
 
 @pytest.mark.parametrize("mu, tol", [(math.nan, 1e-8), (math.inf, 1e-8), (-1.0, 1e-8),
@@ -45,3 +82,33 @@ def test_poisson_cap_limit():
 def test_poisson_cap_rejects_bad_input(mu, tol):
     with pytest.raises(PreconditionError):
         poisson_cap(mu, tol)
+
+
+def test_log_factorials_within_4_ulp():
+    table = log_factorials(40000)
+    assert len(table) == 40001 and not table.flags.writeable
+    assert table[0] == table[1] == 0.0
+    with mpmath.workdps(50):
+        exact = [mpmath.mpf(0)] * 2
+        for k in range(2, 40001):
+            exact.append(exact[-1] + mpmath.log(k))
+        worst = max(abs(mpmath.mpf(float(v)) - e) / math.ulp(v) for v, e in zip(table[2:], exact[2:]))
+    assert worst <= 4
+    # a shorter request is a prefix of the same table
+    assert np.array_equal(log_factorials(10), table[:11])
+
+
+def test_poisson_logpmf_table_edges():
+    nm = Numerics()
+    # mean 0: all mass at 0, and nothing below 0
+    assert nm.poisson_logpmf_table(0.0, -2, 3).tolist() == [-math.inf, -math.inf, 0.0] + [-math.inf] * 3
+    assert nm.poisson_pmf_table(0.0, 0, 1).tolist() == [1.0, 0.0]
+    assert nm.poisson_logpmf_table(2.5, -4, -1).tolist() == [-math.inf] * 4
+    assert len(nm.poisson_logpmf_table(2.5, 3, 2)) == 0
+    got = nm.poisson_logpmf_table(2.5, -3, 60)
+    assert got[:3].tolist() == [-math.inf] * 3
+    with mpmath.workdps(50):
+        mu = mpmath.mpf(2.5)
+        exact = [k * mpmath.log(mu) - mpmath.loggamma(k + 1) - mu for k in range(61)]
+    for v, e in zip(got[3:], exact):
+        assert abs(v - e) <= 8 * math.ulp(max(abs(float(e)), 1.0))

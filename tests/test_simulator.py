@@ -1,6 +1,8 @@
 """Oracle layer: reproducibility and statistical calibration of the
 Monte Carlo paths, and the truncation contract of uniformization."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,8 @@ def test_sim_config_validation():
         SimConfig(rates=(1.0, -2.0), horizon=1.0, seed=0, replications=10)
     with pytest.raises(PreconditionError):
         SimConfig(rates=(1.0, 2.0), horizon=0.0, seed=0, replications=10)
+    with pytest.raises(PreconditionError):
+        SimConfig(rates=(1.0, 2.0), horizon=math.inf, seed=0, replications=10)
     with pytest.raises(PreconditionError):
         SimConfig(rates=(1.0, 2.0), horizon=1.0, seed=0, replications=0)
     with pytest.raises(PreconditionError):
@@ -80,6 +84,12 @@ def test_sim_rejects_bad_points():
         simulate_noncrossing((0, 1), cfg=cfg)
     with pytest.raises(PreconditionError):
         simulate_queue_prob((0,), (0,), cfg=cfg, t=-1.0)
+    # an infinite horizon used to reach numpy's Poisson sampler
+    for t in (math.inf, math.nan):
+        with pytest.raises(PreconditionError):
+            simulate_queue_prob((0,), (0,), cfg=cfg, t=t)
+        with pytest.raises(PreconditionError):
+            simulate_noncrossing((1, 0), cfg=cfg, t=t)
     with pytest.raises(PreconditionError):
         simulate_queue_prob((0,), (0,))
 
