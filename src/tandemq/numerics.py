@@ -257,15 +257,14 @@ def poisson_log_cap(mu, log_budget, what="Poisson cap"):
     # in units of the budget: t = P(X > k) and p = pmf(k)
     t = math.exp(log_tail - goal)
     p = math.exp(min(log_next + math.log(k + 1) - log_mu - goal, 700.0))
-    k = float(k)
-    while k > 0:
+    m = 0
+    for j in range(k, 0, -1):
         t_down = t + p
         if t_down >= 1.0:
+            m = j
             break
         t = t_down
-        p = p * k / mu
-        k -= 1.0
-    m = int(k)
+        p = p * j / mu
     if t > 1e-300:
         log_tail = math.log(t) + goal
     else:
