@@ -55,6 +55,46 @@ def test_noncross_sim_reproducible():
     assert a.replications == 70000
 
 
+# Estimates recorded from the simulator before its blocks were rewritten
+# (floats written with repr).  The blocks must consume the same Philox
+# draws in the same order and return the same hits, so every estimate
+# is reproduced exactly, serial and parallel.
+PINNED = [
+    ("queue", (1.0, 2.0), (2,), (1,), 1.0, 11, BLOCK,
+     (0.26983642578125, 0.0033984414258365282, 65536)),
+    ("queue", (1.0, 2.0, 3.0), (1, 2), (0, 1), 0.8, 12, BLOCK,
+     (0.1480865478515625, 0.002719411701960361, 65536)),
+    ("queue", (1.0, 1.5, 2.0, 2.5), (1, 0, 2), (0, 1, 1), 0.7, 13, 70000,
+     (0.05552857142857143, 0.0016965349701035797, 70000)),
+    ("noncross", (3.0, 2.0, 1.0), (1, 1, 0), None, 0.5, 14, 70000,
+     (0.5411714285714285, 0.0036914994683777506, 70000)),
+    ("noncross", (1.0, 2.5), (3, 1), None, 1.5, 15, BLOCK,
+     (0.4914398193359375, 0.0038275931365326908, 65536)),
+    # t so small that every event count is 0
+    ("queue", (1.0, 2.0, 3.0), (1, 0), (1, 0), 1e-9, 16, 1000, (1.0, 0.0, 1000)),
+    ("noncross", (3.0, 2.0, 1.0), (1, 1, 0), None, 1e-9, 17, 1000, (1.0, 0.0, 1000)),
+]
+
+
+def _pinned_estimate(kind, rates, a, b, t, seed, reps, jobs):
+    cfg = SimConfig(rates=rates, horizon=t, seed=seed, replications=reps)
+    if kind == "queue":
+        return simulate_queue_prob(a, b, cfg=cfg, jobs=jobs)
+    return simulate_noncrossing(a, cfg=cfg, jobs=jobs)
+
+
+@pytest.mark.parametrize("case", PINNED, ids=lambda c: f"{c[0]}-N{len(c[2])}-t{c[4]:g}-r{c[6]}")
+def test_sim_reproduces_pinned_estimates(case):
+    *args, want = case
+    assert _pinned_estimate(*args, jobs=None) == Estimate(*want)
+
+
+def test_sim_parallel_reproduces_pinned_estimates():
+    for *args, want in PINNED:
+        if args[-1] > BLOCK:
+            assert _pinned_estimate(*args, jobs=2) == Estimate(*want)
+
+
 def test_noncross_single_counter_is_certain():
     cfg = SimConfig(rates=(3.0,), horizon=5.0, seed=0, replications=1000)
     assert simulate_noncrossing((4,), cfg=cfg) == Estimate(1.0, 0.0, 1000)
