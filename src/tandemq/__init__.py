@@ -70,7 +70,18 @@ from .symfunc import (
     window_e,
     window_h,
 )
-from .verify import CheckResult, run_check, run_suite
+
+# verify loads on first use: only the CLI's verify command and the tests
+# need it, and every other import would pay for it.
+_VERIFY_NAMES = ("CheckResult", "run_check", "run_suite")
+
+
+def __getattr__(name):
+    if name in _VERIFY_NAMES:
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "CheckResult",

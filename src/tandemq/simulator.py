@@ -9,6 +9,12 @@ the Markov dynamics and vectorizes across replications.
 Replications are processed in fixed blocks of 65536; block b draws its
 randomness from a counter-based generator keyed by (seed, b), so serial
 and parallel runs produce identical output and reruns are byte-stable.
+A block draws its Poisson event counts, then one uniform per replication
+and event, replication by replication (in row chunks, which continue the
+same stream).  The station of an event is the number of cumulative rate
+fractions at or below its uniform.  Events are then replayed step by
+step over the replications sorted by event count, most first, so step j
+touches only the prefix of replications that have a j-th event.
 """
 
 import math
@@ -23,6 +29,11 @@ from .numerics import Numerics, check_time, poisson_cap
 from .rates import as_rates
 
 BLOCK = 65536
+# Most events one replication may draw in a block: the label table of a
+# block holds BLOCK bytes per event (64 MB here), briefly twice over.
+MAX_EVENTS = 1024
+# Uniforms drawn per chunk (8 MB of float64).
+CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -57,63 +68,91 @@ def _block_rng(seed, block):
     return np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
 
 
-def _station_draws(rng, fl, n_reps, t):
-    """Event counts and per-event station labels for one block."""
+def _station_draws(rng, fl, t):
+    """Event labels of one block, ordered for the event loop.
+
+    Returns (order, active, labels): order lists the replications by
+    event count, most first (stable); active[j] counts those with more
+    than j events; labels[j, :active[j]] are the stations of event j in
+    that order.  The uniforms are drawn as one (BLOCK, kmax) row-major
+    array would be, in row chunks, and a label is the number of
+    cumulative rate fractions at or below its uniform."""
     lam = float(sum(fl))
-    counts = rng.poisson(lam * t, size=n_reps)
+    counts = rng.poisson(lam * t, size=BLOCK)
     kmax = int(counts.max(initial=0))
+    if kmax > MAX_EVENTS:
+        raise PreconditionError(
+            f"t={t!r} expects {lam * t:.4g} events per replication; a simulation "
+            f"block holds at most {MAX_EVENTS}"
+        )
     cum = np.cumsum(fl) / lam
-    cum[-1] = 1.0
-    labels = np.searchsorted(cum, rng.random((n_reps, kmax)), side="right")
-    return counts, labels
+    table = np.empty((BLOCK, kmax), dtype=np.min_scalar_type(len(fl) - 1))
+    rows = max(1, CHUNK // max(kmax, 1))
+    for r0 in range(0, BLOCK, rows):
+        u = rng.random((min(rows, BLOCK - r0), kmax))
+        lab = table[r0 : r0 + len(u)]
+        lab[...] = u >= cum[0]
+        for c in cum[1:-1]:
+            lab += u >= c
+    order = np.argsort(-counts, kind="stable")
+    active = BLOCK - np.cumsum(np.bincount(counts, minlength=kmax))[:kmax]
+    table = table[order]
+    return order, active.tolist(), np.ascontiguousarray(table.T)
+
+
+def _unsort(order, hits):
+    out = np.empty(BLOCK, dtype=bool)
+    out[order] = hits
+    return out
 
 
 def _queue_block(args):
     fl, q, q2, t, seed, block = args
     rng = _block_rng(seed, block)
-    counts, labels = _station_draws(rng, fl, BLOCK, t)
+    order, active, labels = _station_draws(rng, fl, t)
     n = len(q)
-    state = np.tile(np.asarray(q, dtype=np.int64), (BLOCK, 1))
-    for j in range(labels.shape[1]):
-        act = j < counts
-        s = labels[:, j]
-        m = act & (s == 0)
-        state[m, 0] += 1
+    state = [np.full(BLOCK, v, dtype=np.int64) for v in q]
+    for j, a in enumerate(active):
+        s = labels[j, :a]
+        state[0][:a] += s == 0
         for k in range(1, n + 1):
-            m = act & (s == k) & (state[:, k - 1] > 0)
-            state[m, k - 1] -= 1
+            m = (s == k) & (state[k - 1][:a] > 0)
+            state[k - 1][:a] -= m
             if k < n:
-                state[m, k] += 1
-    return (state == np.asarray(q2, dtype=np.int64)).all(axis=1)
+                state[k][:a] += m
+    hits = np.ones(BLOCK, dtype=bool)
+    for col, v in zip(state, q2):
+        hits &= col == v
+    return _unsort(order, hits)
 
 
 def _noncross_block(args):
     fl, x, t, seed, block = args
     rng = _block_rng(seed, block)
-    counts, labels = _station_draws(rng, fl, BLOCK, t)
-    n1 = len(x)
-    state = np.tile(np.asarray(x, dtype=np.int64), (BLOCK, 1))
-    alive = np.ones(BLOCK, dtype=bool)
-    for j in range(labels.shape[1]):
-        act = alive & (j < counts)
-        s = labels[:, j]
-        for k in range(n1):
-            m = act & (s == k)
-            if k >= 1:
-                crossed = m & (state[:, k] == state[:, k - 1])
-                alive[crossed] = False
-                m &= ~crossed
-            state[m, k] += 1
-    return alive
+    order, active, labels = _station_draws(rng, fl, t)
+    pos = [np.full(BLOCK, v, dtype=np.int64) for v in x]
+    # a counter that jumps onto its left neighbour's position crosses it;
+    # the replication is lost for good, so its later steps need no mask
+    crossed = np.zeros(BLOCK, dtype=bool)
+    for j, a in enumerate(active):
+        s = labels[j, :a]
+        pos[0][:a] += s == 0
+        for k in range(1, len(x)):
+            m = s == k
+            crossed[:a] |= m & (pos[k][:a] == pos[k - 1][:a])
+            pos[k][:a] += m
+    return _unsort(order, ~crossed)
 
 
 def _run_blocks(worker, static_args, cfg, jobs=None):
+    if jobs is not None and jobs < 1:
+        raise PreconditionError(f"jobs must be >= 1, got {jobs!r}")
     n_blocks = -(-cfg.replications // BLOCK)
     tasks = [static_args + (int(cfg.seed), b) for b in range(n_blocks)]
     if jobs is not None and jobs > 1 and n_blocks > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, n_blocks)) as pool:
             parts = list(pool.map(worker, tasks))
     else:
         parts = [worker(a) for a in tasks]

@@ -314,6 +314,27 @@ def test_precision_env_flows_through():
     assert abs(hi - lo) < 1e-9
 
 
+def test_simulate_refusals_exit_2():
+    r = run_cli("simulate", "kt", "--rates", "1,2", "--q", "0", "--q2", "0",
+                "--t", "1e6", "--reps", "10")
+    assert r.returncode == 2
+    assert "t=1000000.0 expects 3e+06 events per replication" in r.stderr
+    r = run_cli("simulate", "kt", "--rates", "1,2", "--q", "0", "--q2", "0",
+                "--t", "1", "--reps", "10", "--jobs", "0")
+    assert r.returncode == 2
+    assert "jobs must be >= 1" in r.stderr
+
+
+def test_import_leaves_verify_unloaded():
+    code = (
+        "import sys, tandemq; loaded = 'tandemq.verify' in sys.modules; "
+        "print(loaded, tandemq.run_suite.__module__, 'tandemq.verify' in sys.modules)"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["False", "tandemq.verify", "True"]
+
+
 FRESH_EVALUATIONS = """
 import contextlib, io, json, sys
 from tandemq import cli, kt00_gap, mm1_kt, uniformization_kt

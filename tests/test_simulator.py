@@ -2,10 +2,12 @@
 Monte Carlo paths, and the truncation contract of uniformization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tandemq import simulator
 from tandemq.errors import PreconditionError, ToleranceNotAchieved
 from tandemq.kernels import noncrossing_prob
 from tandemq.queueprobs import mm1_kt
@@ -93,6 +95,111 @@ def test_sim_parallel_reproduces_pinned_estimates():
     for *args, want in PINNED:
         if args[-1] > BLOCK:
             assert _pinned_estimate(*args, jobs=2) == Estimate(*want)
+
+
+def _reference_draws(fl, t, seed, block):
+    # the original block layout: one (BLOCK, kmax) uniform draw, labels
+    # by searchsorted, one row per replication
+    rng = simulator._block_rng(seed, block)
+    lam = float(sum(fl))
+    counts = rng.poisson(lam * t, size=BLOCK)
+    cum = np.cumsum(fl) / lam
+    cum[-1] = 1.0
+    u = rng.random((BLOCK, int(counts.max(initial=0))))
+    return counts, np.searchsorted(cum, u, side="right")
+
+
+def _reference_queue_block(args):
+    fl, q, q2, t, seed, block = args
+    counts, labels = _reference_draws(fl, t, seed, block)
+    state = np.tile(np.asarray(q, dtype=np.int64), (BLOCK, 1))
+    for j in range(labels.shape[1]):
+        act = j < counts
+        s = labels[:, j]
+        state[act & (s == 0), 0] += 1
+        for k in range(1, len(q) + 1):
+            m = act & (s == k) & (state[:, k - 1] > 0)
+            state[m, k - 1] -= 1
+            if k < len(q):
+                state[m, k] += 1
+    return (state == np.asarray(q2)).all(axis=1)
+
+
+def _reference_noncross_block(args):
+    fl, x, t, seed, block = args
+    counts, labels = _reference_draws(fl, t, seed, block)
+    state = np.tile(np.asarray(x, dtype=np.int64), (BLOCK, 1))
+    alive = np.ones(BLOCK, dtype=bool)
+    for j in range(labels.shape[1]):
+        act = alive & (j < counts)
+        s = labels[:, j]
+        for k in range(len(x)):
+            m = act & (s == k)
+            if k >= 1:
+                crossed = m & (state[:, k] == state[:, k - 1])
+                alive[crossed] = False
+                m &= ~crossed
+            state[m, k] += 1
+    return alive
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_blocks_match_reference_loops(seed):
+    for args in [
+        ((1.0, 2.0), (1,), (0,), 1.3, seed, 0),
+        ((1.0, 1.5, 2.0, 2.5), (0, 2, 1), (1, 1, 0), 0.9, seed, 1),
+    ]:
+        np.testing.assert_array_equal(simulator._queue_block(args), _reference_queue_block(args))
+    for args in [((3.0, 2.0, 1.0), (1, 1, 0), 0.8, seed, 0), ((1.0, 2.0, 3.0, 4.0), (3, 2, 1, 0), 0.5, seed, 2)]:
+        np.testing.assert_array_equal(simulator._noncross_block(args), _reference_noncross_block(args))
+
+
+def test_sim_rejects_jobs_below_one():
+    cfg = SimConfig(rates=(1.0, 2.0), horizon=1.0, seed=0, replications=100)
+    for jobs in (0, -1):
+        with pytest.raises(PreconditionError, match="jobs"):
+            simulate_queue_prob((0,), (0,), cfg=cfg, jobs=jobs)
+        with pytest.raises(PreconditionError, match="jobs"):
+            simulate_noncrossing((1, 0), cfg=cfg, jobs=jobs)
+
+
+def test_pool_workers_capped_at_block_count(monkeypatch):
+    import concurrent.futures
+
+    made = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cfg = SimConfig(rates=(1.0, 2.0), horizon=0.5, seed=9, replications=BLOCK + 1)
+    got = simulate_queue_prob((0,), (0,), cfg=cfg, jobs=10**6)
+    assert made == [2]
+    assert got == simulate_queue_prob((0,), (0,), cfg=cfg)
+
+
+def test_sim_refuses_oversized_block_without_allocating():
+    cfg = SimConfig(rates=(1.0, 2.0), horizon=1e6, seed=0, replications=10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match=r"t=1000000\.0 expects 3e\+06 events"):
+            simulate_queue_prob((0,), (0,), cfg=cfg)
+        with pytest.raises(PreconditionError, match="events per replication"):
+            simulate_noncrossing((1, 0), cfg=cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * BLOCK * 8
 
 
 def test_noncross_single_counter_is_certain():
