@@ -32,8 +32,9 @@ BLOCK = 65536
 # Most events one replication may draw in a block: the label table of a
 # block holds BLOCK bytes per event (64 MB here), briefly twice over.
 MAX_EVENTS = 1024
-# Uniforms drawn per chunk (8 MB of float64).
-CHUNK = 1 << 20
+# Uniforms drawn per chunk: 1 MB of float64, which stays in cache while
+# it is compared with each rate fraction.
+CHUNK = 1 << 17
 
 
 @dataclass(frozen=True)
