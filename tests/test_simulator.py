@@ -199,6 +199,7 @@ def test_sim_refuses_oversized_block_without_allocating():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    # the block's Poisson counts (BLOCK int64) and little else
     assert peak < 16 * BLOCK * 8
 
 
