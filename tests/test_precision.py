@@ -1,7 +1,9 @@
 """The precision contract of the public evaluations: precision="high"
-results do not depend on the caller's mpmath context, agree with double
-precision within their bounds, and double precision returns plain
-floats."""
+results do not depend on the caller's mpmath or decimal context, agree
+with double precision within their bounds and with 70-digit references
+within 1e-48, and double precision returns plain floats."""
+
+import decimal
 
 import mpmath
 import pytest
@@ -41,6 +43,9 @@ def test_high_precision_ignores_caller_context(name):
     with mpmath.workdps(80):
         high_ctx = call("high")
     assert low_ctx == high_ctx
+    for prec in (5, 90):
+        with decimal.localcontext(decimal.Context(prec=prec)):
+            assert call("high") == low_ctx
     double = call("double")
     if isinstance(double, tuple):
         hi_val, hi_err = low_ctx
@@ -59,6 +64,33 @@ def test_high_precision_matches_wider_reference(monkeypatch):
     with mpmath.workdps(60):
         ref = kt00_gap(60.0, (1, 4, 2), tol=1e-40, precision="high")
     assert abs(got.value - ref.value) <= 1e-40 * ref.value
+    # the patched HIGH_DPS widened the sums, so the round-off differs
+    assert got.value != ref.value
+
+
+# Values recorded with numerics.HIGH_DPS = 70 inside mpmath.workdps(70),
+# with the survival sums on mpmath, before they moved to decimal: at the
+# same caps the default precision must reproduce them within 1e-48.
+PINNED_70 = [
+    (lambda: kt00_gap(60, (1, 4, 2), tol=1e-40, precision="high"),
+     "5.301178045552081208418924301614271570493477597952945123554556605626113e-8"),
+    (lambda: kt00_gap(7, (1, 4, 2, 3), tol=1e-30, precision="high"),
+     "0.007439778852209196669242576447472784034376791884917406812335305986590142"),
+    (lambda: kt00_direct(5, (1, 4, 2, 3), tol=1e-30, precision="high"),
+     "0.2660052078372586137050200815608437817301380167795734554610092450022271"),
+    (lambda: noncrossing_prob((3, 1, 0), 2, (1, 2, 3), tol=1e-30, precision="high"),
+     "0.07791186058177343751729635271357417886402500709315380838959510880262104"),
+]
+
+
+@pytest.mark.parametrize("case", range(len(PINNED_70)))
+def test_high_precision_matches_pinned_70_digits(case):
+    call, want = PINNED_70[case]
+    got = call().value
+    assert isinstance(got, mpmath.mpf)
+    with mpmath.workdps(80):
+        ref = mpmath.mpf(want)
+        assert abs(got - ref) <= 1e-48 * ref
 
 
 def test_double_precision_returns_floats():
