@@ -12,6 +12,7 @@ verification failure.
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -24,6 +25,7 @@ from .kernels import noncrossing_prob
 from .rates import RateVector
 
 PRECISION_ENV = "TANDEMQ_PRECISION"
+PRECISIONS = ("double", "high")
 
 
 def _fmt(x):
@@ -243,18 +245,20 @@ def cmd_simulate(args):
 
 def _add_common(sp, tol_default=None):
     sp.add_argument("--rates", required=True, help="comma-separated rates: arrival,service1,...")
+    # no default here: main reads the environment on every call (_resolve_precision)
     sp.add_argument(
         "--precision",
-        choices=("double", "high"),
-        default=os.environ.get(PRECISION_ENV, "double"),
-        help=f"arithmetic mode (env {PRECISION_ENV})",
+        choices=PRECISIONS,
+        help=f"arithmetic mode (default: env {PRECISION_ENV}, else double)",
     )
     if tol_default is not None:
         sp.add_argument("--tol", type=float, default=tol_default, help="absolute error target")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+@functools.cache
 def build_parser():
+    """The parser of every subcommand, built once per process."""
     p = argparse.ArgumentParser(
         prog="tandemq",
         description="Exact transient probabilities for tandem queueing networks.",
@@ -299,10 +303,21 @@ def build_parser():
     return p
 
 
+def _resolve_precision(args):
+    """Fills in --precision from the environment, default "double"."""
+    if "precision" in vars(args) and args.precision is None:
+        args.precision = os.environ.get(PRECISION_ENV, "double")
+        if args.precision not in PRECISIONS:
+            raise PreconditionError(
+                f"{PRECISION_ENV}={args.precision!r} is not a precision; "
+                f"use one of {', '.join(PRECISIONS)}"
+            )
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _resolve_precision(args)
         return args.func(args)
     except ToleranceNotAchieved as exc:
         print(f"tandemq: {exc}", file=sys.stderr)

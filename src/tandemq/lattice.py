@@ -90,18 +90,26 @@ def survival_probability(x, t, nu, tol, nm, arrangements=None):
     Truncation: with M = sum_sigma |weight_sigma| (exact), rate r is cut
     at y_i <= x_i + poisson_cap(nu_r t, tol/(max(M, 1) (N+1))) - i, and
     the neglected mass is at most M times the (float) sum of those
-    tails, which sits just below tol."""
+    tails, which sits just below tol.
+
+    The sums take only + - and *, on float64 arrays, or in high
+    precision on object arrays of Decimal in the context that
+    numerics.evaluation enters (which turns the Decimal value into an
+    mpf): the rates, weights and t as nm.sum_scalar, the pmf columns by
+    their recurrence.  Each mean nu_r t of a cut is the float of
+    nm.scalar(nu_r) * nm.scalar(t) in both modes, so the caps, the grid
+    and the bound do not depend on the arithmetic of the sums."""
     n1 = len(nu)
     places, paired, scale = arrangements or Arrangements(tuple({i} for i in range(n1)))
     weights, mass = _arrangement_weights([Fraction(v) for v in nu], places, paired, scale)
-    rates = [nm.scalar(r) for r in nu]
+    rates = [nm.sum_scalar(r) for r in nu]
     a = [x[j] - j for j in range(n1)]
     # each weight with the rate power nu_r^-a_i of the level i it sits at
     factors = {
-        (rs, r): nm.scalar(w) * rates[r] ** -a[n1 - 1 - bin(rs).count("1")]
+        (rs, r): nm.sum_scalar(w) * rates[r] ** -a[n1 - 1 - bin(rs).count("1")]
         for (rs, r), w in weights.items()
     }
-    cuts = [poisson_cap(r * nm.scalar(t), tol / max(mass, 1.0) / n1) for r in rates]
+    cuts = [poisson_cap(nm.scalar(r) * nm.scalar(t), tol / max(mass, 1.0) / n1) for r in nu]
     caps, tail = [cap for cap, _ in cuts], sum(tl for _, tl in cuts)
     ylo = min(a)
     tops = [{r: x[i] + caps[r] - i - ylo + 1 for r in places[i]} for i in range(n1)]
@@ -110,7 +118,7 @@ def survival_probability(x, t, nu, tol, nm, arrangements=None):
     # cols[r][j][y - ylo] = pmf(nu_r t, y - a_j) nu_r^a_j
     cols = []
     for r in range(n1):
-        pmf = nm.poisson_pmf_table(rates[r] * nm.scalar(t), mlo, ylo + grid - 1 - min(a))
+        pmf = nm.poisson_pmf_table(rates[r] * nm.sum_scalar(t), mlo, ylo + grid - 1 - min(a))
         cols.append([pmf[ylo - a[j] - mlo :][:grid] * rates[r] ** a[j] for j in range(n1)])
 
     below = {(0, 0): np.ones(grid, dtype=nm.dtype)}
@@ -133,7 +141,7 @@ def survival_probability(x, t, nu, tol, nm, arrangements=None):
         for key, g in level.items():
             level[key] = np.concatenate((g[:1] * 0, np.cumsum(g)))
         below = level
-    return sum(h[-1] for h in below.values()) * nm.scalar(scale), mass * tail
+    return sum(h[-1] for h in below.values()) * nm.sum_scalar(scale), mass * tail
 
 
 def _arrangement_weights(vals, places, paired, scale):

@@ -4,20 +4,25 @@ All lattice truncations in this package are certified by Poisson tail
 bounds, and every truncation picks the smallest cap whose tail meets
 its budget through one search, poisson_log_cap.  It sums pmf terms in
 double log space in both modes, since tails only feed the float
-abs_error.  Pmf tables come in float64 or mpmath arithmetic; log k!
-comes from math.lgamma, for the float tables through one module-level
-table, so this module imports no scipy.  The "high" precision mode
-works at HIGH_DPS decimal digits; it exists for very deep tails
-(transition probabilities far below 1e-12) where float64 round-off in
-signed sums would start to matter.  The first high-precision Numerics
-imports mpmath.  The decorator `evaluation` is the only place that
-enters mpmath's context; the Numerics methods assume they run inside it.
+abs_error.  Pmf tables come in float64, mpmath or decimal arithmetic;
+log k! comes from math.lgamma, for the float tables through one
+module-level table, so this module imports no scipy.  The "high"
+precision mode works at HIGH_DPS decimal digits; it exists for very
+deep tails (transition probabilities far below 1e-12) where float64
+round-off in signed sums would start to matter.  In it the survival
+sums (lattice.survival_probability), which only add and multiply, run
+on the C decimal module, and the exp/log-bound kernels on mpmath; the
+first high-precision Numerics imports mpmath.  The decorator
+`evaluation` is the only place that enters the mpmath and decimal
+contexts; the Numerics methods assume they run inside them.
 """
 
 import contextlib
+import decimal
 import functools
 import inspect
 import math
+from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -77,14 +82,25 @@ class Numerics:
             self.mp = mpmath
 
     def scalar(self, x):
+        """x as a float, or in high precision an mpf."""
         if not self.high:
             return float(x)
-        if isinstance(x, float):
+        if isinstance(x, (float, Decimal)):
             # decimal round-trip: 0.1 becomes the mpf closest to "0.1"
             return self.mp.mpf(str(x))
         if isinstance(x, Fraction):
             return self.mp.mpf(x.numerator) / x.denominator
         return self.mp.mpf(x)
+
+    def sum_scalar(self, x):
+        """x as an element of the survival sums: a float, or in high
+        precision a Decimal of the current decimal context."""
+        if not self.high:
+            return float(x)
+        if isinstance(x, Fraction):
+            return Decimal(x.numerator) / x.denominator
+        # floats by the same round-trip as scalar; unary plus rounds
+        return +Decimal(str(x))
 
     def exp(self, x):
         """Elementwise exp of a scalar or an array."""
@@ -117,18 +133,19 @@ class Numerics:
         return out
 
     def poisson_pmf_table(self, mu, lo, hi):
-        """pmf of Poisson(mu) on integers lo..hi inclusive (0 for k < 0)."""
+        """pmf of Poisson(mu) on integers lo..hi inclusive (0 for k < 0).
+        In high precision mu is an mpf or a Decimal, and the table holds
+        values of its type."""
         if not self.high:
             return np.exp(self.poisson_logpmf_table(mu, lo, hi))
-        mp = self.mp
-        ks = np.arange(lo, hi + 1)
-        mu = mp.mpf(mu)
-        out = np.empty(len(ks), dtype=object)
-        out[:] = mp.mpf(0)
-        if hi < 0:
-            return out
+        if isinstance(mu, Decimal):
+            p = (-mu).exp()
+        else:
+            mu = self.mp.mpf(mu)
+            p = self.mp.e ** (-mu)
+        out = np.empty(max(0, hi - lo + 1), dtype=object)
+        out[:] = 0 * mu
         # run the recurrence p_k = p_{k-1} * mu / k from k = 0
-        p = mp.e ** (-mu)
         k = 0
         while k <= hi:
             if k >= lo:
@@ -141,8 +158,10 @@ class Numerics:
 def evaluation(fn):
     """Gives fn, which takes a keyword-only Numerics nm, a keyword-only
     precision="double"|"high" in its place.  In high precision fn runs in
-    mpmath.workdps(HIGH_DPS) whatever the caller's context; the value comes
-    back as a float or an mpf (in a KernelValue too, with a float abs_error)."""
+    mpmath.workdps(HIGH_DPS) and in a decimal context of HIGH_DPS + 5
+    digits and unbounded exponents, whatever the caller's contexts, both
+    read at call time; the value comes back as a float or an mpf (in a
+    KernelValue too, with a float abs_error), a Decimal converted."""
     sig = inspect.signature(fn)
     params = [p for p in sig.parameters.values() if p.name != "nm"]
     params.append(inspect.Parameter("precision", inspect.Parameter.KEYWORD_ONLY, default="double"))
@@ -150,7 +169,10 @@ def evaluation(fn):
     @functools.wraps(fn)
     def evaluate(*args, precision="double", **kwargs):
         nm = Numerics(precision)
-        with nm.mp.workdps(HIGH_DPS) if nm.high else contextlib.nullcontext():
+        with contextlib.ExitStack() as stack:
+            if nm.high:
+                stack.enter_context(nm.mp.workdps(HIGH_DPS))
+                stack.enter_context(decimal.localcontext(_decimal_context()))
             out = fn(*args, nm=nm, **kwargs)
             if isinstance(out, KernelValue):
                 return KernelValue(nm.scalar(out.value), float(out.abs_error))
@@ -158,6 +180,18 @@ def evaluation(fn):
 
     evaluate.__signature__ = sig.replace(parameters=params)
     return evaluate
+
+
+def _decimal_context():
+    """The decimal context of the high-precision survival sums: a few
+    guard digits over HIGH_DPS, no exponent limit, the default traps."""
+    return decimal.Context(
+        prec=HIGH_DPS + 5,
+        rounding=decimal.ROUND_HALF_EVEN,
+        Emin=decimal.MIN_EMIN,
+        Emax=decimal.MAX_EMAX,
+        traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow],
+    )
 
 
 def check_time(t):

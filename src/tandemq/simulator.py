@@ -11,10 +11,12 @@ randomness from a counter-based generator keyed by (seed, b), so serial
 and parallel runs produce identical output and reruns are byte-stable.
 A block draws its Poisson event counts, then one uniform per replication
 and event, replication by replication (in row chunks, which continue the
-same stream).  The station of an event is the number of cumulative rate
-fractions at or below its uniform.  Events are then replayed step by
-step over the replications sorted by event count, most first, so step j
-touches only the prefix of replications that have a j-th event.
+same stream); the last block of a run draws all BLOCK counts but the
+uniforms of its first replications only, those that the run asks for.
+The station of an event is the number of cumulative rate fractions at
+or below its uniform.  Events are then replayed step by step over the
+replications sorted by event count, most first, so step j touches only
+the prefix of replications that have a j-th event.
 """
 
 import math
@@ -69,14 +71,16 @@ def _block_rng(seed, block):
     return np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
 
 
-def _station_draws(rng, fl, t):
-    """Event labels of one block, ordered for the event loop.
+def _station_draws(rng, fl, t, n):
+    """Event labels of the first n replications of one block, ordered
+    for the event loop.
 
     Returns (order, active, labels): order lists the replications by
     event count, most first (stable); active[j] counts those with more
     than j events; labels[j, :active[j]] are the stations of event j in
-    that order.  The uniforms are drawn as one (BLOCK, kmax) row-major
-    array would be, in row chunks, and a label is the number of
+    that order.  The uniforms are drawn as the first n rows of one
+    (BLOCK, kmax) row-major array would be, in row chunks, kmax the
+    most events of the whole block, and a label is the number of
     cumulative rate fractions at or below its uniform."""
     lam = float(sum(fl))
     counts = rng.poisson(lam * t, size=BLOCK)
@@ -86,33 +90,34 @@ def _station_draws(rng, fl, t):
             f"t={t!r} expects {lam * t:.4g} events per replication; a simulation "
             f"block holds at most {MAX_EVENTS}"
         )
+    counts = counts[:n]
     cum = np.cumsum(fl) / lam
-    table = np.empty((BLOCK, kmax), dtype=np.min_scalar_type(len(fl) - 1))
+    table = np.empty((n, kmax), dtype=np.min_scalar_type(len(fl) - 1))
     rows = max(1, CHUNK // max(kmax, 1))
-    for r0 in range(0, BLOCK, rows):
-        u = rng.random((min(rows, BLOCK - r0), kmax))
+    for r0 in range(0, n, rows):
+        u = rng.random((min(rows, n - r0), kmax))
         lab = table[r0 : r0 + len(u)]
         lab[...] = u >= cum[0]
         for c in cum[1:-1]:
             lab += u >= c
     order = np.argsort(-counts, kind="stable")
-    active = BLOCK - np.cumsum(np.bincount(counts, minlength=kmax))[:kmax]
+    active = n - np.cumsum(np.bincount(counts, minlength=kmax))[:kmax]
     table = table[order]
     return order, active.tolist(), np.ascontiguousarray(table.T)
 
 
 def _unsort(order, hits):
-    out = np.empty(BLOCK, dtype=bool)
+    out = np.empty(len(order), dtype=bool)
     out[order] = hits
     return out
 
 
 def _queue_block(args):
-    fl, q, q2, t, seed, block = args
+    fl, q, q2, t, seed, block, reps = args
     rng = _block_rng(seed, block)
-    order, active, labels = _station_draws(rng, fl, t)
+    order, active, labels = _station_draws(rng, fl, t, reps)
     n = len(q)
-    state = [np.full(BLOCK, v, dtype=np.int64) for v in q]
+    state = [np.full(reps, v, dtype=np.int64) for v in q]
     for j, a in enumerate(active):
         s = labels[j, :a]
         state[0][:a] += s == 0
@@ -121,20 +126,20 @@ def _queue_block(args):
             state[k - 1][:a] -= m
             if k < n:
                 state[k][:a] += m
-    hits = np.ones(BLOCK, dtype=bool)
+    hits = np.ones(reps, dtype=bool)
     for col, v in zip(state, q2):
         hits &= col == v
     return _unsort(order, hits)
 
 
 def _noncross_block(args):
-    fl, x, t, seed, block = args
+    fl, x, t, seed, block, reps = args
     rng = _block_rng(seed, block)
-    order, active, labels = _station_draws(rng, fl, t)
-    pos = [np.full(BLOCK, v, dtype=np.int64) for v in x]
+    order, active, labels = _station_draws(rng, fl, t, reps)
+    pos = [np.full(reps, v, dtype=np.int64) for v in x]
     # a counter that jumps onto its left neighbour's position crosses it;
     # the replication is lost for good, so its later steps need no mask
-    crossed = np.zeros(BLOCK, dtype=bool)
+    crossed = np.zeros(reps, dtype=bool)
     for j, a in enumerate(active):
         s = labels[j, :a]
         pos[0][:a] += s == 0
@@ -148,8 +153,10 @@ def _noncross_block(args):
 def _run_blocks(worker, static_args, cfg, jobs=None):
     if jobs is not None and jobs < 1:
         raise PreconditionError(f"jobs must be >= 1, got {jobs!r}")
-    n_blocks = -(-cfg.replications // BLOCK)
-    tasks = [static_args + (int(cfg.seed), b) for b in range(n_blocks)]
+    n = cfg.replications
+    n_blocks = -(-n // BLOCK)
+    # each task: its block's seed and index, and how many replications it runs
+    tasks = [static_args + (int(cfg.seed), b, min(BLOCK, n - b * BLOCK)) for b in range(n_blocks)]
     if jobs is not None and jobs > 1 and n_blocks > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -157,9 +164,7 @@ def _run_blocks(worker, static_args, cfg, jobs=None):
             parts = list(pool.map(worker, tasks))
     else:
         parts = [worker(a) for a in tasks]
-    hits = np.concatenate(parts)[: cfg.replications]
-    n = cfg.replications
-    p = float(hits.sum()) / n
+    p = float(sum(h.sum() for h in parts)) / n
     var = p * (1.0 - p) * n / max(n - 1, 1)
     return Estimate(p, 1.96 * math.sqrt(var / n), n)
 

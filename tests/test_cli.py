@@ -314,6 +314,41 @@ def test_precision_env_flows_through():
     assert abs(hi - lo) < 1e-9
 
 
+def test_unknown_precision_env_exits_2():
+    import os
+
+    env = dict(os.environ, TANDEMQ_PRECISION="bogus")
+    r = run_cli("kt00", "--rates", "1,2,3", "--t", "1", env=env)
+    assert r.returncode == 2
+    assert "TANDEMQ_PRECISION='bogus'" in r.stderr
+    assert "Traceback" not in r.stderr
+    # an explicit --precision does not read the environment
+    r = run_cli("kt00", "--rates", "1,2,3", "--t", "1", "--precision", "double", env=env)
+    assert r.returncode == 0
+
+
+def test_cached_parser_reads_precision_env_per_call(monkeypatch, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    kt_general = cli.queueprobs.kt_general
+
+    def spy(*args, precision, **kwargs):
+        seen.append(precision)
+        return kt_general(*args, precision=precision, **kwargs)
+
+    monkeypatch.setattr(cli.queueprobs, "kt_general", spy)
+    argv = ["kt00", "--rates", "1,2,4", "--t", "1"]
+    monkeypatch.setenv("TANDEMQ_PRECISION", "bogus")
+    assert cli.main(argv) == 2
+    assert "TANDEMQ_PRECISION" in capsys.readouterr().err
+    monkeypatch.setenv("TANDEMQ_PRECISION", "high")
+    assert cli.main(argv) == 0
+    monkeypatch.delenv("TANDEMQ_PRECISION")
+    assert cli.main(argv) == 0
+    assert cli.main(argv + ["--precision", "high"]) == 0
+    assert seen == ["high", "double", "high"]
+
+
 def test_simulate_refusals_exit_2():
     r = run_cli("simulate", "kt", "--rates", "1,2", "--q", "0", "--q2", "0",
                 "--t", "1e6", "--reps", "10")

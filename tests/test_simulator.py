@@ -145,13 +145,20 @@ def _reference_noncross_block(args):
 
 @pytest.mark.parametrize("seed", [3, 4])
 def test_blocks_match_reference_loops(seed):
-    for args in [
-        ((1.0, 2.0), (1,), (0,), 1.3, seed, 0),
-        ((1.0, 1.5, 2.0, 2.5), (0, 2, 1), (1, 1, 0), 0.9, seed, 1),
-    ]:
-        np.testing.assert_array_equal(simulator._queue_block(args), _reference_queue_block(args))
-    for args in [((3.0, 2.0, 1.0), (1, 1, 0), 0.8, seed, 0), ((1.0, 2.0, 3.0, 4.0), (3, 2, 1, 0), 0.5, seed, 2)]:
-        np.testing.assert_array_equal(simulator._noncross_block(args), _reference_noncross_block(args))
+    cases = [
+        (simulator._queue_block, _reference_queue_block, ((1.0, 2.0), (1,), (0,), 1.3, seed, 0)),
+        (simulator._queue_block, _reference_queue_block,
+         ((1.0, 1.5, 2.0, 2.5), (0, 2, 1), (1, 1, 0), 0.9, seed, 1)),
+        (simulator._noncross_block, _reference_noncross_block, ((3.0, 2.0, 1.0), (1, 1, 0), 0.8, seed, 0)),
+        (simulator._noncross_block, _reference_noncross_block,
+         ((1.0, 2.0, 3.0, 4.0), (3, 2, 1, 0), 0.5, seed, 2)),
+    ]
+    for block, reference, args in cases:
+        want = reference(args)
+        # a block runs a whole block of replications or, the last one of
+        # a run, its first few
+        for reps in (BLOCK, 1000, 1):
+            np.testing.assert_array_equal(block(args + (reps,)), want[:reps])
 
 
 def test_sim_rejects_jobs_below_one():
