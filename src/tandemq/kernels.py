@@ -16,7 +16,8 @@ destination point, columns j the source point, both running 0..N.
 
 The intertwining weights are polynomial in the rates and evaluate
 exactly over ints/Fractions.  Time-dependent kernels are numeric
-(float64, or mpmath under precision="high"); every infinite sum is cut
+(float64, or under precision="high" mpmath, and decimal for the survival
+sum of noncrossing_prob); every infinite sum is cut
 with a certified bound.  departure_kernel evaluates its entry series
 and determinants in sign and log|.| form (departure_kernel_stack).  The
 weight-kernel sandwich at the end (departure_kernel_via_intertwining)
