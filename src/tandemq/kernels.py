@@ -27,6 +27,7 @@ numpy blocks with slogdet, that shares no code with
 departure_kernel_stack.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -35,7 +36,7 @@ import numpy as np
 from . import lattice, linalg, symfunc
 from .errors import PreconditionError, ToleranceNotAchieved
 from .numerics import (
-    HIGH_DPS, KernelValue, Numerics, check_time, evaluation, poisson_log_cap,
+    HIGH_DPS, KernelValue, Numerics, check_time, evaluation, log_factorials, poisson_log_cap,
     polynomial_absorb_constant,
 )
 from .rates import as_rates
@@ -121,8 +122,8 @@ def departure_kernel_stack(d, d2, count, t, nu, budget, nm):
     """departure_kernel(d, d2 + c, t) for c = 0..count-1 (c is added to
     every coordinate of d2).  Returns (values, cut, roundoff): cut bounds
     the summed error of the series cuts and is at most budget; roundoff
-    estimates the summed float round-off, which cut does not cover.
-    t must be positive.
+    bounds the summed float round-off, of the entries and of the
+    determinants.  t must be positive.
 
     With n = d2_a + c - d_b - a + b, entry (a, b) of slice c is
 
@@ -134,13 +135,12 @@ def departure_kernel_stack(d, d2, count, t, nu, budget, nm):
     n by one, so each entry is one log-space correlation over all c.
     The entries are kept as sign and log|.|, so no factor overflows.
 
-    Entry errors E_ab change a determinant by at most
-    perm(|A| + E) - perm(|A|) (_log_perm_diff), which carries the cuts.
-    The first lt assumes permanents of unit size; a larger one misses
-    the budget, and every cut is then lowered below the worst one by the
-    measured excess.  The round-off estimate reruns the determinants
-    with every entry moved by its estimated relative error, with a fixed
-    pseudo-random sign, and takes N+1 times the summed change."""
+    One subset recursion (_det_perm_diff) gives each determinant with a
+    bound on its round-off, and carries the entry errors, cut C and
+    round-off R, through perm(|A| + C + R) - perm(|A|).  The first lt
+    assumes permanents of unit size; a larger one misses the budget, and
+    every cut is then lowered below the worst one by the measured
+    excess."""
     nu = as_rates(nu)
     n1 = len(nu)
     log_budget = math.log(budget)
@@ -149,94 +149,175 @@ def departure_kernel_stack(d, d2, count, t, nu, budget, nm):
         shape = (count, n1, n1)
         sign = np.zeros(shape, dtype=int)
         logabs = np.empty(shape, dtype=nm.dtype)
+        logrnd = np.empty(shape)
         logcut = np.full((n1, n1), -np.inf)
-        logrel = np.full((n1, n1), -np.inf)
         try:
             for a in range(n1):
-                for b in range(n1):
-                    n0 = d2[a] - d[b] - a + b
-                    sign[:, a, b], logabs[:, a, b], logcut[a, b], logrel[a, b] = _entry_series(
-                        a, b, d[b] - b, n0, count, t, nu, lt, nm
-                    )
+                sign[:, a], logabs[:, a], logcut[a], logrnd[:, a] = _entry_row(
+                    a, d, d2, count, t, nu, lt, nm
+                )
         except ToleranceNotAchieved as err:
             raise err.restated(budget) from None
-        log_cut = _log_perm_diff(np.asarray(logabs, dtype=float), logcut)
+        values, log_cut, log_round = _det_perm_diff(sign, logabs, logcut, logrnd, nm)
         if log_cut <= log_budget:
-            values = _stack_dets(sign, logabs, nm)
-            signs = np.random.default_rng(0).choice((-1, 1), size=shape)
-            moved = _stack_dets(sign, logabs + signs * np.exp(logrel), nm)
-            roundoff = n1 * float(np.abs(np.asarray(moved - values, dtype=float)).sum())
-            return values, math.exp(log_cut), roundoff
+            return values, math.exp(log_cut), _exp(log_round)
         lt = min(lt, logcut.max()) - (log_cut - log_budget) - math.log(2.0)
     raise ToleranceNotAchieved.from_logs(log_budget, log_cut, "h-series cut")
+
+
+def _exp(log):
+    return math.exp(log) if log < 709.0 else math.inf
 
 
 def _cut_budget(nm):
     return 10.0 ** -(HIGH_DPS + 2) if nm.high else 1e-18
 
 
-def _entry_series(a, b, shift, n0, count, t, nu, lt, nm):
-    """Sign and log|.| of (nu_a/nu_b)^shift sum_k coef_k nu_a^-k
-    pois(nu_a t, n + k) for n = n0..n0+count-1 (coefficients as in
-    departure_kernel_stack), the log of the bound on its cut, and the log
-    of an estimate of its relative round-off."""
+def _unit(nm):
+    """Unit round-off of one operation, exp and log included."""
+    return 10.0**-HIGH_DPS if nm.high else 2.0**-53
+
+
+def _entry_row(a, d, d2, count, t, nu, lt, nm):
+    """Row a of every slice (coefficients as in departure_kernel_stack):
+    the sign and log|.| of entry (a, b) for n = n0 + c, c = 0..count-1,
+    n0 = d2_a - d_b - a + b, as (count, N+1) arrays; the log of the bound
+    on each entry's cut; and the float log of a bound on the round-off
+    of each entry.  One pmf table serves the row.
+
+    Round-off, in units u of one operation (_unit).  log pois(mu, n) is
+    n log mu - log n! - mu, with parts no larger than mag_n =
+    |n log mu| + log n! + mu, each rounded once, and 2 mag_n bounds its
+    error with the rounding of mu = nu_a t (measured below 1.3 mag_n,
+    tests/test_kernels.py).  Term k adds the error of its coefficient,
+    2 |log coef_k| for the log and the sum, plus the rounding of the
+    coefficient itself (about one u per multiplication in the symmetric
+    function and in the power of nu_a), one u per term for the sum over
+    k, and the prefactor (nu_a/nu_b)^(d_b - b) adds its own.  For a <= b
+    every term is positive, and the bound is the sum over the terms of
+    |term| times its relative error.
+
+    For a > b the entry is a finite difference of the pmf that may
+    cancel far below its terms (pois(mu, n) - pois(mu, n + 1) vanishes at
+    n + 1 = mu), so the pmf is factored out: the entry is
+    pois(mu, n') q_n, n' = max(n, 0), with q_n the sum over k of
+    coef_k nu_a^-k pois(mu, n + k) / pois(mu, n'), each ratio a product
+    of at most a - b factors mu / i.  The error of the pmf then scales
+    with |entry|, and only that of q_n, (6(a - b) + 6) u per term, with
+    the sum of its |terms|."""
     vals = nu.values
-    rate = nm.scalar(vals[a])
-    lrate = nm.log(rate)
-    mu = rate * nm.scalar(t)
-    logcut = -math.inf
-    if a == b:
-        logc, sg = np.zeros(1, dtype=nm.dtype), np.ones(1, dtype=int)
-    elif a > b:
-        ks = range(a - b + 1)
-        coefs = [nm.scalar(symfunc.window_e(k, b, a, vals)) for k in ks]
-        logc = nm.log(np.array(coefs, dtype=nm.dtype)) - np.array(ks, dtype=nm.dtype) * lrate
-        sg = np.array([(-1) ** k for k in ks])
-    else:
+    n1 = len(vals)
+    logs = nm.log(np.array([nm.scalar(v) for v in vals], dtype=nm.dtype))
+    flogs = np.asarray(logs, dtype=float)
+    mu = nm.scalar(vals[a]) * nm.scalar(t)
+    fmu = float(mu)
+    n0s = [d2[a] - d[b] - a + b for b in range(n1)]
+    logcut = np.full(n1, -np.inf)
+    series = {}
+    for b in range(a + 1, n1):
         # h_k over the window rates scaled by their maximum is at most
         # binom(k+m-1, m-1), so the terms stay bounded
-        numax = max(nm.scalar(v) for v in vals[a + 1 : b + 1])
+        top = a + 1 + int(np.argmax(flogs[a + 1 : b + 1]))
         fl = nu.as_floats()
-        cut, logcut = _h_cut(
-            n0, fl[a] * float(t), float(numax) / fl[a], b - a - 1,
-            shift * (math.log(fl[a]) - math.log(fl[b])), lt,
+        cut, logcut[b] = _h_cut(
+            n0s[b], fl[a] * float(t), fl[top] / fl[a], b - a - 1,
+            (d[b] - b) * (flogs[a] - flogs[b]), lt,
         )
+        numax = nm.scalar(vals[top])
         table = symfunc.window_h_table(cut, a, b, [nm.scalar(v) / numax for v in vals])
-        ks = np.arange(cut + 1).astype(nm.dtype)
-        logc = nm.log(np.array(table, dtype=nm.dtype)) + ks * (nm.log(numax) - lrate)
-        sg = np.ones(cut + 1, dtype=int)
-    hi = n0 + count + len(logc) - 2
-    logpmf = nm.poisson_logpmf_table(mu, n0, hi)
-    sign, logabs = _log_correlate(logpmf, count, logc, sg, nm)
-    const = shift * (lrate - nm.log(nm.scalar(vals[b])))
-    if shift:
-        logabs = logabs + const
-    # every exponent is a sum of parts no larger than mag, each rounded
-    # once; the sum over k adds about one unit of round-off per term
-    fmu = float(mu)
-    mag = abs(max(hi, 0) * math.log(fmu)) + math.lgamma(max(hi, 0) + 1) + fmu
-    mag += float(max(abs(v) for v in logc)) + abs(float(const))
-    unit = 10.0**-HIGH_DPS if nm.high else 2.0**-53
-    return sign, logabs, logcut, math.log(unit * (2 * mag + len(logc) + 4))
+        ks = np.arange(cut + 1)
+        logc = nm.log(np.array(table, dtype=nm.dtype)) + ks.astype(nm.dtype) * (logs[top] - logs[a])
+        # h_k of the scaled floats, of degree k, by the table recurrence;
+        # then k times the log ratio
+        err = 3 * ks + 2 * (b - a) + 2 + ks * (abs(flogs[top]) + abs(flogs[a]))
+        series[b] = logc, 2 * np.abs(np.asarray(logc, dtype=float)) + err + len(logc) + 4
+    lo = min([n0s[b] for b in range(a, n1)] + [max(n0s[b], 0) for b in range(a)])
+    ends = [n0s[b] + len(series[b][0]) - 1 for b in series]
+    hi = max(ends + [n0s[0], n0s[a], 0]) + count - 1
+    logpmf = nm.poisson_logpmf_table(mu, lo, hi)
+    ns = np.maximum(np.arange(lo, hi + 1), 0)
+    magn = 2 * (ns * abs(math.log(fmu)) + log_factorials(hi)[ns] + fmu)
+    sign = np.empty((count, n1), dtype=int)
+    logabs = np.empty((count, n1), dtype=nm.dtype)
+    logrnd = np.empty((count, n1))
+    for b in range(n1):
+        shift = d[b] - b
+        const = shift * (logs[a] - logs[b])
+        # the prefactor's log and adding it
+        pre = 3 * abs(float(const)) + 2 * abs(shift) * (abs(flogs[a]) + abs(flogs[b]))
+        off = n0s[b] - lo
+        if b < a:
+            sign[:, b], logabs[:, b], logrnd[:, b] = _e_entry(
+                a, b, n0s[b], count, nu, mu, logpmf, magn + pre, lo, nm
+            )
+        elif b == a:
+            logabs[:, b] = logpmf[off : off + count]
+            sign[:, b] = logabs[:, b] > -np.inf
+            logrnd[:, b] = logabs[:, b] + np.log(magn[off : off + count] + pre + 5)
+        else:
+            logc, weight = series[b]
+            sign[:, b], logabs[:, b], logrnd[:, b] = _log_correlate(
+                logpmf[off:], count, logc, nm, magn[off:], weight + pre
+            )
+        logabs[:, b] += const
+        logrnd[:, b] += float(const) + math.log(_unit(nm))
+    return sign, logabs, logcut, logrnd
 
 
-def _log_correlate(logpmf, count, logc, sg, nm):
-    """Sign and log|.| of sum_k sg_k exp(logpmf[c + k] + logc_k) for
-    c = 0..count-1, each sum shifted by its largest exponent; the
-    (c, k) terms are formed about 2^20 at a time."""
+def _e_entry(a, b, n0, count, nu, mu, logpmf, mag, lo, nm):
+    """Entry (a, b), a > b, of _entry_row with the pmf factored out: its
+    sign and log|.| and the log of its round-off bound in units u, before
+    the prefactor; logpmf and mag run over the pmf indices from lo."""
+    m = a - b
+    ks = np.arange(m + 1)
+    rate = nm.scalar(nu.values[a])
+    table = symfunc.window_e_table(b, a, nu.values)
+    coefs = np.array([(-1) ** k * nm.scalar(table[k]) / rate**k for k in ks], dtype=nm.dtype)
+    ns = n0 + np.arange(count)
+    base = np.maximum(ns, 0)
+    # ratio[c, j] = pois(mu, base + j) / pois(mu, base)
+    ratio = np.ones((count, m + 1), dtype=nm.dtype)
+    for j in range(1, m + 1):
+        ratio[:, j] = ratio[:, j - 1] * (mu / (base + j))
+    if n0 < 0:
+        # slices with n < 0 start at pmf index 0, term k at ratio n + k
+        idx = ns[:, None] + ks - base[:, None]
+        ratio = np.where(idx >= 0, np.take_along_axis(ratio, np.maximum(idx, 0), axis=1), 0)
+    terms = ratio * coefs
+    q = terms.sum(axis=1)
+    lp = logpmf[base - lo]
+    # |q| |log|q|| <= s |log s| + 1/e for |q| <= s = sum |terms|
+    s = np.asarray(abs(terms), dtype=float).sum(axis=1)
+    logs = np.log(np.maximum(s, 1e-300))
+    rnd = abs(np.asarray(q, dtype=float)) * (mag[base - lo] + 4) + s * (6 * m + 6 + 3 * abs(logs)) + 2
+    return np.sign(q).astype(int), lp + nm.log(abs(q)), np.asarray(lp, dtype=float) + np.log(rnd)
+
+
+def _log_correlate(logpmf, count, logc, nm, magn, weight):
+    """Sign and log|.| of sum_k exp(logpmf[c + k] + logc_k) for
+    c = 0..count-1, each sum shifted by its largest exponent, and the
+    float log of sum_k (magn[c + k] + weight_k) exp(logpmf[c + k] + logc_k),
+    the terms weighted by their relative round-off; the (c, k) terms are
+    formed about 2^20 at a time."""
     sign = np.zeros(count, dtype=int)
     logabs = np.empty(count, dtype=logpmf.dtype)
+    logsum = np.empty(count)
     ks = np.arange(len(logc))
     step = max(1, (1 << 20) // len(logc))
     for start in range(0, count, step):
         cs = np.arange(start, min(count, start + step))
-        terms = logpmf[cs[:, None] + ks[None, :]] + logc[None, :]
+        idx = cs[:, None] + ks
+        terms = logpmf[idx] + logc
         top = terms.max(axis=1)
         top = np.where(top == -np.inf, 0, top)
-        total = (sg[None, :] * nm.exp(terms - top[:, None])).sum(axis=1)
-        sign[cs] = (total > 0).astype(int) - (total < 0).astype(int)
-        logabs[cs] = nm.log(abs(total)) + top
-    return sign, logabs
+        scaled = nm.exp(terms - top[:, None])
+        total = scaled.sum(axis=1)
+        sign[cs] = total > 0
+        logabs[cs] = nm.log(total) + top
+        weighted = np.asarray(scaled, dtype=float) * (magn[idx] + weight)
+        with np.errstate(divide="ignore"):
+            logsum[cs] = np.log(weighted.sum(axis=1)) + np.asarray(top, dtype=float)
+    return sign, logabs, logsum
 
 
 def _h_cut(n0, mu, ratio, deg, log_f, lt):
@@ -263,64 +344,114 @@ def _h_cut(n0, mu, ratio, deg, log_f, lt):
     return max(0, m - n0), base + log_sf
 
 
-def _log_perm_diff(logabs, logerr):
-    """log sum_c [perm(|A| + E) - perm(|A|)] over the slices c, for
-    |A| = exp(logabs) and E = exp(logerr).
+@functools.lru_cache(maxsize=None)
+def _column_sets(n1):
+    """For k = 1..n1: the column sets S of size k as bitmasks, the
+    columns j of each in increasing order, the sets S - j, and the
+    Laplace signs (-1)^(number of columns of S above j)."""
+    out = []
+    for k in range(1, n1 + 1):
+        sets = np.array([s for s in range(1 << n1) if bin(s).count("1") == k])
+        cols = np.array([[j for j in range(n1) if s >> j & 1] for s in sets])
+        signs = np.array([(-1) ** (k - 1 - p) for p in range(k)])
+        out.append((sets, cols, sets[:, None] ^ (1 << cols), signs))
+    return out
 
-    Recursion over the column sets S used by the first |S| rows:
-    P_S = sum_j P_{S-j} |A|_rj and, for G = perm(|A| + E) - P,
-    G_S = sum_j (P_{S-j} E_rj + G_{S-j} (|A| + E)_rj).  Every term is
-    nonnegative, so nothing cancels, and all of it runs in log space."""
+
+def _det_perm_diff(sign, logabs, logcut, logrnd, nm):
+    """The determinants of the slices A = sign * exp(logabs), and the
+    logs of two bounds summed over the slices: the error that the entry
+    cuts C = exp(logcut) cause, and the round-off, of the entries
+    R = exp(logrnd) and of the determinants themselves.
+
+    One recursion over the column sets S used by the first |S| rows,
+    each a vector over the slices.  With r = |S| - 1 and s_j =
+    (-1)^(number of columns of S above j), Laplace along row r reads
+    D_S = sum_j s_j A_rj D_{S-j}, and the permanent of |A| reads
+    P_S = sum_j |A_rj| P_{S-j}.  The value is carried as rho_S = D_S/P_S:
+
+        rho_S = sum_j s_j sign(A_rj) w_j rho_{S-j},
+        w_j = exp(log P_{S-j} + log|A_rj| - log P_S),
+
+    a convex combination, so |rho| <= 1 and nothing overflows.  In the
+    same pass, G = perm(|A| + C) - perm(|A|) and
+    H = perm(|A| + C + R) - perm(|A| + C) run in log space,
+    G_S = sum_j (P_{S-j} C_rj + G_{S-j} (|A| + C)_rj) and likewise H
+    over the base |A| + C.  Every term of G and H is nonnegative, and
+    |det(A + F) - det(A)| <= perm(|A| + |F|) - perm(|A|) for any F, so
+    G bounds the error of the cuts and H that of the entries' round-off.
+
+    Round-off of the recursion (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 3-4).  Each operation has
+    relative error at most u: 2^-53 (np.exp and np.log within 4u), or
+    10^-HIGH_DPS in high precision.  With t_j = log P_{S-j} + log|A_rj|,
+    log P_S is computed as top + log s, s = sum_j e_j,
+    e_j = exp(t_j - top), top = max_j t_j, and w_j = e_j / s.  Unrolled,
+    rho_full is the sum over permutations pi of sign(pi) prod_r w along
+    the chain of sets S_0 < ... < S_N, and log prod_r w telescopes to
+    sum_r log|A_r,pi(r)| - log P_full up to the roundings at each level,
+    k = |S|: u |t_j| (forming t_j), u |t_j - top|, 4u (exp), u (the
+    division), u |log P_S| + 4u ln k (top + log s), u (w rho) and
+    (k - 1) u (the sum over j).  Averaged with the weights w, and with
+    sum_j w_j |t_j - log P_S| <= ln k (an entropy) and
+    0 <= log P_S - top <= ln k, they stay below
+    eps_S = u (2 |log P_S| + 7 ln k + k + 5).  So E_S = sum_j w_j E_{S-j}
+    + eps_S, E_{} = 0, bounds the weighted mean relative error of the
+    Leibniz terms, whose absolute values sum to P_full, and the last
+    step sign(rho) exp(log|rho| + log P_full) adds u (|log P_full| + 7)
+    (|rho log|rho|| <= 1/e): the determinant is off by at most
+    P_full (E_full + u (|log P_full| + 7)).  Second-order terms, the
+    computed weights' departure from a probability vector and the error
+    of the computed log P, on which G and H also run, each stay below a
+    factor e^((2N+3) eta), eta = u (4M + 5N + 11), M = (N + 1)
+    (max |log|A|| + ln(N + 1)) a bound on every |log| in the recursion;
+    all three bounds are raised by it.  Weights that underflow change rho
+    by at most 2^-1074 each.  The bounds are float in both precisions;
+    the value runs in nm.dtype."""
     count, n1, _ = logabs.shape
-    logerr = np.broadcast_to(logerr, logabs.shape)
-    both = np.logaddexp(logabs, logerr)
-    perm = {0: np.zeros(count)}
-    diff = {0: np.full(count, -np.inf)}
-    for cols in range(1, 1 << n1):
-        r = bin(cols).count("1") - 1
-        js = [j for j in range(n1) if cols >> j & 1]
-        perm[cols] = np.logaddexp.reduce([perm[cols ^ 1 << j] + logabs[:, r, j] for j in js])
-        diff[cols] = np.logaddexp.reduce(
-            [perm[cols ^ 1 << j] + logerr[:, r, j] for j in js]
-            + [diff[cols ^ 1 << j] + both[:, r, j] for j in js]
-        )
-    return float(np.logaddexp.reduce(diff[(1 << n1) - 1]))
-
-
-def _stack_dets(sign, logabs, nm):
-    """Determinants of the slices sign * exp(logabs), by Gaussian
-    elimination with partial pivoting run on the whole stack at once.
-    Every entry stays in sign and log|.| form: an update a - f b becomes
-    top + log|s_a e^(l_a - top) - s_fb e^(l_fb - top)|, top the larger of
-    the two logs, and only the log-determinant is exponentiated.  The
-    entries of one slice can span e^-650 to e^1250 while its determinant
-    is a probability, so no common scaling keeps them all representable."""
-    count, n1, _ = logabs.shape
-    sign, logabs = sign.copy(), logabs.copy()
-    dsign = np.ones(count, dtype=int)
-    logdet = np.zeros(count, dtype=logabs.dtype)
-    slices = np.arange(count)
-    for k in range(n1):
-        p = k + np.argmax(logabs[:, k:, k], axis=1)
-        for arr in (sign, logabs):
-            rows = arr[slices, p].copy()
-            arr[slices, p] = arr[:, k]
-            arr[:, k] = rows
-        dsign = dsign * np.where(p != k, -1, 1) * sign[:, k, k]
-        logdet = logdet + logabs[:, k, k]
-        if k + 1 == n1:
-            break
-        # entry (i, j) past k loses (a_ik / a_kk) a_kj
-        lpiv = np.where(logabs[:, k, k] == -np.inf, 0, logabs[:, k, k])
-        s2 = -(sign[:, k + 1 :, k] * sign[:, k, k, None])[:, :, None] * sign[:, None, k, k + 1 :]
-        l2 = (logabs[:, k + 1 :, k] - lpiv[:, None])[:, :, None] + logabs[:, None, k, k + 1 :]
-        l1 = logabs[:, k + 1 :, k + 1 :]
-        top = np.maximum(l1, l2)
-        top = np.where(top == -np.inf, 0, top)
-        total = sign[:, k + 1 :, k + 1 :] * nm.exp(l1 - top) + s2 * nm.exp(l2 - top)
-        sign[:, k + 1 :, k + 1 :] = (total > 0).astype(int) - (total < 0).astype(int)
-        logabs[:, k + 1 :, k + 1 :] = nm.log(abs(total)) + top
-    return dsign * nm.exp(logdet)
+    size = 1 << n1
+    unit = _unit(nm)
+    la, sg = np.moveaxis(logabs, 0, -1), np.moveaxis(sign, 0, -1)
+    fa = np.asarray(la, dtype=float)
+    # channel 0 carries the cuts over |A|, channel 1 the entries'
+    # round-off over |A| + C; then the two bases |A| + C and |A| + C + R
+    cut = np.broadcast_to(logcut[:, :, None], fa.shape)
+    base_c = np.logaddexp(fa, cut)
+    rnd = np.moveaxis(logrnd, 0, -1)
+    chans = np.stack((cut, rnd, base_c, np.logaddexp(base_c, rnd)))
+    logp = np.empty((size, count), dtype=nm.dtype)
+    rho = np.empty((size, count), dtype=nm.dtype)
+    logp[0], rho[0] = 0, 1
+    flogp = np.zeros((size, count))
+    diff = np.full((2, size, count), -np.inf)
+    err = np.zeros((size, count))
+    for r, (sets, cols, prev, signs) in enumerate(_column_sets(n1)):
+        terms = logp[prev] + la[r][cols]
+        top = np.asarray(terms, dtype=float).max(axis=1)
+        top[top == -np.inf] = 0.0
+        scaled = nm.exp(terms - top[:, None])
+        total = scaled.sum(axis=1)
+        logp[sets] = nm.log(total) + top
+        flogp[sets] = logp[sets]
+        weights = scaled / np.where(total == 0, 1, total)[:, None]
+        rho[sets] = (signs[:, None] * sg[r][cols] * weights * rho[prev]).sum(axis=1)
+        # a set with P_S = 0 has weight 0 in every later level
+        lp = np.minimum(abs(flogp[sets]), 1e300)
+        k = len(signs)
+        err[sets] = (np.asarray(weights, dtype=float) * err[prev]).sum(axis=1)
+        err[sets] += 2 * lp + 7 * math.log(k) + k + 5
+        lp, g, ch = flogp[prev], diff[:, prev], chans[:, r][:, cols]
+        src = np.stack((lp, np.logaddexp(lp, g[0])))
+        diff[:, sets] = np.logaddexp.reduce(np.concatenate((src + ch[:2], g + ch[2:]), axis=2), axis=2)
+    full = size - 1
+    values = np.sign(rho[full]).astype(int) * nm.exp(nm.log(abs(rho[full])) + logp[full])
+    lmax = np.where(fa > -np.inf, abs(fa), 0.0).max(axis=(0, 1))
+    grow = (2 * n1 + 1) * unit * (4 * n1 * (lmax + math.log(n1)) + 5 * n1 + 6)
+    lp = flogp[full]
+    log_det = lp + np.log(unit * (err[full] + np.minimum(abs(lp), 1e300) + 7))
+    log_cut = np.logaddexp.reduce(diff[0, full] + grow)
+    log_round = np.logaddexp.reduce(np.logaddexp(diff[1, full], log_det) + grow)
+    return values, float(log_cut), float(log_round)
 
 
 # ---------------------------------------------------------------------------

@@ -174,7 +174,7 @@ def kt_general(q, q2, t, nu, tol=1e-8, *, nm):
         # depend on the order of the stations (./M/1 interchangeability),
         # and with increasing service rates the determinants do not cancel
         nu = as_rates((nu[0],) + tuple(sorted(nu.services)))
-    cap, tail = poisson_cap(nm.scalar(nu[0]) * nm.scalar(t), tol / 2)
+    cap, tail = poisson_cap(nm.scalar(nu[0]) * nm.scalar(t), tol / 4)
     d = queue_to_departures(q)
     base = queue_to_departures(q2)
     # departures never decrease, so every term with c < first is zero
@@ -184,13 +184,13 @@ def kt_general(q, q2, t, nu, tol=1e-8, *, nm):
         return KernelValue(0, tail)
     target, count = tuple(v + first for v in base), last - first + 1
     try:
-        values, cut, roundoff = departure_kernel_stack(d, target, count, t, nu, tol / 2, nm)
+        values, cut, roundoff = departure_kernel_stack(d, target, count, t, nu, tol / 4, nm)
     except ToleranceNotAchieved as err:
         raise err.restated(tol) from None
-    if roundoff > tol:
-        detail = "determinant cancellation exceeds the round-off budget; try precision='high'"
-        raise ToleranceNotAchieved(tol, roundoff, detail)
-    return KernelValue(values.sum(), tail + cut)
+    if roundoff > tol / 2:
+        detail = "determinant cancellation: certified round-off exceeds its share tol/2"
+        raise ToleranceNotAchieved(tol, tail + cut + roundoff, detail)
+    return KernelValue(values.sum(), tail + cut + roundoff)
 
 
 def mm1_kt(q, q2, t, nu, rel_tol=1e-15):

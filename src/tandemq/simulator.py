@@ -31,11 +31,12 @@ from .numerics import Numerics, check_time, poisson_cap
 from .rates import as_rates
 
 BLOCK = 65536
-# Most events one replication may draw in a block: the label table of a
-# block holds BLOCK bytes per event (64 MB here), briefly twice over.
+# The label table of n replications holds one byte per event up to the
+# most events kmax of their block, briefly twice over: n * kmax may reach
+# BLOCK * MAX_EVENTS bytes (64 MB here).
 MAX_EVENTS = 1024
 # Uniforms drawn per chunk: 1 MB of float64, which stays in cache while
-# it is compared with each rate fraction.
+# it is compared with each rate fraction; kmax is at most one chunk.
 CHUNK = 1 << 17
 
 
@@ -85,10 +86,10 @@ def _station_draws(rng, fl, t, n):
     lam = float(sum(fl))
     counts = rng.poisson(lam * t, size=BLOCK)
     kmax = int(counts.max(initial=0))
-    if kmax > MAX_EVENTS:
+    if kmax > CHUNK or n * kmax > BLOCK * MAX_EVENTS:
         raise PreconditionError(
-            f"t={t!r} expects {lam * t:.4g} events per replication; a simulation "
-            f"block holds at most {MAX_EVENTS}"
+            f"t={t!r} expects {lam * t:.4g} events per replication; {n} replications "
+            f"may draw at most {min(CHUNK, BLOCK * MAX_EVENTS // n)} each"
         )
     counts = counts[:n]
     cum = np.cumsum(fl) / lam
