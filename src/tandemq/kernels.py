@@ -36,7 +36,7 @@ import numpy as np
 from . import lattice, linalg, symfunc
 from .errors import PreconditionError, ToleranceNotAchieved
 from .numerics import (
-    HIGH_DPS, KernelValue, Numerics, check_time, evaluation, log_factorials, poisson_log_cap,
+    HIGH_DPS, KernelValue, Numerics, check_time, evaluation, poisson_log_cap,
     polynomial_absorb_constant,
 )
 from .rates import as_rates
@@ -114,15 +114,15 @@ def departure_kernel(d, d2, t, nu, *, nm):
     check_time(t)
     if t == 0:
         return 1 if d == d2 else 0
-    values, _, _ = departure_kernel_stack(d, d2, 1, t, nu, _cut_budget(nm), nm)
-    return values[0]
+    budget = 10.0 ** -(HIGH_DPS + 2) if nm.high else 1e-18
+    return departure_kernel_stack(d, d2, 1, t, nu, budget, nm)[0][0]
 
 
 def departure_kernel_stack(d, d2, count, t, nu, budget, nm):
     """departure_kernel(d, d2 + c, t) for c = 0..count-1 (c is added to
     every coordinate of d2).  Returns (values, cut, roundoff): cut bounds
     the summed error of the series cuts and is at most budget; roundoff
-    bounds the summed float round-off, of the entries and of the
+    bounds the summed float round-off of the entries and the
     determinants.  t must be positive.
 
     With n = d2_a + c - d_b - a + b, entry (a, b) of slice c is
@@ -131,86 +131,51 @@ def departure_kernel_stack(d, d2, count, t, nu, budget, nm):
 
     coef_k = 1 on the diagonal (k = 0 only), (-1)^k e_k(nu_{b+1..a}) for
     a > b (k <= a - b), and h_k(nu_{a+1..b}) for a < b, a series cut
-    where its certified tail drops below e^lt (_h_cut).  A step in c moves
-    n by one, so each entry is one log-space correlation over all c.
-    The entries are kept as sign and log|.|, so no factor overflows.
-
-    One subset recursion (_det_perm_diff) gives each determinant with a
-    bound on its round-off, and carries the entry errors, cut C and
-    round-off R, through perm(|A| + C + R) - perm(|A|).  The first lt
-    assumes permanents of unit size; a larger one misses the budget, and
-    every cut is then lowered below the worst one by the measured
-    excess."""
+    where its certified tail drops below e^lt (_h_cut).  The entries are
+    kept as sign and log|.|, so no factor overflows, and one subset
+    recursion (_det_perm_diff) gives the determinants and both bounds.
+    The first lt assumes permanents of unit size; a larger one misses the
+    budget, and every cut is then lowered below the worst one by the
+    measured excess."""
     nu = as_rates(nu)
     n1 = len(nu)
     log_budget = math.log(budget)
     lt = log_budget - math.log(count * n1 * n1)
     for _ in range(3):
-        shape = (count, n1, n1)
-        sign = np.zeros(shape, dtype=int)
-        logabs = np.empty(shape, dtype=nm.dtype)
-        logrnd = np.empty(shape)
-        logcut = np.full((n1, n1), -np.inf)
         try:
-            for a in range(n1):
-                sign[:, a], logabs[:, a], logcut[a], logrnd[:, a] = _entry_row(
-                    a, d, d2, count, t, nu, lt, nm
-                )
+            rows = [_entry_row(a, d, d2, count, t, nu, lt, nm) for a in range(n1)]
         except ToleranceNotAchieved as err:
             raise err.restated(budget) from None
-        values, log_cut, log_round = _det_perm_diff(sign, logabs, logcut, logrnd, nm)
+        sign, logabs, logcut, logrnd = (np.stack(x, axis=1) for x in zip(*rows))
+        values, log_cut, log_round = _det_perm_diff(sign, logabs, logcut.T, logrnd, nm)
         if log_cut <= log_budget:
-            return values, math.exp(log_cut), _exp(log_round)
+            return values, math.exp(log_cut), math.exp(log_round) if log_round < 709 else math.inf
         lt = min(lt, logcut.max()) - (log_cut - log_budget) - math.log(2.0)
     raise ToleranceNotAchieved.from_logs(log_budget, log_cut, "h-series cut")
 
 
-def _exp(log):
-    return math.exp(log) if log < 709.0 else math.inf
-
-
-def _cut_budget(nm):
-    return 10.0 ** -(HIGH_DPS + 2) if nm.high else 1e-18
-
-
-def _unit(nm):
-    """Unit round-off of one operation, exp and log included."""
-    return 10.0**-HIGH_DPS if nm.high else 2.0**-53
-
-
 def _entry_row(a, d, d2, count, t, nu, lt, nm):
-    """Row a of every slice (coefficients as in departure_kernel_stack):
-    the sign and log|.| of entry (a, b) for n = n0 + c, c = 0..count-1,
-    n0 = d2_a - d_b - a + b, as (count, N+1) arrays; the log of the bound
-    on each entry's cut; and the float log of a bound on the round-off
-    of each entry.  One pmf table serves the row.
+    """Row a of every slice: the sign and log|.| of entry (a, b) for
+    n = n0 + c, n0 = d2_a - d_b - a + b, as (count, N+1) arrays, the log
+    of the bound on each entry's cut, and the float log of a bound on
+    each entry's round-off, from one pmf table.
 
-    Round-off, in units u of one operation (_unit).  log pois(mu, n) is
-    n log mu - log n! - mu, with parts no larger than mag_n =
-    |n log mu| + log n! + mu, each rounded once, and 2 mag_n bounds its
-    error with the rounding of mu = nu_a t (measured below 1.3 mag_n,
-    tests/test_kernels.py).  Term k adds the error of its coefficient,
-    2 |log coef_k| for the log and the sum, plus the rounding of the
-    coefficient itself (about one u per multiplication in the symmetric
-    function and in the power of nu_a), one u per term for the sum over
-    k, and the prefactor (nu_a/nu_b)^(d_b - b) adds its own.  For a <= b
-    every term is positive, and the bound is the sum over the terms of
-    |term| times its relative error.
-
-    For a > b the entry is a finite difference of the pmf that may
-    cancel far below its terms (pois(mu, n) - pois(mu, n + 1) vanishes at
-    n + 1 = mu), so the pmf is factored out: the entry is
-    pois(mu, n') q_n, n' = max(n, 0), with q_n the sum over k of
-    coef_k nu_a^-k pois(mu, n + k) / pois(mu, n'), each ratio a product
-    of at most a - b factors mu / i.  The error of the pmf then scales
-    with |entry|, and only that of q_n, (6(a - b) + 6) u per term, with
-    the sum of its |terms|."""
+    Round-off, in units u = nm.unit, of a term: the error of its log pmf
+    (Numerics.poisson_logpmf_table) and |n - mu| for the rounding of
+    mu = nu_a t; 2 |log pmf| + 3 |log coef| for adding the logs and the
+    log of the sum; the coefficient's own (one u per operation of the
+    symmetric function, of degree k, its log and k times the log ratio of
+    the rates); 2 len + 8 for the shift by the largest exponent, exp and
+    the sum of the len terms; and the prefactor's.  For a <= b every term
+    is positive, and the bound sums |term| times its relative error.  For
+    a > b the entry is a finite difference that may cancel far below its
+    terms (pois(mu, n) - pois(mu, n + 1) vanishes at n + 1 = mu), so the
+    pmf is factored out (_e_entry)."""
     vals = nu.values
     n1 = len(vals)
     logs = nm.log(np.array([nm.scalar(v) for v in vals], dtype=nm.dtype))
     flogs = np.asarray(logs, dtype=float)
     mu = nm.scalar(vals[a]) * nm.scalar(t)
-    fmu = float(mu)
     n0s = [d2[a] - d[b] - a + b for b in range(n1)]
     logcut = np.full(n1, -np.inf)
     series = {}
@@ -226,79 +191,73 @@ def _entry_row(a, d, d2, count, t, nu, lt, nm):
         numax = nm.scalar(vals[top])
         table = symfunc.window_h_table(cut, a, b, [nm.scalar(v) / numax for v in vals])
         ks = np.arange(cut + 1)
-        logc = nm.log(np.array(table, dtype=nm.dtype)) + ks.astype(nm.dtype) * (logs[top] - logs[a])
-        # h_k of the scaled floats, of degree k, by the table recurrence;
-        # then k times the log ratio
-        err = 3 * ks + 2 * (b - a) + 2 + ks * (abs(flogs[top]) + abs(flogs[a]))
-        series[b] = logc, 2 * np.abs(np.asarray(logc, dtype=float)) + err + len(logc) + 4
-    lo = min([n0s[b] for b in range(a, n1)] + [max(n0s[b], 0) for b in range(a)])
-    ends = [n0s[b] + len(series[b][0]) - 1 for b in series]
-    hi = max(ends + [n0s[0], n0s[a], 0]) + count - 1
-    logpmf = nm.poisson_logpmf_table(mu, lo, hi)
-    ns = np.maximum(np.arange(lo, hi + 1), 0)
-    magn = 2 * (ns * abs(math.log(fmu)) + log_factorials(hi)[ns] + fmu)
+        logh = nm.log(np.array(table, dtype=nm.dtype))
+        lratio = nm.log(numax / nm.scalar(vals[a]))
+        logc = logh + ks.astype(nm.dtype) * lratio
+        err = 3 * ks + 2 * (b - a) + 4 * abs(np.asarray(logh, dtype=float)) + ks * (1 + 5 * abs(float(lratio)))
+        series[b] = logc, 4 * abs(np.asarray(logc, dtype=float)) + err + 2 * len(logc) + 14
+    # n0 grows with b, and the entries left of the diagonal start at max(n0, 0)
+    lo = min(n0s[a], max(n0s[0], 0))
+    hi = max([n0s[b] + len(series[b][0]) - 1 for b in series] + [n0s[a], 0]) + count - 1
+    logpmf, err = nm.poisson_logpmf_table(mu, lo, hi, errors=True)
+    mag = err + abs(np.arange(lo, hi + 1) - float(mu)) + 2 * np.minimum(abs(np.asarray(logpmf, dtype=float)), 1e300)
     sign = np.empty((count, n1), dtype=int)
     logabs = np.empty((count, n1), dtype=nm.dtype)
     logrnd = np.empty((count, n1))
     for b in range(n1):
-        shift = d[b] - b
+        shift, off = d[b] - b, n0s[b] - lo
         const = shift * (logs[a] - logs[b])
-        # the prefactor's log and adding it
-        pre = 3 * abs(float(const)) + 2 * abs(shift) * (abs(flogs[a]) + abs(flogs[b]))
-        off = n0s[b] - lo
+        pre = mag + 3 * abs(float(const)) + 6 * abs(shift) * (abs(flogs[a]) + abs(flogs[b]))
         if b < a:
-            sign[:, b], logabs[:, b], logrnd[:, b] = _e_entry(
-                a, b, n0s[b], count, nu, mu, logpmf, magn + pre, lo, nm
-            )
+            entry = _e_entry(a, b, n0s[b], count, nu, mu, logpmf, pre, lo, nm)
         elif b == a:
-            logabs[:, b] = logpmf[off : off + count]
-            sign[:, b] = logabs[:, b] > -np.inf
-            logrnd[:, b] = logabs[:, b] + np.log(magn[off : off + count] + pre + 5)
+            diag = logpmf[off : off + count]
+            entry = diag > -np.inf, diag, diag + np.log(pre[off : off + count] + 11)
         else:
-            logc, weight = series[b]
-            sign[:, b], logabs[:, b], logrnd[:, b] = _log_correlate(
-                logpmf[off:], count, logc, nm, magn[off:], weight + pre
-            )
+            entry = _log_correlate(logpmf[off:], count, *series[b], pre[off:], nm)
+        sign[:, b], logabs[:, b], logrnd[:, b] = entry
         logabs[:, b] += const
-        logrnd[:, b] += float(const) + math.log(_unit(nm))
+        logrnd[:, b] += float(const) + math.log(nm.unit)
     return sign, logabs, logcut, logrnd
 
 
 def _e_entry(a, b, n0, count, nu, mu, logpmf, mag, lo, nm):
-    """Entry (a, b), a > b, of _entry_row with the pmf factored out: its
-    sign and log|.| and the log of its round-off bound in units u, before
-    the prefactor; logpmf and mag run over the pmf indices from lo."""
+    """_entry_row's entry (a, b), a > b, before the prefactor, with mag
+    the relative round-off of the pmf by index from lo.  It is
+    pois(mu, n') q_n, n' = max(n, 0), q_n the sum over k of
+    (-1)^k e_k(nu_{b+1..a}) nu_a^-k pois(mu, n + k) / pois(mu, n'), each
+    ratio a product of at most m = a - b factors mu / i.  A term of q_n
+    is off by (5m + 4) u at most, the sum adds m u per term, and
+    log|q_n| adds u |log|q_n|| + 4u, below u (s |log s| + 1/e) + 4u |q_n|
+    for s the sum of the |terms|."""
     m = a - b
     ks = np.arange(m + 1)
     rate = nm.scalar(nu.values[a])
-    table = symfunc.window_e_table(b, a, nu.values)
+    table = symfunc._e_table(m, nu.values[b + 1 : a + 1])
     coefs = np.array([(-1) ** k * nm.scalar(table[k]) / rate**k for k in ks], dtype=nm.dtype)
     ns = n0 + np.arange(count)
     base = np.maximum(ns, 0)
-    # ratio[c, j] = pois(mu, base + j) / pois(mu, base)
     ratio = np.ones((count, m + 1), dtype=nm.dtype)
     for j in range(1, m + 1):
         ratio[:, j] = ratio[:, j - 1] * (mu / (base + j))
     if n0 < 0:
-        # slices with n < 0 start at pmf index 0, term k at ratio n + k
+        # a slice with n < 0 starts at index 0: term k is ratio n + k
         idx = ns[:, None] + ks - base[:, None]
         ratio = np.where(idx >= 0, np.take_along_axis(ratio, np.maximum(idx, 0), axis=1), 0)
     terms = ratio * coefs
     q = terms.sum(axis=1)
     lp = logpmf[base - lo]
-    # |q| |log|q|| <= s |log s| + 1/e for |q| <= s = sum |terms|
     s = np.asarray(abs(terms), dtype=float).sum(axis=1)
-    logs = np.log(np.maximum(s, 1e-300))
-    rnd = abs(np.asarray(q, dtype=float)) * (mag[base - lo] + 4) + s * (6 * m + 6 + 3 * abs(logs)) + 2
+    rnd = abs(np.asarray(q, dtype=float)) * (mag[base - lo] + 4) + 1
+    rnd += s * (6 * m + 4 + abs(np.log(np.maximum(s, 1e-300))))
     return np.sign(q).astype(int), lp + nm.log(abs(q)), np.asarray(lp, dtype=float) + np.log(rnd)
 
 
-def _log_correlate(logpmf, count, logc, nm, magn, weight):
+def _log_correlate(logpmf, count, logc, weight, mag, nm):
     """Sign and log|.| of sum_k exp(logpmf[c + k] + logc_k) for
     c = 0..count-1, each sum shifted by its largest exponent, and the
-    float log of sum_k (magn[c + k] + weight_k) exp(logpmf[c + k] + logc_k),
-    the terms weighted by their relative round-off; the (c, k) terms are
-    formed about 2^20 at a time."""
+    float log of the sum of its terms weighted by mag[c + k] + weight_k;
+    the (c, k) terms are formed about 2^20 at a time."""
     sign = np.zeros(count, dtype=int)
     logabs = np.empty(count, dtype=logpmf.dtype)
     logsum = np.empty(count)
@@ -314,9 +273,8 @@ def _log_correlate(logpmf, count, logc, nm, magn, weight):
         total = scaled.sum(axis=1)
         sign[cs] = total > 0
         logabs[cs] = nm.log(total) + top
-        weighted = np.asarray(scaled, dtype=float) * (magn[idx] + weight)
-        with np.errstate(divide="ignore"):
-            logsum[cs] = np.log(weighted.sum(axis=1)) + np.asarray(top, dtype=float)
+        weighted = (np.asarray(scaled, dtype=float) * (mag[idx] + weight)).sum(axis=1)
+        logsum[cs] = np.log(np.maximum(weighted, 1e-300)) + np.asarray(top, dtype=float)
     return sign, logabs, logsum
 
 
@@ -361,56 +319,48 @@ def _column_sets(n1):
 def _det_perm_diff(sign, logabs, logcut, logrnd, nm):
     """The determinants of the slices A = sign * exp(logabs), and the
     logs of two bounds summed over the slices: the error that the entry
-    cuts C = exp(logcut) cause, and the round-off, of the entries
-    R = exp(logrnd) and of the determinants themselves.
+    cuts C = exp(logcut) cause, and the round-off of the entries
+    (R = exp(logrnd)) and of the determinants.
 
-    One recursion over the column sets S used by the first |S| rows,
-    each a vector over the slices.  With r = |S| - 1 and s_j =
-    (-1)^(number of columns of S above j), Laplace along row r reads
-    D_S = sum_j s_j A_rj D_{S-j}, and the permanent of |A| reads
-    P_S = sum_j |A_rj| P_{S-j}.  The value is carried as rho_S = D_S/P_S:
-
-        rho_S = sum_j s_j sign(A_rj) w_j rho_{S-j},
-        w_j = exp(log P_{S-j} + log|A_rj| - log P_S),
-
-    a convex combination, so |rho| <= 1 and nothing overflows.  In the
-    same pass, G = perm(|A| + C) - perm(|A|) and
-    H = perm(|A| + C + R) - perm(|A| + C) run in log space,
-    G_S = sum_j (P_{S-j} C_rj + G_{S-j} (|A| + C)_rj) and likewise H
-    over the base |A| + C.  Every term of G and H is nonnegative, and
-    |det(A + F) - det(A)| <= perm(|A| + |F|) - perm(|A|) for any F, so
-    G bounds the error of the cuts and H that of the entries' round-off.
+    One recursion over the column sets S used by the first |S| rows, each
+    a vector over the slices.  With r = |S| - 1 and s_j = (-1)^(number of
+    columns of S above j), Laplace along row r gives
+    D_S = sum_j s_j A_rj D_{S-j}, and the permanent of |A| is
+    P_S = sum_j |A_rj| P_{S-j}.  The value is carried as rho_S = D_S/P_S
+    = sum_j s_j sign(A_rj) w_j rho_{S-j}, w_j = P_{S-j} |A_rj| / P_S, a
+    convex combination: |rho| <= 1 and nothing overflows.  Alongside,
+    G = perm(|A| + C) - perm(|A|) and H = perm(|A| + C + R) -
+    perm(|A| + C) run in log space, G_S = sum_j (P_{S-j} C_rj +
+    G_{S-j} (|A| + C)_rj) and H likewise over |A| + C; as
+    |det(A + F) - det(A)| <= perm(|A| + |F|) - perm(|A|), G bounds the
+    cuts' error and H the entries' round-off.
 
     Round-off of the recursion (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., ch. 3-4).  Each operation has
-    relative error at most u: 2^-53 (np.exp and np.log within 4u), or
-    10^-HIGH_DPS in high precision.  With t_j = log P_{S-j} + log|A_rj|,
-    log P_S is computed as top + log s, s = sum_j e_j,
-    e_j = exp(t_j - top), top = max_j t_j, and w_j = e_j / s.  Unrolled,
-    rho_full is the sum over permutations pi of sign(pi) prod_r w along
-    the chain of sets S_0 < ... < S_N, and log prod_r w telescopes to
-    sum_r log|A_r,pi(r)| - log P_full up to the roundings at each level,
-    k = |S|: u |t_j| (forming t_j), u |t_j - top|, 4u (exp), u (the
-    division), u |log P_S| + 4u ln k (top + log s), u (w rho) and
-    (k - 1) u (the sum over j).  Averaged with the weights w, and with
-    sum_j w_j |t_j - log P_S| <= ln k (an entropy) and
-    0 <= log P_S - top <= ln k, they stay below
-    eps_S = u (2 |log P_S| + 7 ln k + k + 5).  So E_S = sum_j w_j E_{S-j}
-    + eps_S, E_{} = 0, bounds the weighted mean relative error of the
-    Leibniz terms, whose absolute values sum to P_full, and the last
-    step sign(rho) exp(log|rho| + log P_full) adds u (|log P_full| + 7)
-    (|rho log|rho|| <= 1/e): the determinant is off by at most
-    P_full (E_full + u (|log P_full| + 7)).  Second-order terms, the
-    computed weights' departure from a probability vector and the error
-    of the computed log P, on which G and H also run, each stay below a
-    factor e^((2N+3) eta), eta = u (4M + 5N + 11), M = (N + 1)
-    (max |log|A|| + ln(N + 1)) a bound on every |log| in the recursion;
-    all three bounds are raised by it.  Weights that underflow change rho
-    by at most 2^-1074 each.  The bounds are float in both precisions;
-    the value runs in nm.dtype."""
+    Numerical Algorithms, 2nd ed., ch. 3-4), one operation losing at most
+    u = nm.unit (np.exp and np.log 4u).  With t_j = log P_{S-j} +
+    log|A_rj| and top = max_j t_j, log P_S is top + log s, s = sum_j e_j,
+    e_j = exp(t_j - top), and w_j = e_j / s.  Unrolled, rho_full sums
+    sign(pi) prod_r w over the chains of sets, one per permutation pi,
+    and the log of each product telescopes to sum_r log|A_r,pi(r)| -
+    log P_full up to each level's roundings: u |t_j| (forming t_j),
+    u |t_j - top|, 4u (exp), u (w = e/s), u |log P_S| + 4u ln k
+    (top + log s), u (w rho) and (k - 1) u (the sum), k = |S|.  As
+    sum_j w_j |t_j - log P_S| <= ln k (an entropy) and 0 <= log P_S - top
+    <= ln k, their w-mean is below eps_S = u (2 |log P_S| + 7 ln k + k +
+    5).  So E_S = sum_j w_j E_{S-j} + eps_S bounds the mean relative error
+    of the Leibniz terms, whose absolute values sum to P_full, and the
+    last step sign(rho) exp(log|rho| + log P_full) adds u (|log P_full| +
+    7) (|rho log|rho|| <= 1/e): the determinant is off by at most
+    P_full (E_full + u (|log P_full| + 7)).  The second-order terms, the
+    sum of the computed w, and the error of the computed log P, which G
+    and H use too, stay within a factor e^((2N+3) eta), eta = u (4M +
+    5N + 11), M = (N + 1) (max |log|A|| + ln(N + 1)) bounding every |log|
+    in the recursion, by which all bounds are raised.  Underflowing
+    weights move rho by 2^-1074 each.  The bounds are float in both
+    precisions; the value runs in nm.dtype."""
     count, n1, _ = logabs.shape
     size = 1 << n1
-    unit = _unit(nm)
+    unit = nm.unit
     la, sg = np.moveaxis(logabs, 0, -1), np.moveaxis(sign, 0, -1)
     fa = np.asarray(la, dtype=float)
     # channel 0 carries the cuts over |A|, channel 1 the entries'

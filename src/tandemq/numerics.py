@@ -4,9 +4,9 @@ All lattice truncations in this package are certified by Poisson tail
 bounds, and every truncation picks the smallest cap whose tail meets
 its budget through one search, poisson_log_cap.  It sums pmf terms in
 double log space in both modes, since tails only feed the float
-abs_error.  Pmf tables come in float64, mpmath or decimal arithmetic;
-log k! comes from math.lgamma, for the float tables through one
-module-level table, so this module imports no scipy.  The "high"
+abs_error.  Pmf tables come in float64, mpmath or decimal arithmetic,
+the float ones from Loader's saddle-point form, so this module imports
+no scipy.  The "high"
 precision mode works at HIGH_DPS decimal digits; it exists for very
 deep tails (transition probabilities far below 1e-12) where float64
 round-off in signed sums would start to matter.  In it the survival
@@ -37,30 +37,70 @@ HIGH_DPS = 50
 MAX_CAP = 20000
 MAX_BOX_POINTS = 5_000_000
 
-# log k! for k = 0..len-1, from math.lgamma.  A cache of a pure function:
-# it only grows (by doubling) and is never written in place, so every
-# caller sees the same values and an old slice stays valid.
-_log_factorial = np.zeros(2)
-_log_factorial.flags.writeable = False
+# Stirling's error log n! - (n + 1/2) log n + n - log(2 pi)/2 for
+# n = 0..15 (0 unused), and its series past 15
+_STIRLERR = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834, 0.020790672103765093,
+    0.016644691189821193, 0.013876128823070748, 0.01189670994589177, 0.010411265261972096,
+    0.009255462182712733, 0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
+_STIRLING_SERIES = (1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 / 12)
+
+# log k! - k log k + k = stirlerr(k) + log(2 pi k)/2 for k = 0..len-1, and
+# a bound on its error in units of 2^-53.  A cache of a pure function of
+# k: it only grows (by doubling) and is never written in place.
+_stirling = (np.zeros(1), np.zeros(1))
 
 
-def log_factorials(hi):
-    """log k! for k = 0..hi, a read-only view of the module table, which
-    grows to cover hi."""
-    global _log_factorial
-    n = len(_log_factorial)
+def _stirling_terms(hi):
+    global _stirling
+    n = len(_stirling[0])
     if hi >= n:
-        size = max(hi + 1, 2 * n)
-        grown = np.concatenate((_log_factorial, [math.lgamma(k + 1.0) for k in range(n, size)]))
-        grown.flags.writeable = False
-        _log_factorial = grown
-    return _log_factorial[: hi + 1]
+        k = np.arange(n, max(hi + 1, 2 * n), dtype=float)
+        series = np.polyval(_STIRLING_SERIES, 1.0 / (k * k)) / k
+        log2pik = np.log(2 * math.pi * k)
+        c = np.where(k <= 15, _STIRLERR[np.minimum(k, 15).astype(int)], series) + 0.5 * log2pik
+        _stirling = tuple(np.concatenate(p) for p in zip(_stirling, (c, c + 2 * log2pik + 1.2)))
+        for table in _stirling:
+            table.flags.writeable = False
+    return _stirling
+
+
+def poisson_logpmf(mu, lo, hi, errors=False):
+    """log pmf of Poisson(mu), mu > 0 a float, at the integers lo..hi,
+    0 <= lo, and with errors=True a bound on the error of each value in
+    units of u = 2^-53.
+
+    Loader's form (Fast and accurate computation of binomial
+    probabilities, 2000): -(log k! - k log k + k) - bd0 with
+    bd0 = k log(k/mu) + mu - k >= 0, here k log1p(d/mu) - d, d = k - mu.
+    log k! - k log k + k = stirlerr(k) + log(2 pi k)/2, stirlerr from a
+    table up to 15 and five terms of its series past it, is off by
+    u (c + 2 log(2 pi k) + 1.2); bd0 by u (5k |log(k/mu)| + 3|d| + bd0),
+    with np.log and np.log1p within 4u; the sum adds u |log pmf|.  Near
+    the mode that is a few u sqrt(mu), where k log mu - log k! - mu loses
+    u (k |log mu| + log k! + mu)."""
+    c, c_err = _stirling_terms(hi)
+    k = np.arange(lo, hi + 1, dtype=float)
+    d = k - mu
+    x = d / mu
+    if lo == 0 < len(x):
+        x[0] = 0.0
+    klog = k * np.log1p(x)
+    bd0 = klog - d
+    out = -(c[lo : hi + 1] + bd0)
+    if not errors:
+        return out
+    return out, c_err[lo : hi + 1] + 2 * abs(out) + 5 * abs(klog) + 3 * abs(d) + bd0
 
 
 class KernelValue(NamedTuple):
     """Value (a float in double precision, an mpmath.mpf in high) and a
-    certified float bound abs_error on its truncation error; in double
-    precision it excludes round-off (use "high" where cancellation matters)."""
+    certified float bound abs_error on its error.  kt_general's bound
+    covers truncation and float round-off; the other evaluations bound
+    truncation only, and their double-precision round-off is left out
+    (use "high" where cancellation matters)."""
 
     value: float
     abs_error: float
@@ -75,6 +115,8 @@ class Numerics:
         self.precision = precision
         self.high = precision == "high"
         self.dtype = object if self.high else float
+        # relative round-off of one operation, exp and log included
+        self.unit = 10.0**-HIGH_DPS if self.high else 2.0**-53
         self.mp = None
         if self.high:
             import mpmath
@@ -115,22 +157,32 @@ class Numerics:
         with np.errstate(divide="ignore"):
             return np.log(x)
 
-    def poisson_logpmf_table(self, mu, lo, hi):
-        """log pmf of Poisson(mu) on integers lo..hi inclusive (-inf for k < 0):
-        k log mu - log k! - mu, with log 0! = 0 at mu = 0."""
+    def poisson_logpmf_table(self, mu, lo, hi, errors=False):
+        """log pmf of Poisson(mu) on integers lo..hi inclusive (-inf for
+        k < 0), with log 0! = 0 at mu = 0 (poisson_logpmf); with
+        errors=True also a float bound on the error of each value in units
+        of self.unit.  In high precision the table is the log of the pmf
+        recurrence, which loses about one unit per step and one per
+        |log pmf|."""
         if self.high:
-            return self.log(self.poisson_pmf_table(mu, lo, hi))
+            out = self.log(self.poisson_pmf_table(mu, lo, hi))
+            if not errors:
+                return out
+            ks = np.maximum(np.arange(lo, hi + 1), 0)
+            return out, 2.0 * ks + np.minimum(abs(np.asarray(out, dtype=float)), 1e300) + 4
         out = np.full(max(0, hi - lo + 1), -np.inf)
+        err = np.zeros(len(out))
         start = max(lo, 0)
-        if hi < start:
-            return out
         mu = float(mu)
-        if mu > 0:
-            ks = np.arange(start, hi + 1)
-            out[start - lo :] = ks * math.log(mu) - log_factorials(hi)[start:] - mu
-        elif start == 0:
+        if mu > 0 and hi >= start:
+            got = poisson_logpmf(mu, start, hi, errors)
+            if errors:
+                out[start - lo :], err[start - lo :] = got
+            else:
+                out[start - lo :] = got
+        elif start == 0 <= hi:
             out[-lo] = 0.0
-        return out
+        return (out, err) if errors else out
 
     def poisson_pmf_table(self, mu, lo, hi):
         """pmf of Poisson(mu) on integers lo..hi inclusive (0 for k < 0).

@@ -184,13 +184,13 @@ def kt_general(q, q2, t, nu, tol=1e-8, *, nm):
         return KernelValue(0, tail)
     target, count = tuple(v + first for v in base), last - first + 1
     try:
-        values, cut, roundoff = departure_kernel_stack(d, target, count, t, nu, tol / 4, nm)
+        values, cut, roundoff = departure_kernel_stack(d, target, count, t, nu, tol / 8, nm)
     except ToleranceNotAchieved as err:
         raise err.restated(tol) from None
-    if roundoff > tol / 2:
-        detail = "determinant cancellation: certified round-off exceeds its share tol/2"
-        raise ToleranceNotAchieved(tol, tail + cut + roundoff, detail)
-    return KernelValue(values.sum(), tail + cut + roundoff)
+    bound = tail + cut + roundoff
+    if bound > tol:
+        raise ToleranceNotAchieved(tol, bound, "determinant cancellation: certified round-off")
+    return KernelValue(values.sum(), bound)
 
 
 def mm1_kt(q, q2, t, nu, rel_tol=1e-15):

@@ -77,12 +77,6 @@ def window_h_table(rmax, i, j, alpha):
     return _h_table(rmax, alpha[i + 1 : j + 1])
 
 
-def window_e_table(i, j, alpha):
-    """e_r over alpha[i+1..j] for r = 0..j-i, as a list."""
-    _check_window(i, j, alpha)
-    return _e_table(j - i, alpha[i + 1 : j + 1])
-
-
 def _check_window(i, j, alpha):
     if not (0 <= i <= j <= len(alpha) - 1):
         raise PreconditionError(f"window ({i},{j}) out of range for {len(alpha)} variables")

@@ -349,6 +349,15 @@ def test_cached_parser_reads_precision_env_per_call(monkeypatch, capsys):
     assert seen == ["high", "double", "high"]
 
 
+def test_simulate_few_replications_at_large_t():
+    # about 1100 events per replication: more than a whole block may hold,
+    # but 10 rows of labels take about 11 KB
+    r = run_cli("simulate", "kt", "--rates", "1,2", "--q", "0", "--q2", "0",
+                "--t", "350", "--reps", "10")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[1].split(",")[2] == "10"
+
+
 def test_simulate_refusals_exit_2():
     r = run_cli("simulate", "kt", "--rates", "1,2", "--q", "0", "--q2", "0",
                 "--t", "1e6", "--reps", "10")

@@ -8,6 +8,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from tandemq import linalg
@@ -16,6 +17,7 @@ from tandemq.kernels import (
     chamber_to_departure,
     chamber_to_queue,
     departure_kernel,
+    departure_kernel_stack,
     departure_kernel_via_intertwining,
     departure_to_chamber,
     departure_to_chamber_support,
@@ -25,7 +27,8 @@ from tandemq.kernels import (
     queue_to_departures,
 )
 from tandemq.lattice import count_ordered_points, ordered_points
-from tandemq.numerics import poisson_cap
+from tandemq.numerics import HIGH_DPS, Numerics, poisson_cap
+from tandemq.rates import as_rates
 
 
 def chamber_points(lo, hi, n):
@@ -159,6 +162,21 @@ def test_departure_kernel_large_t_stays_a_probability():
         v = departure_kernel((0, 0, 0, 0), (3, 3, 3, 3), 150, nu)
         assert isinstance(v, float)
         assert math.isfinite(v) and 0.0 <= v <= 1.0
+
+
+def test_departure_stack_round_off_within_its_bound():
+    # cancelling determinants, a service rate below an earlier one: every
+    # double slice stays within its certified round-off of the 50-digit one
+    d = queue_to_departures((1, 0, 0))
+    nu = as_rates((1, 1.5, 4, 2))
+    lo, cut_lo, round_lo = departure_kernel_stack(d, (0,) * 4, 30, 8.0, nu, 1e-12, Numerics())
+    with mpmath.workdps(HIGH_DPS):
+        hi, cut_hi, round_hi = departure_kernel_stack(
+            d, (0,) * 4, 30, 8.0, nu, 1e-12, Numerics("high")
+        )
+        gap = float(sum(abs(mpmath.mpf(float(a)) - b) for a, b in zip(lo, hi)))
+    assert 0 < gap <= round_lo + round_hi + cut_lo + cut_hi
+    assert round_hi < 1e-40
 
 
 def test_departure_kernel_vs_intertwining_points():

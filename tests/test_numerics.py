@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tandemq.errors import PreconditionError, ToleranceNotAchieved
-from tandemq.numerics import MAX_CAP, Numerics, log_factorials, poisson_cap, poisson_log_cap
+from tandemq.numerics import MAX_CAP, Numerics, poisson_cap, poisson_log_cap, poisson_logpmf
 
 
 def _log_tail(mu, m):
@@ -84,18 +84,23 @@ def test_poisson_cap_rejects_bad_input(mu, tol):
         poisson_cap(mu, tol)
 
 
-def test_log_factorials_within_4_ulp():
-    table = log_factorials(40000)
-    assert len(table) == 40001 and not table.flags.writeable
-    assert table[0] == table[1] == 0.0
-    with mpmath.workdps(50):
-        exact = [mpmath.mpf(0)] * 2
-        for k in range(2, 40001):
-            exact.append(exact[-1] + mpmath.log(k))
-        worst = max(abs(mpmath.mpf(float(v)) - e) / math.ulp(v) for v, e in zip(table[2:], exact[2:]))
-    assert worst <= 4
-    # a shorter request is a prefix of the same table
-    assert np.array_equal(log_factorials(10), table[:11])
+def test_poisson_logpmf_within_its_bound():
+    # the bound holds from tiny means to large ones, over the head, the
+    # mode and the tail, and the error stays within 128 units of
+    # |log pmf|, where k log mu - log k! - mu lost 14000 at mean 4000
+    u = 2.0**-53
+    with mpmath.workdps(40):
+        for mu in (1e-3, 0.3, 2.5, 20.0, 80.0, 300.0, 4000.0, 15000.0):
+            s = math.sqrt(mu)
+            for lo in {0, 30, int(mu - 3 * s), int(mu + 3 * s), int(mu + 12 * s + 60)}:
+                lo = max(lo, 0)
+                got, bound = poisson_logpmf(mu, lo, lo + 40, errors=True)
+                log_mu = mpmath.log(mu)
+                for k, v, b in zip(range(lo, lo + 41), got, bound):
+                    exact = k * log_mu - mpmath.loggamma(k + 1) - mu
+                    err = abs(float(v - exact)) / u
+                    assert err <= b
+                    assert err <= 128 * max(abs(float(exact)), 1.0)
 
 
 def test_poisson_logpmf_table_edges():

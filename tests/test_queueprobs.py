@@ -195,6 +195,27 @@ def test_kt_general_refuses_cancelling_determinants():
     assert abs(a.value - b.value) <= a.abs_error + b.abs_error + 1e-12
 
 
+@pytest.mark.parametrize("t, cap", [(40.0, 38), (160.0, 42)])
+def test_kt_general_unsorted_services_match_uniformization(t, cap):
+    # a service rate below an earlier one: the elimination of the
+    # determinants refused at t = 40 and returned 8.06e-06 at t = 160
+    nu = (1, 3, 1.6, 2.2)
+    a = kt_general((1, 0, 0), (0, 0, 0), t, nu, tol=1e-8)
+    b = uniformization_kt((1, 0, 0), (0, 0, 0), t, nu, cap, tol=1e-6)
+    assert abs(a.value - b.value) <= a.abs_error + b.abs_error
+
+
+@pytest.mark.parametrize("nu, t", [((0.5, 1.5, 3, 2), 60.0), ((1, 1.5, 4, 2), 20.0)])
+def test_kt_general_agrees_or_names_the_cancellation(nu, t):
+    ref = uniformization_kt((1, 0, 0), (0, 0, 0), t, nu, 30, tol=1e-6)
+    try:
+        a = kt_general((1, 0, 0), (0, 0, 0), t, nu, tol=1e-8)
+    except ToleranceNotAchieved as err:
+        assert "cancellation" in str(err)
+        return
+    assert abs(a.value - ref.value) <= a.abs_error + ref.abs_error
+
+
 def test_kt_general_high_precision_agrees():
     lo = kt_general((1, 0), (0, 1), 1.0, (1, 2, 4), tol=1e-10)
     hi = kt_general((1, 0), (0, 1), 1.0, (1, 2, 4), tol=1e-10, precision="high")
