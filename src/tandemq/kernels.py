@@ -178,12 +178,12 @@ def _entry_row(a, d, d2, count, t, nu, lt, nm):
     mu = nm.scalar(vals[a]) * nm.scalar(t)
     n0s = [d2[a] - d[b] - a + b for b in range(n1)]
     logcut = np.full(n1, -np.inf)
-    series = {}
+    fl = nu.as_floats()
+    series = {a: (np.zeros(1, dtype=nm.dtype), np.full(1, 16.0))}
     for b in range(a + 1, n1):
         # h_k over the window rates scaled by their maximum is at most
         # binom(k+m-1, m-1), so the terms stay bounded
         top = a + 1 + int(np.argmax(flogs[a + 1 : b + 1]))
-        fl = nu.as_floats()
         cut, logcut[b] = _h_cut(
             n0s[b], fl[a] * float(t), fl[top] / fl[a], b - a - 1,
             (d[b] - b) * (flogs[a] - flogs[b]), lt,
@@ -194,25 +194,24 @@ def _entry_row(a, d, d2, count, t, nu, lt, nm):
         logh = nm.log(np.array(table, dtype=nm.dtype))
         lratio = nm.log(numax / nm.scalar(vals[a]))
         logc = logh + ks.astype(nm.dtype) * lratio
-        err = 3 * ks + 2 * (b - a) + 4 * abs(np.asarray(logh, dtype=float)) + ks * (1 + 5 * abs(float(lratio)))
-        series[b] = logc, 4 * abs(np.asarray(logc, dtype=float)) + err + 2 * len(logc) + 14
+        err = 3 * ks + 2 * (b - a) + 4 * abs(np.asarray(logh, dtype=float))
+        err += ks * (1 + 5 * abs(float(lratio))) + 4 * abs(np.asarray(logc, dtype=float))
+        series[b] = logc, err + 2 * len(logc) + 14
     # n0 grows with b, and the entries left of the diagonal start at max(n0, 0)
     lo = min(n0s[a], max(n0s[0], 0))
-    hi = max([n0s[b] + len(series[b][0]) - 1 for b in series] + [n0s[a], 0]) + count - 1
+    hi = max([n0s[b] + len(series[b][0]) - 1 for b in series] + [0]) + count - 1
     logpmf, err = nm.poisson_logpmf_table(mu, lo, hi, errors=True)
-    mag = err + abs(np.arange(lo, hi + 1) - float(mu)) + 2 * np.minimum(abs(np.asarray(logpmf, dtype=float)), 1e300)
+    err += abs(np.arange(lo, hi + 1) - float(mu))
+    err += 2 * np.minimum(abs(np.asarray(logpmf, dtype=float)), 1e300)
     sign = np.empty((count, n1), dtype=int)
     logabs = np.empty((count, n1), dtype=nm.dtype)
     logrnd = np.empty((count, n1))
     for b in range(n1):
         shift, off = d[b] - b, n0s[b] - lo
         const = shift * (logs[a] - logs[b])
-        pre = mag + 3 * abs(float(const)) + 6 * abs(shift) * (abs(flogs[a]) + abs(flogs[b]))
+        pre = err + 3 * abs(float(const)) + 6 * abs(shift) * (abs(flogs[a]) + abs(flogs[b]))
         if b < a:
             entry = _e_entry(a, b, n0s[b], count, nu, mu, logpmf, pre, lo, nm)
-        elif b == a:
-            diag = logpmf[off : off + count]
-            entry = diag > -np.inf, diag, diag + np.log(pre[off : off + count] + 11)
         else:
             entry = _log_correlate(logpmf[off:], count, *series[b], pre[off:], nm)
         sign[:, b], logabs[:, b], logrnd[:, b] = entry
@@ -257,25 +256,31 @@ def _log_correlate(logpmf, count, logc, weight, mag, nm):
     """Sign and log|.| of sum_k exp(logpmf[c + k] + logc_k) for
     c = 0..count-1, each sum shifted by its largest exponent, and the
     float log of the sum of its terms weighted by mag[c + k] + weight_k;
-    the (c, k) terms are formed about 2^20 at a time."""
+    the (c, k) terms are read as read-only windows of the tables, about
+    2^20 at a time."""
     sign = np.zeros(count, dtype=int)
     logabs = np.empty(count, dtype=logpmf.dtype)
     logsum = np.empty(count)
-    ks = np.arange(len(logc))
     step = max(1, (1 << 20) // len(logc))
-    for start in range(0, count, step):
-        cs = np.arange(start, min(count, start + step))
-        idx = cs[:, None] + ks
-        terms = logpmf[idx] + logc
+    for c in range(0, count, step):
+        rows = min(step, count - c)
+        terms = _windows(logpmf[c:], rows, len(logc)) + logc
         top = terms.max(axis=1)
         top = np.where(top == -np.inf, 0, top)
         scaled = nm.exp(terms - top[:, None])
         total = scaled.sum(axis=1)
-        sign[cs] = total > 0
-        logabs[cs] = nm.log(total) + top
-        weighted = (np.asarray(scaled, dtype=float) * (mag[idx] + weight)).sum(axis=1)
-        logsum[cs] = np.log(np.maximum(weighted, 1e-300)) + np.asarray(top, dtype=float)
+        sign[c : c + rows] = total > 0
+        logabs[c : c + rows] = nm.log(total) + top
+        scaled = np.asarray(scaled, dtype=float)
+        weighted = np.einsum("ck,ck->c", scaled, _windows(mag[c:], rows, len(logc))) + scaled @ weight
+        logsum[c : c + rows] = np.log(np.maximum(weighted, 1e-300)) + np.asarray(top, dtype=float)
     return sign, logabs, logsum
+
+
+def _windows(x, rows, width):
+    """The read-only (rows, width) view x[i + j] of a 1-d array."""
+    step = x.strides[0]
+    return np.lib.stride_tricks.as_strided(x, (rows, width), (step, step), writeable=False)
 
 
 def _h_cut(n0, mu, ratio, deg, log_f, lt):
@@ -361,13 +366,13 @@ def _det_perm_diff(sign, logabs, logcut, logrnd, nm):
     count, n1, _ = logabs.shape
     size = 1 << n1
     unit = nm.unit
-    la, sg = np.moveaxis(logabs, 0, -1), np.moveaxis(sign, 0, -1)
+    la, sg = logabs.transpose(1, 2, 0), sign.transpose(1, 2, 0)
     fa = np.asarray(la, dtype=float)
     # channel 0 carries the cuts over |A|, channel 1 the entries'
     # round-off over |A| + C; then the two bases |A| + C and |A| + C + R
     cut = np.broadcast_to(logcut[:, :, None], fa.shape)
+    rnd = logrnd.transpose(1, 2, 0)
     base_c = np.logaddexp(fa, cut)
-    rnd = np.moveaxis(logrnd, 0, -1)
     chans = np.stack((cut, rnd, base_c, np.logaddexp(base_c, rnd)))
     logp = np.empty((size, count), dtype=nm.dtype)
     rho = np.empty((size, count), dtype=nm.dtype)
@@ -376,6 +381,7 @@ def _det_perm_diff(sign, logabs, logcut, logrnd, nm):
     diff = np.full((2, size, count), -np.inf)
     err = np.zeros((size, count))
     for r, (sets, cols, prev, signs) in enumerate(_column_sets(n1)):
+        k = len(signs)
         terms = logp[prev] + la[r][cols]
         top = np.asarray(terms, dtype=float).max(axis=1)
         top[top == -np.inf] = 0.0
@@ -384,15 +390,18 @@ def _det_perm_diff(sign, logabs, logcut, logrnd, nm):
         logp[sets] = nm.log(total) + top
         flogp[sets] = logp[sets]
         weights = scaled / np.where(total == 0, 1, total)[:, None]
-        rho[sets] = (signs[:, None] * sg[r][cols] * weights * rho[prev]).sum(axis=1)
+        rho[sets] = (weights * (sg[r][cols] * signs[:, None]) * rho[prev]).sum(axis=1)
         # a set with P_S = 0 has weight 0 in every later level
         lp = np.minimum(abs(flogp[sets]), 1e300)
-        k = len(signs)
-        err[sets] = (np.asarray(weights, dtype=float) * err[prev]).sum(axis=1)
-        err[sets] += 2 * lp + 7 * math.log(k) + k + 5
+        err[sets] = (np.asarray(weights, dtype=float) * err[prev]).sum(axis=1) + (
+            2 * lp + (7 * math.log(k) + k + 5)
+        )
         lp, g, ch = flogp[prev], diff[:, prev], chans[:, r][:, cols]
-        src = np.stack((lp, np.logaddexp(lp, g[0])))
-        diff[:, sets] = np.logaddexp.reduce(np.concatenate((src + ch[:2], g + ch[2:]), axis=2), axis=2)
+        terms = np.empty((2, len(sets), 2 * k, count))
+        terms[0, :, :k] = lp + ch[0]
+        terms[1, :, :k] = np.logaddexp(lp, g[0]) + ch[1]
+        terms[:, :, k:] = g + ch[2:]
+        diff[:, sets] = np.logaddexp.reduce(terms, axis=2)
     full = size - 1
     values = np.sign(rho[full]).astype(int) * nm.exp(nm.log(abs(rho[full])) + logp[full])
     lmax = np.where(fa > -np.inf, abs(fa), 0.0).max(axis=(0, 1))

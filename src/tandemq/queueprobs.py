@@ -152,15 +152,17 @@ def kt_general(q, q2, t, nu, tol=1e-8, *, nm):
     the route of both `tandemq kt00` and `tandemq kt`; kt00_direct,
     kt00_stationary and mm1_kt are its oracles.
 
-    abs_error = tail + cut, each below tol/2.  tail: the arrival count
+    abs_error = tail + cut + roundoff <= tol.  tail: the arrival count
     is c + |q2| - |q|, so the terms past the last c hold at most
-    P(Poisson(nu_0 t) > cap), the smallest cap that meets tol/2.  cut:
-    the summed error of the h-series cuts inside the determinants.
-    Float round-off is not included; when its estimate exceeds tol (the
-    determinants cancel when a service rate is below an earlier one, at
-    large t) the call raises ToleranceNotAchieved instead of returning a
-    value.  Between empty states the service rates are sorted first,
-    which leaves the value unchanged."""
+    P(Poisson(nu_0 t) > cap), the smallest cap that meets tol/4.  cut:
+    the summed error of the h-series cuts inside the determinants, below
+    tol/8.  roundoff: the certified float round-off of the entries and
+    the determinants (kernels._det_perm_diff).  When a service rate is
+    below an earlier one the determinants cancel at large t, and when
+    the three exceed tol the call raises ToleranceNotAchieved ("determinant
+    cancellation") with their sum instead of returning a value.  Between
+    empty states the service rates are sorted first, which leaves the
+    value unchanged."""
     nu = as_rates(nu)
     q = _check_queue(q, nu.n_stations, "q")
     q2 = _check_queue(q2, nu.n_stations, "q2")
