@@ -9,8 +9,6 @@ uniformization / Monte Carlo oracles), plus the exact relaxation rate
 governing convergence to equilibrium.
 """
 
-import types as _types
-
 from .errors import (
     CoincidentRatesError,
     PreconditionError,
@@ -77,12 +75,6 @@ from .symfunc import (
 # need it, and every other import would pay for it.
 _VERIFY_NAMES = ("CheckResult", "run_check", "run_suite")
 
-# every public name imported above, and the verify names
-__all__ = sorted(
-    [n for n, v in globals().items() if n[0] != "_" and not isinstance(v, _types.ModuleType)]
-    + list(_VERIFY_NAMES)
-)
-
 
 def __getattr__(name):
     if name in _VERIFY_NAMES:
@@ -90,5 +82,60 @@ def __getattr__(name):
 
         return getattr(verify, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+__all__ = [
+    "CheckResult",
+    "CoincidentRatesError",
+    "CtmcTruncation",
+    "DecayReport",
+    "Estimate",
+    "GTPattern",
+    "KernelValue",
+    "PreconditionError",
+    "RateVector",
+    "SimConfig",
+    "TandemError",
+    "ToleranceNotAchieved",
+    "UnstableRatesError",
+    "as_rates",
+    "bottleneck_station",
+    "chamber_harmonic",
+    "chamber_infimum",
+    "chamber_to_departure",
+    "chamber_to_queue",
+    "complete_homogeneous",
+    "decay_report",
+    "departure_kernel",
+    "departure_kernel_via_intertwining",
+    "departure_to_chamber",
+    "departure_to_chamber_support",
+    "elementary",
+    "enumerate_gt",
+    "fit_decay_rate",
+    "gt_weight",
+    "killed_poisson_kernel",
+    "kt00_direct",
+    "kt00_gap",
+    "kt00_gap_relative",
+    "kt00_stationary",
+    "kt_general",
+    "mm1_kt",
+    "noncrossing_prob",
+    "queue_to_chamber",
+    "queue_to_chamber_support",
+    "queue_to_departures",
+    "rate_function",
+    "relaxation_rate",
+    "relaxation_time",
+    "run_check",
+    "run_suite",
+    "schur",
+    "simulate_noncrossing",
+    "simulate_queue_prob",
+    "stationary_empty_prob",
+    "uniformization_kt",
+    "window_e",
+    "window_h",
+]
 
 __version__ = "0.1.0"

@@ -161,7 +161,7 @@ def _entry_row(a, d, d2, count, t, nu, lt, nm):
     each entry's round-off, from one pmf table.
 
     Round-off, in units u = nm.unit, of a term: the error of its log pmf
-    (Numerics.poisson_logpmf_table) and |n - mu| for the rounding of
+    (Numerics.poisson_logpmf_error) and |n - mu| for the rounding of
     mu = nu_a t; 2 |log pmf| + 3 |log coef| for adding the logs and the
     log of the sum; the coefficient's own (one u per operation of the
     symmetric function, of degree k, its log and k times the log ratio of
@@ -200,8 +200,8 @@ def _entry_row(a, d, d2, count, t, nu, lt, nm):
     # n0 grows with b, and the entries left of the diagonal start at max(n0, 0)
     lo = min(n0s[a], max(n0s[0], 0))
     hi = max([n0s[b] + len(series[b][0]) - 1 for b in series] + [0]) + count - 1
-    logpmf, err = nm.poisson_logpmf_table(mu, lo, hi, errors=True)
-    err += abs(np.arange(lo, hi + 1) - float(mu))
+    logpmf = nm.poisson_logpmf_table(mu, lo, hi)
+    err = nm.poisson_logpmf_error(mu, lo, hi, logpmf) + abs(np.arange(lo, hi + 1) - float(mu))
     err += 2 * np.minimum(abs(np.asarray(logpmf, dtype=float)), 1e300)
     sign = np.empty((count, n1), dtype=int)
     logabs = np.empty((count, n1), dtype=nm.dtype)

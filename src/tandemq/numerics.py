@@ -67,32 +67,34 @@ def _stirling_terms(hi):
     return _stirling
 
 
-def poisson_logpmf(mu, lo, hi, errors=False):
+def poisson_logpmf(mu, lo, hi):
     """log pmf of Poisson(mu), mu > 0 a float, at the integers lo..hi,
-    0 <= lo, and with errors=True a bound on the error of each value in
-    units of u = 2^-53.
+    0 <= lo (poisson_logpmf_error bounds its error).
 
     Loader's form (Fast and accurate computation of binomial
     probabilities, 2000): -(log k! - k log k + k) - bd0 with
     bd0 = k log(k/mu) + mu - k >= 0, here k log1p(d/mu) - d, d = k - mu.
-    log k! - k log k + k = stirlerr(k) + log(2 pi k)/2, stirlerr from a
-    table up to 15 and five terms of its series past it, is off by
-    u (c + 2 log(2 pi k) + 1.2); bd0 by u (5k |log(k/mu)| + 3|d| + bd0),
-    with np.log and np.log1p within 4u; the sum adds u |log pmf|.  Near
-    the mode that is a few u sqrt(mu), where k log mu - log k! - mu loses
-    u (k |log mu| + log k! + mu)."""
-    c, c_err = _stirling_terms(hi)
+    Near the mode it loses a few u sqrt(mu), u = 2^-53, where
+    k log mu - log k! - mu loses u (k |log mu| + log k! + mu)."""
+    c = _stirling_terms(hi)[0][lo : hi + 1]
     k = np.arange(lo, hi + 1, dtype=float)
     d = k - mu
     x = d / mu
     if lo == 0 < len(x):
         x[0] = 0.0
-    klog = k * np.log1p(x)
-    bd0 = klog - d
-    out = -(c[lo : hi + 1] + bd0)
-    if not errors:
-        return out
-    return out, c_err[lo : hi + 1] + 2 * abs(out) + 5 * abs(klog) + 3 * abs(d) + bd0
+    return -(c + k * np.log1p(x) - d)
+
+
+def poisson_logpmf_error(mu, lo, hi, values):
+    """A bound in units of u = 2^-53 on the error of poisson_logpmf's
+    values.  log k! - k log k + k = stirlerr(k) + log(2 pi k)/2, stirlerr
+    from a table up to 15 and five terms of its series past it, is off
+    by u (c + 2 log(2 pi k) + 1.2); bd0 by u (5k |log(k/mu)| + 3|d| +
+    bd0), with np.log and np.log1p within 4u; the sum adds u |log pmf|."""
+    c, c_err = (table[lo : hi + 1] for table in _stirling_terms(hi))
+    d = np.arange(lo, hi + 1) - mu
+    bd0 = -values - c
+    return c_err + 2 * abs(values) + 5 * abs(bd0 + d) + 3 * abs(d) + bd0
 
 
 class KernelValue(NamedTuple):
@@ -157,32 +159,34 @@ class Numerics:
         with np.errstate(divide="ignore"):
             return np.log(x)
 
-    def poisson_logpmf_table(self, mu, lo, hi, errors=False):
+    def poisson_logpmf_table(self, mu, lo, hi):
         """log pmf of Poisson(mu) on integers lo..hi inclusive (-inf for
-        k < 0), with log 0! = 0 at mu = 0 (poisson_logpmf); with
-        errors=True also a float bound on the error of each value in units
-        of self.unit.  In high precision the table is the log of the pmf
-        recurrence, which loses about one unit per step and one per
-        |log pmf|."""
+        k < 0), with log 0! = 0 at mu = 0 (poisson_logpmf)."""
         if self.high:
-            out = self.log(self.poisson_pmf_table(mu, lo, hi))
-            if not errors:
-                return out
-            ks = np.maximum(np.arange(lo, hi + 1), 0)
-            return out, 2.0 * ks + np.minimum(abs(np.asarray(out, dtype=float)), 1e300) + 4
+            return self.log(self.poisson_pmf_table(mu, lo, hi))
         out = np.full(max(0, hi - lo + 1), -np.inf)
-        err = np.zeros(len(out))
         start = max(lo, 0)
         mu = float(mu)
         if mu > 0 and hi >= start:
-            got = poisson_logpmf(mu, start, hi, errors)
-            if errors:
-                out[start - lo :], err[start - lo :] = got
-            else:
-                out[start - lo :] = got
+            out[start - lo :] = poisson_logpmf(mu, start, hi)
         elif start == 0 <= hi:
             out[-lo] = 0.0
-        return (out, err) if errors else out
+        return out
+
+    def poisson_logpmf_error(self, mu, lo, hi, table):
+        """A float bound on the error of each value of
+        poisson_logpmf_table(mu, lo, hi), given as table, in units of
+        self.unit.  In high precision the table is the log of the pmf
+        recurrence, which loses about one unit per step and one per
+        |log pmf|."""
+        flat = np.minimum(abs(np.asarray(table, dtype=float)), 1e300)
+        if self.high:
+            return 2.0 * np.maximum(np.arange(lo, hi + 1), 0) + flat + 4
+        err = np.zeros(len(flat))
+        start = max(lo, 0)
+        if float(mu) > 0 and hi >= start:
+            err[start - lo :] = poisson_logpmf_error(float(mu), start, hi, table[start - lo :])
+        return err
 
     def poisson_pmf_table(self, mu, lo, hi):
         """pmf of Poisson(mu) on integers lo..hi inclusive (0 for k < 0).

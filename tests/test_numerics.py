@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from tandemq.errors import PreconditionError, ToleranceNotAchieved
-from tandemq.numerics import MAX_CAP, Numerics, poisson_cap, poisson_log_cap, poisson_logpmf
+from tandemq.numerics import (
+    MAX_CAP, Numerics, poisson_cap, poisson_log_cap, poisson_logpmf, poisson_logpmf_error,
+)
 
 
 def _log_tail(mu, m):
@@ -94,7 +96,8 @@ def test_poisson_logpmf_within_its_bound():
             s = math.sqrt(mu)
             for lo in {0, 30, int(mu - 3 * s), int(mu + 3 * s), int(mu + 12 * s + 60)}:
                 lo = max(lo, 0)
-                got, bound = poisson_logpmf(mu, lo, lo + 40, errors=True)
+                got = poisson_logpmf(mu, lo, lo + 40)
+                bound = poisson_logpmf_error(mu, lo, lo + 40, got)
                 log_mu = mpmath.log(mu)
                 for k, v, b in zip(range(lo, lo + 41), got, bound):
                     exact = k * log_mu - mpmath.loggamma(k + 1) - mu
