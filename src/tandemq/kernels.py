@@ -179,6 +179,7 @@ def _entry_row(a, d, d2, count, t, nu, lt, nm):
     n0s = [d2[a] - d[b] - a + b for b in range(n1)]
     logcut = np.full(n1, -np.inf)
     fl = nu.as_floats()
+    # the diagonal is one term, log coef 0: the weight below at k = 0
     series = {a: (np.zeros(1, dtype=nm.dtype), np.full(1, 16.0))}
     for b in range(a + 1, n1):
         # h_k over the window rates scaled by their maximum is at most
@@ -272,7 +273,8 @@ def _log_correlate(logpmf, count, logc, weight, mag, nm):
         sign[c : c + rows] = total > 0
         logabs[c : c + rows] = nm.log(total) + top
         scaled = np.asarray(scaled, dtype=float)
-        weighted = np.einsum("ck,ck->c", scaled, _windows(mag[c:], rows, len(logc))) + scaled @ weight
+        weighted = np.einsum("ck,ck->c", scaled, _windows(mag[c:], rows, len(logc)))
+        weighted += scaled @ weight
         logsum[c : c + rows] = np.log(np.maximum(weighted, 1e-300)) + np.asarray(top, dtype=float)
     return sign, logabs, logsum
 

@@ -191,7 +191,8 @@ def kt_general(q, q2, t, nu, tol=1e-8, *, nm):
         raise err.restated(tol) from None
     bound = tail + cut + roundoff
     if bound > tol:
-        raise ToleranceNotAchieved(tol, bound, "determinant cancellation: certified round-off")
+        detail = f"determinant cancellation: certified round-off {roundoff:.3g}"
+        raise ToleranceNotAchieved(tol, bound, detail + "; try precision='high'")
     return KernelValue(values.sum(), bound)
 
 
