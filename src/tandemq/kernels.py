@@ -141,9 +141,10 @@ def departure_kernel_stack(d, d2, count, t, nu, budget, nm):
     n1 = len(nu)
     log_budget = math.log(budget)
     lt = log_budget - math.log(count * n1 * n1)
+    logs = nm.log(np.array([nm.scalar(v) for v in nu], dtype=nm.dtype))
     for _ in range(3):
         try:
-            rows = [_entry_row(a, d, d2, count, t, nu, lt, nm) for a in range(n1)]
+            rows = [_entry_row(a, d, d2, count, t, nu, logs, lt, nm) for a in range(n1)]
         except ToleranceNotAchieved as err:
             raise err.restated(budget) from None
         sign, logabs, logcut, logrnd = (np.stack(x, axis=1) for x in zip(*rows))
@@ -154,11 +155,12 @@ def departure_kernel_stack(d, d2, count, t, nu, budget, nm):
     raise ToleranceNotAchieved.from_logs(log_budget, log_cut, "h-series cut")
 
 
-def _entry_row(a, d, d2, count, t, nu, lt, nm):
-    """Row a of every slice: the sign and log|.| of entry (a, b) for
-    n = n0 + c, n0 = d2_a - d_b - a + b, as (count, N+1) arrays, the log
-    of the bound on each entry's cut, and the float log of a bound on
-    each entry's round-off, from one pmf table.
+def _entry_row(a, d, d2, count, t, nu, logs, lt, nm):
+    """Row a of every slice, given the logs of the rates: the sign and
+    log|.| of entry (a, b) for n = n0 + c, n0 = d2_a - d_b - a + b, as
+    (count, N+1) arrays, the log of the bound on each entry's cut, and
+    the float log of a bound on each entry's round-off, from one pmf
+    table.
 
     Round-off, in units u = nm.unit, of a term: the error of its log pmf
     (Numerics.poisson_logpmf_error) and |n - mu| for the rounding of
@@ -173,7 +175,6 @@ def _entry_row(a, d, d2, count, t, nu, lt, nm):
     pmf is factored out (_e_entry)."""
     vals = nu.values
     n1 = len(vals)
-    logs = nm.log(np.array([nm.scalar(v) for v in vals], dtype=nm.dtype))
     flogs = np.asarray(logs, dtype=float)
     mu = nm.scalar(vals[a]) * nm.scalar(t)
     n0s = [d2[a] - d[b] - a + b for b in range(n1)]
@@ -227,14 +228,14 @@ def _e_entry(a, b, n0, count, nu, mu, logpmf, mag, lo, nm):
     pois(mu, n') q_n, n' = max(n, 0), q_n the sum over k of
     (-1)^k e_k(nu_{b+1..a}) nu_a^-k pois(mu, n + k) / pois(mu, n'), each
     ratio a product of at most m = a - b factors mu / i.  A term of q_n
-    is off by (5m + 4) u at most, the sum adds m u per term, and
+    is off by (6m + 4) u at most, the sum adds m u per term, and
     log|q_n| adds u |log|q_n|| + 4u, below u (s |log s| + 1/e) + 4u |q_n|
     for s the sum of the |terms|."""
     m = a - b
     ks = np.arange(m + 1)
     rate = nm.scalar(nu.values[a])
     table = symfunc._e_table(m, nu.values[b + 1 : a + 1])
-    coefs = np.array([(-1) ** k * nm.scalar(table[k]) / rate**k for k in ks], dtype=nm.dtype)
+    coefs = np.array([nm.scalar(v) for v in table], dtype=nm.dtype) * (-1 / rate) ** ks
     ns = n0 + np.arange(count)
     base = np.maximum(ns, 0)
     ratio = np.ones((count, m + 1), dtype=nm.dtype)
@@ -243,13 +244,13 @@ def _e_entry(a, b, n0, count, nu, mu, logpmf, mag, lo, nm):
     if n0 < 0:
         # a slice with n < 0 starts at index 0: term k is ratio n + k
         idx = ns[:, None] + ks - base[:, None]
-        ratio = np.where(idx >= 0, np.take_along_axis(ratio, np.maximum(idx, 0), axis=1), 0)
+        ratio = ratio[np.arange(count)[:, None], np.maximum(idx, 0)] * (idx >= 0)
     terms = ratio * coefs
     q = terms.sum(axis=1)
     lp = logpmf[base - lo]
     s = np.asarray(abs(terms), dtype=float).sum(axis=1)
     rnd = abs(np.asarray(q, dtype=float)) * (mag[base - lo] + 4) + 1
-    rnd += s * (6 * m + 4 + abs(np.log(np.maximum(s, 1e-300))))
+    rnd += s * (7 * m + 4 + abs(np.log(np.maximum(s, 1e-300))))
     return np.sign(q).astype(int), lp + nm.log(abs(q)), np.asarray(lp, dtype=float) + np.log(rnd)
 
 
@@ -368,14 +369,17 @@ def _det_perm_diff(sign, logabs, logcut, logrnd, nm):
     count, n1, _ = logabs.shape
     size = 1 << n1
     unit = nm.unit
-    la, sg = logabs.transpose(1, 2, 0), sign.transpose(1, 2, 0)
+    # (row, column, slice) order, so that a level gathers whole rows
+    la = np.ascontiguousarray(logabs.transpose(1, 2, 0))
+    sg = np.ascontiguousarray(sign.transpose(1, 2, 0))
     fa = np.asarray(la, dtype=float)
     # channel 0 carries the cuts over |A|, channel 1 the entries'
     # round-off over |A| + C; then the two bases |A| + C and |A| + C + R
-    cut = np.broadcast_to(logcut[:, :, None], fa.shape)
-    rnd = logrnd.transpose(1, 2, 0)
-    base_c = np.logaddexp(fa, cut)
-    chans = np.stack((cut, rnd, base_c, np.logaddexp(base_c, rnd)))
+    chans = np.empty((4,) + fa.shape)
+    chans[0] = logcut[:, :, None]
+    chans[1] = logrnd.transpose(1, 2, 0)
+    chans[2] = np.logaddexp(fa, chans[0])
+    chans[3] = np.logaddexp(chans[2], chans[1])
     logp = np.empty((size, count), dtype=nm.dtype)
     rho = np.empty((size, count), dtype=nm.dtype)
     logp[0], rho[0] = 0, 1
