@@ -109,6 +109,7 @@ __all__ = [
     "departure_kernel_via_intertwining",
     "departure_to_chamber",
     "departure_to_chamber_support",
+    "dominant_prefactor",
     "elementary",
     "enumerate_gt",
     "fit_decay_rate",

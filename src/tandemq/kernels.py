@@ -17,14 +17,14 @@ destination point, columns j the source point, both running 0..N.
 The intertwining weights are polynomial in the rates and evaluate
 exactly over ints/Fractions.  Time-dependent kernels are numeric
 (float64, or under precision="high" mpmath, and decimal for the survival
-sum of noncrossing_prob); every infinite sum is cut
-with a certified bound.  departure_kernel evaluates its entry series
-and determinants in sign and log|.| form (departure_kernel_stack).  The
-weight-kernel sandwich at the end (departure_kernel_via_intertwining)
-is the independent route that the verify suite checks departure_kernel
-against: a lattice sum of products of two float determinants, taken in
-numpy blocks with slogdet, that shares no code with
-departure_kernel_stack.
+sum of noncrossing_prob); every infinite sum is cut with a certified
+bound.  departure_kernel sums its h-window entries as nested suffix sums
+of one pmf table per row, and keeps entries and determinants in sign
+and log|.| form (departure_kernel_stack).  The weight-kernel sandwich at
+the end (departure_kernel_via_intertwining) is the independent route
+that the verify suite checks departure_kernel against: a lattice sum of
+products of two float determinants, taken in numpy blocks with slogdet,
+that shares no code with departure_kernel_stack.
 """
 
 import functools
@@ -131,12 +131,12 @@ def departure_kernel_stack(d, d2, count, t, nu, budget, nm):
 
     coef_k = 1 on the diagonal (k = 0 only), (-1)^k e_k(nu_{b+1..a}) for
     a > b (k <= a - b), and h_k(nu_{a+1..b}) for a < b, a series cut
-    where its certified tail drops below e^lt (_h_cut).  The entries are
-    kept as sign and log|.|, so no factor overflows, and one subset
-    recursion (_det_perm_diff) gives the determinants and both bounds.
-    The first lt assumes permanents of unit size; a larger one misses the
-    budget, and every cut is then lowered below the worst one by the
-    measured excess."""
+    where its certified tail drops below e^lt (_h_cut).  _entry_row sums
+    them as suffix sums and keeps the entries as sign and log|.|, so no
+    factor overflows; one subset recursion (_det_perm_diff) gives the
+    determinants and both bounds.  The first lt assumes permanents of
+    unit size; a larger one misses the budget, and every cut is then
+    lowered below the worst one by the measured excess."""
     nu = as_rates(nu)
     n1 = len(nu)
     log_budget = math.log(budget)
@@ -158,68 +158,90 @@ def departure_kernel_stack(d, d2, count, t, nu, budget, nm):
 def _entry_row(a, d, d2, count, t, nu, logs, lt, nm):
     """Row a of every slice, given the logs of the rates: the sign and
     log|.| of entry (a, b) for n = n0 + c, n0 = d2_a - d_b - a + b, as
-    (count, N+1) arrays, the log of the bound on each entry's cut, and
-    the float log of a bound on each entry's round-off, from one pmf
-    table.
+    (count, N+1) arrays, the log of each entry's cut bound and the float
+    log of its round-off bound, from one pmf table (_e_entry for a > b).
 
-    Round-off, in units u = nm.unit, of a term: the error of its log pmf
-    (Numerics.poisson_logpmf_error) and |n - mu| for the rounding of
-    mu = nu_a t; 2 |log pmf| + 3 |log coef| for adding the logs and the
-    log of the sum; the coefficient's own (one u per operation of the
-    symmetric function, of degree k, its log and k times the log ratio of
-    the rates); 2 len + 8 for the shift by the largest exponent, exp and
-    the sum of the len terms; and the prefactor's.  For a <= b every term
-    is positive, and the bound sums |term| times its relative error.  For
-    a > b the entry is a finite difference that may cancel far below its
-    terms (pois(mu, n) - pois(mu, n + 1) vanishes at n + 1 = mu), so the
-    pmf is factored out (_e_entry)."""
-    vals = nu.values
-    n1 = len(vals)
-    flogs = np.asarray(logs, dtype=float)
-    mu = nm.scalar(vals[a]) * nm.scalar(t)
-    n0s = [d2[a] - d[b] - a + b for b in range(n1)]
-    logcut = np.full(n1, -np.inf)
+    For a <= b the entry is its prefactor times F_b(n) = sum_k
+    h_k(x_{a+1..b}) pois(mu, n + k), x_j = nu_j/nu_a, mu = nu_a t, and
+    h_k(S) = h_k(S - b) + x_b h_{k-1}(S) (Macdonald, Symmetric Functions
+    and Hall Polynomials, I.2) gives F_a(n) = pois(mu, n) and F_b(n) =
+    F_{b-1}(n) + x_b F_b(n + 1): with g_m = log F_{b-1}(m) + i_m log x_b,
+    i = n - n0_a, top = max g and A_n = e^acc_n = sum_{m >= n}
+    e^(g_m - top), log F_b(n) = acc_n + top - i_n log x_b (_h_level).
+    All levels stop at one index past every entry's slices and cut, so
+    each entry is exactly its series cut at a k >= its cut (_h_cut).
+
+    Round-off, relative, in units u = nm.unit.  F_a: the log pmf's
+    (Numerics.poisson_logpmf_error) and |n - mu| for the rounding of mu.
+    F_b(n), to first order, with rel the bound of F_{b-1}:
+
+        [sum_{m >= n} e^(g_m - top) (rel_m + |i_m log x_b| + |g_m| + |g_m - top| + 4)
+         + sum_{m >= n} A_m (|acc_m| + 6 + lerr)] / A_n
+        + |acc_n + top| + |i_n log x_b| + |log F_b(n)|.
+
+    An error in the exponent of term m (rel_m, the product, sum, shift
+    and exp) moves each A_n by e^(g_m - top) times it, and one in the step
+    at m (np.logaddexp rounds a difference, an exp, a log1p below log 2
+    and a sum; mpmath far less) by A_m times it.  log x_b is off by
+    lerr = 4 |log nu_a| + 4 |log nu_b| + |log x_b|, term m by (m - n) lerr
+    after the shift back (the last line), and sum_{m >= n} (m - n)
+    e^(g_m - top) = sum_{m > n} A_m.  Shifting by top keeps |acc| small
+    where the mass is.  The prefactor adds |log|, and its log is off by
+    3 |log| + 6 |d_b - b| (|log nu_a| + |log nu_b|) at most."""
     fl = nu.as_floats()
-    # the diagonal is one term, log coef 0: the weight below at k = 0
-    series = {a: (np.zeros(1, dtype=nm.dtype), np.full(1, 16.0))}
+    n1 = len(fl)
+    flogs = np.asarray(logs, dtype=float)
+    mu = nm.scalar(nu.values[a]) * nm.scalar(t)
+    n0s = [d2[a] - d[b] - a + b for b in range(n1)]
+    cuts, logcut = [0] * n1, np.full(n1, -np.inf)
     for b in range(a + 1, n1):
-        # h_k over the window rates scaled by their maximum is at most
-        # binom(k+m-1, m-1), so the terms stay bounded
-        top = a + 1 + int(np.argmax(flogs[a + 1 : b + 1]))
-        cut, logcut[b] = _h_cut(
-            n0s[b], fl[a] * float(t), fl[top] / fl[a], b - a - 1,
+        # h_k(x_{a+1..b}) <= binom(k+b-a-1, b-a-1) max(x)^k
+        cuts[b], logcut[b] = _h_cut(
+            n0s[b], fl[a] * float(t), max(fl[a + 1 : b + 1]) / fl[a], b - a - 1,
             (d[b] - b) * (flogs[a] - flogs[b]), lt,
         )
-        numax = nm.scalar(vals[top])
-        table = symfunc.window_h_table(cut, a, b, [nm.scalar(v) / numax for v in vals])
-        ks = np.arange(cut + 1)
-        logh = nm.log(np.array(table, dtype=nm.dtype))
-        lratio = nm.log(numax / nm.scalar(vals[a]))
-        logc = logh + ks.astype(nm.dtype) * lratio
-        err = 3 * ks + 2 * (b - a) + 4 * abs(np.asarray(logh, dtype=float))
-        err += ks * (1 + 5 * abs(float(lratio))) + 4 * abs(np.asarray(logc, dtype=float))
-        series[b] = logc, err + 2 * len(logc) + 14
     # n0 grows with b, and the entries left of the diagonal start at max(n0, 0)
     lo = min(n0s[a], max(n0s[0], 0))
-    hi = max([n0s[b] + len(series[b][0]) - 1 for b in series] + [0]) + count - 1
+    hi = max(max(n0s[b] + cuts[b] for b in range(a, n1)), 0) + count - 1
     logpmf = nm.poisson_logpmf_table(mu, lo, hi)
     err = nm.poisson_logpmf_error(mu, lo, hi, logpmf) + abs(np.arange(lo, hi + 1) - float(mu))
-    err += 2 * np.minimum(abs(np.asarray(logpmf, dtype=float)), 1e300)
-    sign = np.empty((count, n1), dtype=int)
-    logabs = np.empty((count, n1), dtype=nm.dtype)
-    logrnd = np.empty((count, n1))
+    logf, rel = logpmf[n0s[a] - lo :], err[n0s[a] - lo :]
+    cols = []
     for b in range(n1):
-        shift, off = d[b] - b, n0s[b] - lo
+        shift = d[b] - b
         const = shift * (logs[a] - logs[b])
-        pre = err + 3 * abs(float(const)) + 6 * abs(shift) * (abs(flogs[a]) + abs(flogs[b]))
+        cerr = 3 * abs(float(const)) + 6 * abs(shift) * (abs(flogs[a]) + abs(flogs[b]))
         if b < a:
-            entry = _e_entry(a, b, n0s[b], count, nu, mu, logpmf, pre, lo, nm)
+            mag = err + 2 * np.minimum(abs(np.asarray(logpmf, dtype=float)), 1e300) + cerr
+            sign, value, rnd = _e_entry(a, b, n0s[b], count, nu, mu, logpmf, mag, lo, nm)
         else:
-            entry = _log_correlate(logpmf[off:], count, *series[b], pre[off:], nm)
-        sign[:, b], logabs[:, b], logrnd[:, b] = entry
-        logabs[:, b] += const
-        logrnd[:, b] += float(const) + math.log(nm.unit)
+            if b > a:
+                logf, rel = _h_level(logf, rel, logs[a], logs[b], nm)
+            value, r = (x[n0s[b] - n0s[a] :][:count] for x in (logf, rel))
+            flat = np.asarray(value, dtype=float)
+            sign = (flat > -np.inf).astype(int)
+            rnd = flat + np.log(r + np.minimum(abs(flat), 1e300) + cerr)
+        cols.append((sign, value + const, rnd + float(const) + math.log(nm.unit)))
+    sign, logabs, logrnd = (np.stack(x, axis=1) for x in zip(*cols))
     return sign, logabs, logcut, logrnd
+
+
+def _h_level(logf, rel, log_a, log_b, nm):
+    """(log F_b, its bound) from (log F_{b-1}, rel), as in _entry_row."""
+    dist = np.arange(len(logf)) * (log_b - log_a)
+    g = logf + dist
+    fg = np.asarray(g, dtype=float)
+    top = fg.max()
+    acc = nm.log_suffix_sum(g - top)
+    logf = acc + top - dist
+    fg, facc, fdist = fg - top, np.asarray(acc, dtype=float), abs(np.asarray(dist, dtype=float))
+    with np.errstate(invalid="ignore"):
+        terms = fg + np.log(rel + fdist + abs(fg + top) + abs(fg) + 4)
+    terms[fg == -np.inf] = -np.inf  # a pmf below 0 adds nothing
+    lerr = 4 * abs(float(log_a)) + 4 * abs(float(log_b)) + abs(float(log_b - log_a))
+    terms = np.logaddexp(terms, facc + np.log(abs(facc) + 6 + lerr))
+    rel = np.exp(np.logaddexp.accumulate(terms[::-1])[::-1] - facc)
+    return logf, rel + abs(facc + top) + fdist + abs(np.asarray(logf, dtype=float))
 
 
 def _e_entry(a, b, n0, count, nu, mu, logpmf, mag, lo, nm):
@@ -252,38 +274,6 @@ def _e_entry(a, b, n0, count, nu, mu, logpmf, mag, lo, nm):
     rnd = abs(np.asarray(q, dtype=float)) * (mag[base - lo] + 4) + 1
     rnd += s * (7 * m + 4 + abs(np.log(np.maximum(s, 1e-300))))
     return np.sign(q).astype(int), lp + nm.log(abs(q)), np.asarray(lp, dtype=float) + np.log(rnd)
-
-
-def _log_correlate(logpmf, count, logc, weight, mag, nm):
-    """Sign and log|.| of sum_k exp(logpmf[c + k] + logc_k) for
-    c = 0..count-1, each sum shifted by its largest exponent, and the
-    float log of the sum of its terms weighted by mag[c + k] + weight_k;
-    the (c, k) terms are read as read-only windows of the tables, about
-    2^20 at a time."""
-    sign = np.zeros(count, dtype=int)
-    logabs = np.empty(count, dtype=logpmf.dtype)
-    logsum = np.empty(count)
-    step = max(1, (1 << 20) // len(logc))
-    for c in range(0, count, step):
-        rows = min(step, count - c)
-        terms = _windows(logpmf[c:], rows, len(logc)) + logc
-        top = terms.max(axis=1)
-        top = np.where(top == -np.inf, 0, top)
-        scaled = nm.exp(terms - top[:, None])
-        total = scaled.sum(axis=1)
-        sign[c : c + rows] = total > 0
-        logabs[c : c + rows] = nm.log(total) + top
-        scaled = np.asarray(scaled, dtype=float)
-        weighted = np.einsum("ck,ck->c", scaled, _windows(mag[c:], rows, len(logc)))
-        weighted += scaled @ weight
-        logsum[c : c + rows] = np.log(np.maximum(weighted, 1e-300)) + np.asarray(top, dtype=float)
-    return sign, logabs, logsum
-
-
-def _windows(x, rows, width):
-    """The read-only (rows, width) view x[i + j] of a 1-d array."""
-    step = x.strides[0]
-    return np.lib.stride_tricks.as_strided(x, (rows, width), (step, step), writeable=False)
 
 
 def _h_cut(n0, mu, ratio, deg, log_f, lt):

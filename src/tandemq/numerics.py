@@ -159,6 +159,13 @@ class Numerics:
         with np.errstate(divide="ignore"):
             return np.log(x)
 
+    def log_suffix_sum(self, x):
+        """log sum_{m >= n} exp(x_m) for each n: in double a reversed
+        np.logaddexp.accumulate, in high exp, cumsum and log (mpf cannot overflow)."""
+        if self.high:
+            return self.log(np.cumsum(self.exp(x[::-1]))[::-1])
+        return np.logaddexp.accumulate(x[::-1])[::-1]
+
     def poisson_logpmf_table(self, mu, lo, hi):
         """log pmf of Poisson(mu) on integers lo..hi inclusive (-inf for
         k < 0), with log 0! = 0 at mu = 0 (poisson_logpmf)."""

@@ -537,14 +537,15 @@ def check_chamber_infimum_vs_scipy(budget, rng):
             lam = np.array([nu[k] for k in sigma])
 
             def obj(g, lam=lam):
-                x = np.cumsum(g[::-1])[::-1]
-                x = np.maximum(x, 1e-300)
-                return float(np.sum(lam - x + x * np.log(x / lam)))
+                x = np.maximum(np.cumsum(g[::-1])[::-1], 1e-300)
+                logr = np.log(x / lam)
+                # x_k sums g_j over j >= k, so d/dg_j = sum_{k <= j} log(x_k/lam_k)
+                return float(np.sum(lam - x + x * logr)), np.cumsum(logr)
 
             for _start in range(3):
                 g0 = np.abs(np.diff(np.append(lam, 0.0) * rng.uniform(0.5, 1.5)))
                 res = optimize.minimize(
-                    obj, np.maximum(g0, 1e-6), method="L-BFGS-B",
+                    obj, np.maximum(g0, 1e-6), method="L-BFGS-B", jac=True,
                     bounds=[(0.0, None)] * n1, options={"ftol": 1e-14, "gtol": 1e-10},
                 )
                 best = min(best, float(res.fun))

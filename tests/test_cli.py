@@ -4,10 +4,12 @@ codes, and byte-stable serialization."""
 import json
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import pytest
 
+import tandemq
 from tandemq import cli
 from tandemq.errors import ToleranceNotAchieved
 from tandemq.queueprobs import kt00_direct, kt00_stationary, mm1_kt, stationary_empty_prob
@@ -377,6 +379,17 @@ def test_import_leaves_verify_unloaded():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == ["False", "tandemq.verify", "True"]
+
+
+def test_all_lists_every_public_name():
+    # __all__ is kept by hand beside the imports: the package's public
+    # non-module attributes and the lazily loaded verify names
+    public = {
+        name for name, value in vars(tandemq).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(tandemq.__all__) == public | set(tandemq._VERIFY_NAMES)
+    assert len(tandemq.__all__) == len(set(tandemq.__all__))
 
 
 FRESH_EVALUATIONS = """

@@ -165,18 +165,27 @@ def test_departure_kernel_large_t_stays_a_probability():
 
 
 def test_departure_stack_round_off_within_its_bound():
-    # cancelling determinants, a service rate below an earlier one: every
-    # double slice stays within its certified round-off of the 50-digit one
-    d = queue_to_departures((1, 0, 0))
-    nu = as_rates((1, 1.5, 4, 2))
-    lo, cut_lo, round_lo = departure_kernel_stack(d, (0,) * 4, 30, 8.0, nu, 1e-12, Numerics())
-    with mpmath.workdps(HIGH_DPS):
-        hi, cut_hi, round_hi = departure_kernel_stack(
-            d, (0,) * 4, 30, 8.0, nu, 1e-12, Numerics("high")
-        )
-        gap = float(sum(abs(mpmath.mpf(float(a)) - b) for a, b in zip(lo, hi)))
-    assert 0 < gap <= round_lo + round_hi + cut_lo + cut_hi
-    assert round_hi < 1e-40
+    # every double slice stays within its certified round-off of the
+    # 50-digit one: cancelling determinants (a service rate below an
+    # earlier one), and sorted rates at t=300, whose h-series run hundreds
+    # of terms, with 40 slices around c = nu_0 t that hold most of the mass
+    cases = [
+        ((1, 0, 0), (0,) * 4, 30, 8.0, (1, 1.5, 4, 2)),
+        ((2, 1, 0), (280,) * 4, 40, 300.0, (1, 2, 3, 4)),
+    ]
+    for q, d2, count, t, rates in cases:
+        d = queue_to_departures(q)
+        nu = as_rates(rates)
+        lo, cut_lo, round_lo = departure_kernel_stack(d, d2, count, t, nu, 1e-12, Numerics())
+        with mpmath.workdps(HIGH_DPS):
+            hi, cut_hi, round_hi = departure_kernel_stack(
+                d, d2, count, t, nu, 1e-12, Numerics("high")
+            )
+            gap = float(sum(abs(mpmath.mpf(float(a)) - b) for a, b in zip(lo, hi)))
+        assert 0 < gap <= round_lo + round_hi + cut_lo + cut_hi
+        assert round_hi < 1e-40
+    # the t=300 slices: kt((2,1,0), 0) is close to pi(0) = 1/4
+    assert min(lo) > 1e-3 and sum(lo) > 0.7 / 4
 
 
 def test_departure_kernel_vs_intertwining_points():

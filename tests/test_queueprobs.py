@@ -165,10 +165,14 @@ def test_kt_general_time_zero():
 
 @pytest.mark.parametrize(
     "nu, t",
-    [((1, 2, 4), 30.0), ((1, 2, 3, 5), 5.0), ((1, 2, 3, 5), 20.0)],
+    [
+        ((1, 2, 4), 30.0), ((1, 2, 3, 5), 5.0), ((1, 2, 3, 5), 20.0),
+        ((1, 2, 4), 2000.0), ((1, 1.8, 2.6, 3.5), 1000.0),
+    ],
 )
 def test_kt_general_matches_stationary_form(nu, t):
-    # inputs the weight-kernel sandwich refused (weighted box point limit)
+    # inputs the weight-kernel sandwich refused (weighted box point limit),
+    # and large t, where the h-series run thousands of terms
     zero = (0,) * (len(nu) - 1)
     a = kt_general(zero, zero, t, nu, tol=1e-9)
     b = kt00_stationary(t, nu, tol=1e-12)
