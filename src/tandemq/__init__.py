@@ -53,7 +53,6 @@ from .queueprobs import (
 )
 from .rates import RateVector, as_rates
 from .simulator import (
-    CtmcTruncation,
     Estimate,
     SimConfig,
     simulate_noncrossing,
@@ -86,7 +85,6 @@ def __getattr__(name):
 __all__ = [
     "CheckResult",
     "CoincidentRatesError",
-    "CtmcTruncation",
     "DecayReport",
     "Estimate",
     "GTPattern",

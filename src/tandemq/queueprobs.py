@@ -157,12 +157,13 @@ def kt_general(q, q2, t, nu, tol=1e-8, *, nm):
     P(Poisson(nu_0 t) > cap), the smallest cap that meets tol/4.  cut:
     the summed error of the h-series cuts inside the determinants, below
     tol/8.  roundoff: the certified float round-off of the entries and
-    the determinants (kernels._det_perm_diff).  When a service rate is
-    below an earlier one the determinants cancel at large t, and when
-    the three exceed tol the call raises ToleranceNotAchieved ("determinant
-    cancellation") with their sum instead of returning a value.  Between
-    empty states the service rates are sorted first, which leaves the
-    value unchanged."""
+    the determinants (kernels._det_perm_diff).  When the three exceed
+    tol the call raises ToleranceNotAchieved with their sum instead of
+    returning a value; the message names a "determinant cancellation"
+    when a service rate is below an earlier one, since the determinants
+    then cancel at large t, and otherwise the round-off against what tol
+    leaves after tail and cut.  Between empty states the service rates
+    are sorted first, which leaves the value unchanged."""
     nu = as_rates(nu)
     q = _check_queue(q, nu.n_stations, "q")
     q2 = _check_queue(q2, nu.n_stations, "q2")
@@ -191,7 +192,14 @@ def kt_general(q, q2, t, nu, tol=1e-8, *, nm):
         raise err.restated(tol) from None
     bound = tail + cut + roundoff
     if bound > tol:
-        detail = f"determinant cancellation: certified round-off {roundoff:.3g}"
+        s = nu.services
+        if any(b < a for a, b in zip(s, s[1:])):
+            detail = f"determinant cancellation: certified round-off {roundoff:.3g}"
+        else:
+            detail = (
+                f"certified round-off {roundoff:.3g} exceeds what tol leaves after "
+                f"tail {tail:.3g} and cut {cut:.3g}"
+            )
         raise ToleranceNotAchieved(tol, bound, detail + "; try precision='high'")
     return KernelValue(values.sum(), bound)
 

@@ -17,9 +17,14 @@ The station of an event is the number of cumulative rate fractions at
 or below its uniform.  Events are then replayed step by step over the
 replications sorted by event count, most first, so step j touches only
 the prefix of replications that have a j-th event.
+
+Uniformization steps the law of the queue vector on the box {0..cap}^n
+as one numpy array: every jump of a tandem chain shifts that array along
+one or two axes, so no transition matrix is built.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -170,141 +175,97 @@ def _run_blocks(worker, static_args, cfg, jobs=None):
     return Estimate(p, 1.96 * math.sqrt(var / n), n)
 
 
-def simulate_queue_prob(q, q2, t=None, cfg=None, jobs=None):
+def simulate_queue_prob(q, q2, cfg=None, jobs=None):
     """Monte Carlo estimate of the queue-vector transition probability
-    from q to q2 over time t (default cfg.horizon)."""
+    from q to q2 over time cfg.horizon."""
     if cfg is None:
         raise PreconditionError("cfg is required")
     nu = as_rates(cfg.rates)
     q = _check_queue(q, nu.n_stations, "q")
     q2 = _check_queue(q2, nu.n_stations, "q2")
-    t = cfg.horizon if t is None else float(t)
-    check_time(t)
-    if t == 0:
-        raise PreconditionError("t must be positive")
-    return _run_blocks(_queue_block, (nu.as_floats(), q, q2, t), cfg, jobs)
+    return _run_blocks(_queue_block, (nu.as_floats(), q, q2, cfg.horizon), cfg, jobs)
 
 
-def simulate_noncrossing(x, t=None, cfg=None, jobs=None):
+def simulate_noncrossing(x, cfg=None, jobs=None):
     """Monte Carlo estimate of the probability that independent Poisson
-    counters started at x keep their weak ordering through time t."""
+    counters started at x keep their weak ordering through time
+    cfg.horizon."""
     if cfg is None:
         raise PreconditionError("cfg is required")
     x = _check_chamber(x, "x")
     if len(x) != len(cfg.rates):
         raise PreconditionError("x must have one coordinate per rate")
-    t = cfg.horizon if t is None else float(t)
-    check_time(t)
-    if t == 0:
-        raise PreconditionError("t must be positive")
     if len(x) == 1:
         return Estimate(1.0, 0.0, cfg.replications)
     fl = tuple(float(v) for v in cfg.rates)
-    return _run_blocks(_noncross_block, (fl, x, t), cfg, jobs)
+    return _run_blocks(_noncross_block, (fl, x, cfg.horizon), cfg, jobs)
 
 
 # ---------------------------------------------------------------------------
 # uniformization on a truncated queue-length chain
 
 
-@dataclass
-class CtmcTruncation:
-    """Per-queue cap for the truncated state space; after a run,
-    mass_leak_bound holds the probability of having hit the artificial
-    boundary (an absorbing overflow state) by the horizon."""
-
-    cap: int
-    mass_leak_bound: float = 0.0
-
-
-_MATRIX_CACHE = {}
-
-
-def _uniformized_matrix(fl, n, cap):
-    """CSR matrix of the uniformized jump chain on {0..cap}^n plus one
-    absorbing overflow state, and the uniformization rate."""
-    from scipy import sparse
-
-    key = (fl, n, cap)
-    if key in _MATRIX_CACHE:
-        return _MATRIX_CACHE[key]
-    size = (cap + 1) ** n
-    overflow = size
-    lam = float(sum(fl))
-    idx = np.arange(size)
-    coords = np.unravel_index(idx, (cap + 1,) * n)
-    strides = [(cap + 1) ** (n - 1 - k) for k in range(n)]
-    rows, cols, vals = [], [], []
-    stay = np.zeros(size)
-
-    def add(mask, target, p):
-        rows.append(idx[mask])
-        cols.append(target if np.ndim(target) else np.full(mask.sum(), target))
-        vals.append(np.full(len(rows[-1]), p))
-
-    # arrivals
-    p0 = fl[0] / lam
-    ok = coords[0] < cap
-    add(ok, idx[ok] + strides[0], p0)
-    add(~ok, overflow, p0)
-    # service at station k: queue k-1 -> k (or out of the system)
-    for k in range(1, n + 1):
-        pk = fl[k] / lam
-        busy = coords[k - 1] > 0
-        stay[~busy] += pk
-        if k < n:
-            fits = busy & (coords[k] < cap)
-            add(fits, idx[fits] - strides[k - 1] + strides[k], pk)
-            add(busy & ~fits, overflow, pk)
-        else:
-            add(busy, idx[busy] - strides[n - 1], pk)
-    rows.append(idx[stay > 0])
-    cols.append(idx[stay > 0])
-    vals.append(stay[stay > 0])
-    rows.append(np.array([overflow]))
-    cols.append(np.array([overflow]))
-    vals.append(np.array([1.0]))
-    P = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size + 1, size + 1),
-    )
-    _MATRIX_CACHE[key] = (P, lam)
-    return P, lam
-
-
-def uniformization_kt(q, q2, t, nu, trunc, tol=1e-8):
+def uniformization_kt(q, q2, t, nu, cap, tol=1e-8):
     """Transient queue-transition probability by uniformization on the
-    truncated chain.
+    chain truncated to the box {0..cap}^n.
 
-    The Poisson series over powers of the uniformized operator is cut
-    at the 1 - tol/2 quantile; mass that reaches a capped coordinate is
-    absorbed and counted, so abs_error = tol/2 + leak is a rigorous
-    bound.  Raises when the leak alone exceeds tol/2 (grow the cap)."""
+    The law of the queue vector is stepped as an array over the box.
+    One step of the uniformized jump chain keeps stay * v, stay being
+    the chance of a null event (the rate fractions of the idle stations
+    summed), and adds each move's rate fraction times its source slice
+    of v onto its target slice: the arrival, each service that passes a
+    job on, and the departure.  A jump that leaves the box (an arrival
+    at a full first queue, a job passed to a full queue) moves its mass
+    into one absorbing overflow scalar.  The Poisson series over the
+    steps is cut at the 1 - tol/2 quantile, and the overflow mass,
+    weighted like the value, is the leak, so abs_error = tol/2 + leak is
+    a rigorous bound.  Raises when the leak alone exceeds tol/2 (grow
+    the cap)."""
     nu = as_rates(nu)
     n = nu.n_stations
-    if isinstance(trunc, int):
-        trunc = CtmcTruncation(trunc)
-    cap = int(trunc.cap)
+    if not isinstance(cap, numbers.Integral):
+        raise PreconditionError(f"cap must be an int, got {cap!r}")
     q = _check_queue(q, n, "q")
     q2 = _check_queue(q2, n, "q2")
     if max(q) > cap or max(q2) > cap:
         raise PreconditionError("queue entries must not exceed the truncation cap")
     check_time(t)
-    fl = tuple(nu.as_floats())
-    P, lam = _uniformized_matrix(fl, n, cap)
+    fl = nu.as_floats()
+    lam = float(sum(fl))
+    p = [f / lam for f in fl]
+
+    def at(cuts):
+        # the index of the box that takes cuts[k] on axis k, all elsewhere
+        return tuple(cuts.get(k, slice(None)) for k in range(n))
+
+    up, down = slice(1, None), slice(0, cap)
+    # (target, source, p) of each move and (source, p) of each spill;
+    # the service at station k acts on queue k-1
+    moves = [(at({0: up}), at({0: down}), p[0])]
+    spills = [(at({0: cap}), p[0])]
+    for k in range(1, n):
+        moves.append((at({k - 1: down, k: up}), at({k - 1: up, k: down}), p[k]))
+        spills.append((at({k - 1: up, k: cap}), p[k]))
+    moves.append((at({n - 1: down}), at({n - 1: up}), p[n]))
+    stay = np.zeros((cap + 1,) * n)
+    for k in range(n):
+        stay[at({k: 0})] += p[k + 1]
     mu = lam * float(t)
     n_terms, _ = poisson_cap(mu, tol / 2)
     weights = Numerics().poisson_pmf_table(mu, 0, n_terms)
-    v = np.zeros(P.shape[0])
-    v[np.ravel_multi_index(q, (cap + 1,) * n)] = 1.0
-    target = np.ravel_multi_index(q2, (cap + 1,) * n)
+    v = np.zeros((cap + 1,) * n)
+    v[q] = 1.0
     acc = 0.0
     leak = 0.0
+    over = 0.0
     for w in weights:
-        acc += w * v[target]
-        leak += w * v[-1]
-        v = v @ P
-    trunc.mass_leak_bound = float(leak)
+        acc += w * v[q2]
+        leak += w * over
+        over += sum(pk * v[src].sum() for src, pk in spills)
+        new = stay * v
+        for dst, src, pk in moves:
+            new[dst] += pk * v[src]
+        v = new
     if leak > tol / 2:
         raise ToleranceNotAchieved(tol, tol / 2 + leak, f"truncation cap {cap} leaks mass")
     return KernelValue(float(acc), tol / 2 + float(leak))

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,8 @@ from tandemq.asymptotics import (
     relaxation_time,
 )
 from tandemq.errors import PreconditionError
+from tandemq.kernels import noncrossing_prob
+from tandemq.queueprobs import kt_general, stationary_empty_prob
 
 RATE_122 = 3.0 - 2.0 * math.sqrt(2.0)  # nu0=1, numin=2
 
@@ -162,3 +165,39 @@ def test_decay_report_bundles():
     assert rep.prefactor == pytest.approx(12.0, rel=1e-12)
     assert rep.dominant_arrangement == (4.0, 3.0, 1.0, 2.0)
     assert rep.n_points >= 4
+
+
+# ---------------------------------------------------------------------------
+# the relaxation theorem where the closed forms cannot go, on the
+# kt_general route: six stations, and gaps from non-empty states
+
+# bottleneck 1.6 at station 3 of 6
+SIX_STATIONS = (1, 3, 2.5, 1.6, 4, 3.5, 2.2)
+
+
+@pytest.mark.parametrize("t", [100.0, 160.0])
+def test_dominant_term_ratio_six_stations(t):
+    zero = (0,) * 6
+    kv = kt_general(zero, zero, t, SIX_STATIONS, tol=1e-12)
+    gap = kv.value - float(stationary_empty_prob(SIX_STATIONS))
+    assert gap > 1e3 * kv.abs_error
+    pref, arrangement = dominant_prefactor(SIX_STATIONS)
+    p = noncrossing_prob((0,) * 7, t, arrangement, tol=1e-4 * gap, precision="high")
+    assert 0.9 <= gap / (pref * float(p.value)) <= 1.1
+
+
+@pytest.mark.parametrize("q, q2", [((0, 0, 0), (1, 0, 2)), ((3, 0, 1), (1, 1, 0)), ((2, 1, 0), (0, 0, 0))])
+def test_relaxation_rate_from_non_empty_states(q, q2):
+    # the gap to Jackson's product form decays at the relaxation rate
+    # from every state; the power b of t is fitted, not fixed at 3/2
+    nu = (1, 3, 1.6, 2.2)
+    pi = math.prod((1 - nu[0] / s) * (nu[0] / s) ** k for s, k in zip(nu[1:], q2))
+    ts = np.arange(100.0, 161.0, 10.0)
+    gaps = []
+    for t in ts:
+        kv = kt_general(q, q2, float(t), nu, tol=1e-12)
+        gaps.append(kv.value - pi)
+        assert abs(gaps[-1]) > 1e2 * kv.abs_error
+    fit = np.column_stack([np.ones_like(ts), -ts, -np.log(ts)])
+    (_, rate, _), *_ = np.linalg.lstsq(fit, np.log(np.abs(gaps)), rcond=None)
+    assert rate == pytest.approx(relaxation_rate(nu), rel=0.10)

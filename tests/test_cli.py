@@ -406,10 +406,11 @@ with contextlib.redirect_stdout(io.StringIO()):
         cli.main(["relaxation", "--rates", "1,2,3", "--t", "30,40,50,60,70,80"]),
     ]
 kt00_gap(1.5, (1, 4, 2), tol=1e-14, precision="high")
+uniform = uniformization_kt((0,), (1,), 1.0, (1, 2), 40).value
 before = scipy_modules()
-# the oracles import what they need on first use (the verify suites,
+# mm1_kt imports scipy.special on first use (the verify suites,
 # chamber-infimum-vs-scipy among them, run in tests/test_verify.py)
-oracles = [mm1_kt(0, 1, 1.0, (1, 2)).value, uniformization_kt((0,), (1,), 1.0, (1, 2), 40).value]
+oracles = [mm1_kt(0, 1, 1.0, (1, 2)).value, uniform]
 print(json.dumps({"codes": codes, "before": before, "oracles": oracles, "after": len(scipy_modules())}))
 """
 

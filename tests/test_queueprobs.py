@@ -199,6 +199,18 @@ def test_kt_general_refuses_cancelling_determinants():
     assert abs(a.value - b.value) <= a.abs_error + b.abs_error + 1e-12
 
 
+def test_kt_general_refusal_with_sorted_rates_names_the_round_off():
+    # sorted services cancel nothing; the refusal names the certified
+    # round-off that passes what tol leaves, and high precision solves it
+    with pytest.raises(ToleranceNotAchieved) as err:
+        kt_general((0, 0), (0, 0), 300.0, (1, 2, 4), tol=1e-12)
+    msg = str(err.value)
+    assert "cancellation" not in msg
+    assert "certified round-off" in msg and "exceeds what tol leaves" in msg
+    hi = kt_general((0, 0), (0, 0), 300.0, (1, 2, 4), tol=1e-12, precision="high")
+    assert abs(float(hi.value) - 0.375) <= hi.abs_error
+
+
 @pytest.mark.parametrize("t, cap", [(40.0, 38), (160.0, 42)])
 def test_kt_general_unsorted_services_match_uniformization(t, cap):
     # a service rate below an earlier one: the elimination of the

@@ -1,6 +1,7 @@
 """Oracle layer: reproducibility and statistical calibration of the
 Monte Carlo paths, and the truncation contract of uniformization."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -13,7 +14,6 @@ from tandemq.kernels import noncrossing_prob
 from tandemq.queueprobs import mm1_kt
 from tandemq.simulator import (
     BLOCK,
-    CtmcTruncation,
     Estimate,
     SimConfig,
     simulate_noncrossing,
@@ -29,8 +29,10 @@ def test_sim_config_validation():
         SimConfig(rates=(1.0, -2.0), horizon=1.0, seed=0, replications=10)
     with pytest.raises(PreconditionError):
         SimConfig(rates=(1.0, 2.0), horizon=0.0, seed=0, replications=10)
-    with pytest.raises(PreconditionError):
-        SimConfig(rates=(1.0, 2.0), horizon=math.inf, seed=0, replications=10)
+    # an infinite horizon used to reach numpy's Poisson sampler
+    for horizon in (-1.0, math.inf, math.nan):
+        with pytest.raises(PreconditionError):
+            SimConfig(rates=(1.0, 2.0), horizon=horizon, seed=0, replications=10)
     with pytest.raises(PreconditionError):
         SimConfig(rates=(1.0, 2.0), horizon=1.0, seed=0, replications=0)
     with pytest.raises(PreconditionError):
@@ -238,14 +240,6 @@ def test_sim_rejects_bad_points():
     with pytest.raises(PreconditionError):
         simulate_noncrossing((0, 1), cfg=cfg)
     with pytest.raises(PreconditionError):
-        simulate_queue_prob((0,), (0,), cfg=cfg, t=-1.0)
-    # an infinite horizon used to reach numpy's Poisson sampler
-    for t in (math.inf, math.nan):
-        with pytest.raises(PreconditionError):
-            simulate_queue_prob((0,), (0,), cfg=cfg, t=t)
-        with pytest.raises(PreconditionError):
-            simulate_noncrossing((1, 0), cfg=cfg, t=t)
-    with pytest.raises(PreconditionError):
         simulate_queue_prob((0,), (0,))
 
 
@@ -269,20 +263,68 @@ def test_uniformization_rows_sum_to_one():
     assert abs(total - 1.0) <= 1e-8
 
 
-def test_uniformization_accepts_truncation_record():
-    trunc = CtmcTruncation(cap=40)
-    kv = uniformization_kt((0, 0), (0, 0), 1.0, (1, 2, 4), trunc, tol=1e-9)
-    assert trunc.mass_leak_bound <= 1e-9 / 2
+def test_uniformization_leak_in_abs_error():
+    kv = uniformization_kt((0, 0), (0, 0), 1.0, (1, 2, 4), 40, tol=1e-9)
+    assert 0.0 <= kv.abs_error - 1e-9 / 2 <= 1e-9 / 2
     assert kv.abs_error <= 1e-9
     assert 0.0 <= kv.value <= 1.0
 
 
 def test_uniformization_leak_raises():
-    trunc = CtmcTruncation(cap=3)
     with pytest.raises(ToleranceNotAchieved) as err:
-        uniformization_kt((0,), (0,), 20.0, (1, 1.2), trunc, tol=1e-10)
-    assert trunc.mass_leak_bound > 0
+        uniformization_kt((0,), (0,), 20.0, (1, 1.2), 3, tol=1e-10)
+    assert err.value.achieved - 1e-10 / 2 > 1e-10 / 2
     assert err.value.achieved > 1e-10
+
+
+def _dense_generator(nu, cap):
+    """Generator of the queue chain on {0..cap}^n, written out state by
+    state, with one absorbing overflow state (the last) that takes every
+    jump out of the box."""
+    n = len(nu) - 1
+    index = {s: i for i, s in enumerate(itertools.product(range(cap + 1), repeat=n))}
+    over = len(index)
+    gen = np.zeros((over + 1, over + 1))
+    for s, i in index.items():
+        jumps = [((s[0] + 1,) + s[1:], nu[0])]
+        for k in range(n):
+            if s[k]:
+                nxt = list(s)
+                nxt[k] -= 1
+                if k + 1 < n:
+                    nxt[k + 1] += 1
+                jumps.append((tuple(nxt), nu[k + 1]))
+        for nxt, rate in jumps:
+            gen[i, index.get(nxt, over)] += rate
+        gen[i, i] = -gen[i].sum()
+    return gen, index, over
+
+
+@pytest.mark.parametrize(
+    "nu, cap, q, q2, t, solves",
+    [
+        ((1, 2, 3), 14, (1, 0), (0, 1), 0.5, True),
+        ((2, 1.5, 3), 16, (0, 2), (1, 0), 0.4, True),
+        ((1, 3), 5, (4,), (0,), 0.5, False),
+        ((1, 2, 3), 4, (2, 3), (0, 0), 0.5, False),
+        ((1, 2, 3, 4), 3, (1, 2, 3), (0, 0, 0), 0.3, False),
+    ],
+)
+def test_uniformization_matches_dense_generator(nu, cap, q, q2, t, solves):
+    # the starts near the cap make the spills at full queues carry mass
+    from scipy.linalg import expm
+
+    gen, index, over = _dense_generator(nu, cap)
+    row = expm(gen * t)[index[q]]
+    tol = 1e-12
+    if solves:
+        kv = uniformization_kt(q, q2, t, nu, cap, tol)
+        assert abs(kv.value - row[index[q2]]) <= tol / 2 + 1e-13
+        assert abs(kv.abs_error - tol / 2 - row[over]) <= tol / 2
+    else:
+        with pytest.raises(ToleranceNotAchieved) as err:
+            uniformization_kt(q, q2, t, nu, cap, tol)
+        assert abs(err.value.achieved - tol / 2 - row[over]) <= tol / 2
 
 
 def test_uniformization_time_zero():
@@ -293,6 +335,9 @@ def test_uniformization_time_zero():
 def test_uniformization_rejects_state_beyond_cap():
     with pytest.raises(PreconditionError):
         uniformization_kt((11,), (0,), 1.0, (1, 2), 10)
+    # the cap sizes the box: a float has no number of states
+    with pytest.raises(PreconditionError):
+        uniformization_kt((1,), (0,), 1.0, (1, 2), 10.0)
 
 
 def test_estimate_half_width_is_binomial():
