@@ -26,7 +26,6 @@ from .kernels import (
     departure_to_chamber_support,
     killed_poisson_kernel,
     noncrossing_prob,
-    queue_to_chamber,
     queue_to_chamber_support,
     queue_to_departures,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "kt_general",
     "mm1_kt",
     "noncrossing_prob",
-    "queue_to_chamber",
     "queue_to_chamber_support",
     "queue_to_departures",
     "rate_function",

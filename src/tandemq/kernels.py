@@ -436,6 +436,8 @@ def chamber_to_departure(z, d, nu, method="determinant"):
         return scale * total
     if method != "determinant":
         raise PreconditionError(f"unknown method {method!r}")
+    if z[-1] != d[-1]:
+        return 0
     mat = [
         [symfunc.window_h(z[a] - d[b] - a + b, b, n1 - 1, vals) for b in range(n1)]
         for a in range(n1)
@@ -518,15 +520,9 @@ def chamber_to_queue(z, q, nu):
     return chamber_to_departure(z, queue_to_departures(q, completed=z[-1]), nu)
 
 
-def queue_to_chamber(q, z, nu):
-    """Left inverse of chamber_to_queue, anchored at completed = 0."""
-    nu = as_rates(nu)
-    q = _check_queue(q, nu.n_stations)
-    return departure_to_chamber(queue_to_departures(q), z, nu)
-
-
 def queue_to_chamber_support(q, nu):
-    """Finite support of queue_to_chamber(q, .) as (z, value) pairs."""
+    """The (z, value) pairs of the left inverse of chamber_to_queue,
+    anchored at completed = 0."""
     nu = as_rates(nu)
     q = _check_queue(q, nu.n_stations)
     return departure_to_chamber_support(queue_to_departures(q), nu)
@@ -643,10 +639,11 @@ def _sandwich_batched(supp, t, fl, lo, hi, tgt):
     block of points per leading coordinate.  Each matrix of both
     determinant stacks is one gather from a flat table, indexed by the
     increments y_a = Z_a - a; both stacks go through np.linalg.slogdet,
-    and each point adds sL sC e^(mL + mC) times the start weight."""
+    and each point adds sL sC e^(mL + mC) times the start weight.  The
+    weight-kernel stack is gathered as logs, so that neither its h
+    tables nor its rate powers leave the float range at large t."""
     n1 = len(fl)
     idx = np.arange(n1)
-    rates = np.asarray(fl)
     ylo = min(lo[a] - a for a in range(n1))
     yhi = max(hi[a] - a for a in range(n1))
 
@@ -665,24 +662,35 @@ def _sandwich_batched(supp, t, fl, lo, hi, tgt):
         for z, pival in supp
     ]
 
-    # h-window tables h(b,N)_r per column b over every increment
-    # r = y_a - (tgt_b - b), 0 for r < 0; entry (a, b) sits at y_a + hcols[b]
+    # log h-window tables log h(b,N)_r per column b over every increment
+    # r = y_a - (tgt_b - b), -inf for r < 0; entry (a, b) sits at y_a +
+    # hcols[b].  h_r of the window's rates over their largest is polynomial
     tshift = np.array([tgt[b] - b for b in range(n1)])
     rlo, rhi = ylo - tshift.max(), yhi - tshift.min()
-    pad = np.zeros(max(0, -rlo))
-    htab = np.array([
-        np.concatenate((pad, symfunc.window_h_table(rhi, b, n1 - 1, fl)))[max(0, rlo):]
-        for b in range(n1)
-    ])
-    hcols = idx * htab.shape[1] - tshift - rlo
-    colfac = rates ** tshift
+    pad = np.full(max(0, -rlo), -np.inf)
+    logs = np.log(fl)
+    logh = []
+    for b in range(n1):
+        top = max(fl[b + 1 :], default=1.0)
+        scaled = symfunc.window_h_table(rhi, b, n1 - 1, tuple(v / top for v in fl))
+        with np.errstate(divide="ignore"):
+            col = np.log(scaled) + np.arange(rhi + 1) * math.log(top)
+        logh.append(np.concatenate((pad, col))[max(0, rlo) :])
+    logh = np.array(logh)
+    hcols = idx * logh.shape[1] - tshift - rlo
+    colfac = tshift * logs
 
     total = 0.0
     for lead in range(hi[0], lo[0] - 1, -1):
         y = (lattice.ordered_points([lead] + lo[1:], [lead] + hi[1:]) - idx)[:, :, None]
-        # weight-kernel determinant stack (independent of the start z)
-        L = htab.ravel()[y + hcols] * (rates[:, None] ** -y.astype(float) * colfac)
-        sL, mL = np.linalg.slogdet(L)
+        # weight-kernel determinant stack (independent of the start z),
+        # each row over its largest entry (pairwise, as ndarray.max over a
+        # last axis of N+1 entries costs about half a slogdet)
+        logL = logh.ravel()[y + hcols] + (colfac - y * logs[:, None])
+        rowmax = functools.reduce(np.maximum, np.moveaxis(logL, 2, 0))[:, :, None]
+        rowmax[rowmax == -np.inf] = 0.0
+        sL, mL = np.linalg.slogdet(np.exp(logL - rowmax))
+        mL += rowmax.sum(axis=(1, 2))
         for cols, const, weight in starts:
             sC, mC = np.linalg.slogdet(pmf.ravel()[y + cols] * const)
             total += weight * (sL * sC * np.exp(mL + mC)).sum()

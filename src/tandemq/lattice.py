@@ -178,6 +178,10 @@ def grow_weighted_box(start_lo, start_hi, t, nu, tol, growth, poly_degree, poly_
     e^{mu(g-1)} P(Poisson(mu g) > M).  Coordinate k gets tol/(N+1),
     divided by scale and the tilted total mass of the other coordinates,
     and the smallest cap that meets it.  Returns (caps, bound).
+
+    A refusal names tol.  Past MAX_CAP in one cap it reports tol times the
+    factor by which that tail misses its share; past the span or point
+    limit, where nothing is summed, the whole sum's bound scale * mass.
     """
     n1 = len(nu)
     delta = 0.25
@@ -188,11 +192,14 @@ def grow_weighted_box(start_lo, start_hi, t, nu, tol, growth, poly_degree, poly_
     log_mass = math.log(scale) + sum(math.log(absorb) + mus[k] * (gts[k] - 1.0) for k in range(n1))
     caps, bound = [], 0.0
     for k in range(n1):
-        m, log_sf = poisson_log_cap(mus[k] * gts[k], math.log(tol / n1) - log_mass, "weighted box cap")
+        try:
+            m, log_sf = poisson_log_cap(mus[k] * gts[k], math.log(tol / n1) - log_mass, "weighted box cap")
+        except ToleranceNotAchieved as err:
+            raise err.restated(tol) from None
         caps.append(start_hi[k] + m)
         bound += math.exp(log_mass + log_sf)
     if max(caps) - min(start_lo) > MAX_CAP:
-        raise ToleranceNotAchieved(tol, bound, "weighted box cap limit")
+        raise ToleranceNotAchieved.from_logs(math.log(tol), log_mass, "weighted box cap limit")
     if count_ordered_points(start_lo, caps) > MAX_BOX_POINTS:
-        raise ToleranceNotAchieved(tol, bound, "weighted box point limit")
+        raise ToleranceNotAchieved.from_logs(math.log(tol), log_mass, "weighted box point limit")
     return caps, bound

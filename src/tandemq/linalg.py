@@ -1,10 +1,12 @@
 """Small dense determinants over exact and inexact scalars.
 
-Matrices here are tiny (at most (N+1) x (N+1) for N <= 6), so plain
-Gaussian elimination is all we need.  Exact entries (int / Fraction) get
-exact division; floats and mpmath values get partial pivoting.
+Matrices here are tiny (at most (N+1) x (N+1) for N <= 6).  Exact
+entries (int / Fraction) go through fraction-free Bareiss elimination,
+so an int matrix gives an int; floats and mpmath values get Gaussian
+elimination with partial pivoting.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -16,20 +18,13 @@ def det(matrix):
     rows = [list(r) for r in matrix]
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-    exact = all(isinstance(x, (int, Fraction)) for r in rows for x in r)
-    if exact:
-        rows = [[Fraction(x) for x in r] for r in rows]
+    if all(isinstance(x, (int, Fraction)) for r in rows for x in r):
+        return _bareiss(rows)
     sign = 1
     for k in range(n):
-        # choose a pivot: first nonzero for exact types, largest |.| otherwise
-        if exact:
-            p = next((i for i in range(k, n) if rows[i][k] != 0), None)
-        else:
-            p = max(range(k, n), key=lambda i: abs(rows[i][k]))
-            if rows[p][k] == 0:
-                p = None
-        if p is None:
-            return Fraction(0) if exact else 0.0 * rows[k][k]
+        p = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        if rows[p][k] == 0:
+            return 0.0 * rows[k][k]
         if p != k:
             rows[k], rows[p] = rows[p], rows[k]
             sign = -sign
@@ -47,23 +42,27 @@ def det(matrix):
     return out
 
 
-def det_int(matrix):
-    """Determinant of a square list-of-lists of Python ints.
-
-    Bareiss elimination: every intermediate value stays an integer, so
-    this is much faster than the Fraction path when the exact identity
-    sweeps evaluate hundreds of thousands of small determinants."""
-    m = [list(r) for r in matrix]
+def _bareiss(m):
+    """Bareiss elimination on rows of ints and Fractions, in place: a row
+    holding Fractions is first multiplied by the lcm of its denominators,
+    every intermediate value stays an integer, and the result is divided
+    back (a Fraction if any entry was one)."""
     n = len(m)
-    if n == 0:
-        return 1
+    scale = 1
+    fractions = False
+    for i, row in enumerate(m):
+        if any(isinstance(x, Fraction) for x in row):
+            den = math.lcm(*(x.denominator for x in row))
+            m[i] = [x.numerator * (den // x.denominator) for x in row]
+            scale *= den
+            fractions = True
     sign = 1
     prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             p = next((i for i in range(k + 1, n) if m[i][k]), None)
             if p is None:
-                return 0
+                return Fraction(0) if fractions else 0
             m[k], m[p] = m[p], m[k]
             sign = -sign
         pk = m[k]
@@ -74,5 +73,5 @@ def det_int(matrix):
                 mi[j] = (mi[j] * pk[k] - f * pk[j]) // prev
             mi[k] = 0
         prev = pk[k]
-    return sign * m[n - 1][n - 1]
-
+    out = sign * m[n - 1][n - 1]
+    return Fraction(out, scale) if fractions else out

@@ -16,7 +16,7 @@ from . import lattice
 from .errors import PreconditionError, ToleranceNotAchieved
 from .kernels import _check_queue, departure_kernel_stack, queue_to_departures
 from .numerics import KernelValue, check_time, evaluation, poisson_cap
-from .rates import as_rates
+from .rates import _div, as_rates
 from .symfunc import _pow
 
 
@@ -44,7 +44,7 @@ def chamber_harmonic(lam, x=None):
         out = 1
         for i in range(n1):
             for j in range(i + 1, n1):
-                out = out * (1 - _ratio(vals[j], vals[i]))
+                out = out * (1 - _div(vals[j], vals[i]))
         return out
     if len(x) != n1:
         raise PreconditionError("x must have one coordinate per rate")
@@ -55,12 +55,6 @@ def chamber_harmonic(lam, x=None):
     for k in range(n1):
         out = out * _pow(vals[k], -x[k])
     return out
-
-
-def _ratio(a, b):
-    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-        return Fraction(a, 1) / Fraction(b, 1)
-    return a / b
 
 
 @evaluation

@@ -56,10 +56,6 @@ class RateVector:
         return len(self.values) - 1
 
     @property
-    def arrival(self):
-        return self.values[0]
-
-    @property
     def services(self):
         return self.values[1:]
 

@@ -120,14 +120,6 @@ class GTPattern:
                     raise PreconditionError(f"rows {k - 1},{k} do not interlace at {i}")
 
     @property
-    def order(self):
-        return len(self.rows)
-
-    @property
-    def shape(self):
-        return self.rows[-1]
-
-    @property
     def ledge(self):
         return tuple(row[-1] for row in self.rows)
 

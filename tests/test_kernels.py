@@ -12,7 +12,7 @@ import mpmath
 import pytest
 
 from tandemq import linalg
-from tandemq.errors import PreconditionError
+from tandemq.errors import PreconditionError, ToleranceNotAchieved
 from tandemq.kernels import (
     chamber_to_departure,
     chamber_to_queue,
@@ -26,7 +26,7 @@ from tandemq.kernels import (
     queue_to_chamber_support,
     queue_to_departures,
 )
-from tandemq.lattice import count_ordered_points, ordered_points
+from tandemq.lattice import count_ordered_points, grow_weighted_box, ordered_points
 from tandemq.numerics import HIGH_DPS, Numerics, poisson_cap
 from tandemq.rates import as_rates
 
@@ -203,6 +203,43 @@ def test_departure_kernel_vs_intertwining_points():
 def test_departure_kernel_via_intertwining_below_start():
     kv = departure_kernel_via_intertwining((2, 0), (1, 0), 1.0, (1, 2), tol=1e-10)
     assert abs(kv.value) <= kv.abs_error + 1e-10
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [60.0, 20.0])
+def test_departure_kernel_via_intertwining_large_t_is_finite(t):
+    # the h tables over the rates (2, 3) pass the float range near r = 689
+    # while 3^-687 underflows: the weight-kernel stack is built in log form
+    d, d2, nu = (1, 0, 0), (2, 1, 0), (1, 2, 3)
+    kv = departure_kernel_via_intertwining(d, d2, t, nu, tol=1e-9)
+    assert math.isfinite(kv.value)
+    assert abs(kv.value - departure_kernel(d, d2, t, nu)) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "d, d2, t, nu, limit",
+    [
+        ((1, 0), (2, 0), 5000.0, (1, 2), "weighted box cap exceeded"),
+        ((1, 0, 0, 0), (2, 1, 1, 0), 30.0, (1, 2, 3, 4), "weighted box point limit"),
+    ],
+)
+def test_departure_kernel_via_intertwining_refusals_name_tol(d, d2, t, nu, limit):
+    with pytest.raises(ToleranceNotAchieved) as info:
+        departure_kernel_via_intertwining(d, d2, t, nu, tol=1e-9)
+    err = info.value
+    assert limit in err.detail
+    assert err.requested == pytest.approx(1e-9, rel=1e-12)
+    assert err.logs[1] > math.log(1e-9)
+
+
+def test_weighted_box_span_limit_reports_a_bound_above_tol():
+    # each cap is within MAX_CAP of its start, but the box spans more
+    with pytest.raises(ToleranceNotAchieved) as info:
+        grow_weighted_box([0], [15000], 4000.0, [1.0], 1e-9, [1.0], 0, 0, 1.0)
+    err = info.value
+    assert err.detail == "weighted box cap limit"
+    assert err.requested == pytest.approx(1e-9, rel=1e-12)
+    assert err.logs[1] > math.log(1e-9)
 
 
 def test_chapman_kolmogorov_exact_middle_sum():

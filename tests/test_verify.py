@@ -3,12 +3,14 @@ well-formed results, and route suite names correctly."""
 
 import pytest
 
+from tandemq import kernels
 from tandemq.errors import PreconditionError
 from tandemq.verify import (
     ASYMPTOTIC_CHECKS,
     IDENTITY_CHECKS,
     ORACLE_CHECKS,
     CheckResult,
+    check_pi_lambda_inverse,
     run_check,
     run_suite,
 )
@@ -56,3 +58,19 @@ def test_suite_deterministic_given_seed():
     a = run_suite("identities", budget="fast", seed=5)
     b = run_suite("identities", budget="fast", seed=5)
     assert [(r.name, r.residual) for r in a] == [(r.name, r.residual) for r in b]
+
+
+def test_pi_lambda_inverse_checks_the_library_kernel(monkeypatch):
+    """The inverse identity runs on kernels.chamber_to_departure itself:
+    doubling it at targets with a leading entry of 4 must fail the check."""
+    assert run_check(check_pi_lambda_inverse, budget="fast").passed
+    original = kernels.chamber_to_departure
+
+    def perturbed(z, d, nu, **kwargs):
+        value = original(z, d, nu, **kwargs)
+        return 2 * value if d[0] == 4 else value
+
+    monkeypatch.setattr(kernels, "chamber_to_departure", perturbed)
+    result = run_check(check_pi_lambda_inverse, budget="fast")
+    assert not result.passed
+    assert result.residual > 0
