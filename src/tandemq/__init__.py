@@ -59,11 +59,9 @@ from .simulator import (
     uniformization_kt,
 )
 from .symfunc import (
-    GTPattern,
     complete_homogeneous,
     elementary,
-    enumerate_gt,
-    gt_weight,
+    gt_sum,
     schur,
     window_e,
     window_h,
@@ -86,7 +84,6 @@ __all__ = [
     "CoincidentRatesError",
     "DecayReport",
     "Estimate",
-    "GTPattern",
     "KernelValue",
     "PreconditionError",
     "RateVector",
@@ -108,9 +105,8 @@ __all__ = [
     "departure_to_chamber_support",
     "dominant_prefactor",
     "elementary",
-    "enumerate_gt",
     "fit_decay_rate",
-    "gt_weight",
+    "gt_sum",
     "killed_poisson_kernel",
     "kt00_direct",
     "kt00_gap",

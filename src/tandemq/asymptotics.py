@@ -149,8 +149,8 @@ def fit_decay_rate(series, floor=1e-11):
     0.1 * first gap (skipping the pre-asymptotic head and the
     noise-dominated tail).  Returns (rate, (t_lo, t_hi), n_points)."""
     pts = [(float(t), float(g)) for t, g in series]
-    if any(g <= 0 for _, g in pts):
-        raise PreconditionError("gap series must be positive")
+    if not pts or any(g <= 0 for _, g in pts):
+        raise PreconditionError("gap series must be nonempty and positive")
     if sorted(t for t, _ in pts) != [t for t, _ in pts]:
         raise PreconditionError("gap series must be increasing in t")
     head = 0.1 * pts[0][1]

@@ -38,15 +38,20 @@ class ToleranceNotAchieved(TandemError, RuntimeError):
         super().__init__(msg + (f" ({detail})" if detail else ""))
 
     @classmethod
-    def from_logs(cls, log_requested, log_achieved, detail=""):
-        return cls(_exp(log_requested), _exp(log_achieved), detail, (log_requested, log_achieved))
+    def from_logs(cls, log_requested, log_achieved, detail="", requested=None):
+        """The refusal of e^log_requested, or of the float requested whose
+        log that is, kept exact; e^log_achieved may leave the float range."""
+        requested = _exp(log_requested) if requested is None else requested
+        return cls(requested, _exp(log_achieved), detail, (log_requested, log_achieved))
 
-    def restated(self, tol):
-        """The same refusal against the caller's tolerance tol, where this
-        one names an internal share of it: the achieved bound becomes tol
-        times the factor by which the limited truncation missed its share."""
+    def restated(self, tol, scale=None):
+        """The same refusal against the caller's float tolerance tol, where
+        this one names an internal share of it.  The achieved bound becomes
+        scale times this one's or, without scale, tol times the factor by
+        which the limited truncation missed its share."""
         log_tol = math.log(tol)
-        return self.from_logs(log_tol, log_tol + self.logs[1] - self.logs[0], self.detail)
+        log_factor = log_tol - self.logs[0] if scale is None else math.log(scale)
+        return self.from_logs(log_tol, self.logs[1] + log_factor, self.detail, tol)
 
 
 def _exp(log):

@@ -106,7 +106,10 @@ def departure_kernel(d, d2, t, nu, *, nm):
     The prefactor is folded into the entries so that every term is a
     Poisson pmf times bounded factors (see departure_kernel_stack).
     Exactly zero when d2_k < d_k for some k.  The series cuts change the
-    value by at most 1e-18 (10^-(HIGH_DPS+2) in high precision)."""
+    value by at most 1e-18 (10^-(HIGH_DPS+2) in high precision).  When
+    the cuts and the certified round-off of departure_kernel_stack
+    exceed 1e-12 (a determinant that cancels, as at large t with a
+    service rate below an earlier one), it raises ToleranceNotAchieved."""
     nu = as_rates(nu)
     n1 = len(nu)
     d = _check_chamber(d, "d", n1)
@@ -115,7 +118,11 @@ def departure_kernel(d, d2, t, nu, *, nm):
     if t == 0:
         return 1 if d == d2 else 0
     budget = 10.0 ** -(HIGH_DPS + 2) if nm.high else 1e-18
-    return departure_kernel_stack(d, d2, 1, t, nu, budget, nm)[0][0]
+    values, cut, roundoff = departure_kernel_stack(d, d2, 1, t, nu, budget, nm)
+    if cut + roundoff > 1e-12:
+        detail = f"certified round-off {roundoff:.3g}; try precision='high'"
+        raise ToleranceNotAchieved(1e-12, cut + roundoff, detail)
+    return values[0]
 
 
 def departure_kernel_stack(d, d2, count, t, nu, budget, nm):
@@ -152,7 +159,7 @@ def departure_kernel_stack(d, d2, count, t, nu, budget, nm):
         if log_cut <= log_budget:
             return values, math.exp(log_cut), math.exp(log_round) if log_round < 709 else math.inf
         lt = min(lt, logcut.max()) - (log_cut - log_budget) - math.log(2.0)
-    raise ToleranceNotAchieved.from_logs(log_budget, log_cut, "h-series cut")
+    raise ToleranceNotAchieved.from_logs(log_budget, log_cut, "h-series cut", budget)
 
 
 def _entry_row(a, d, d2, count, t, nu, logs, lt, nm):
@@ -419,7 +426,8 @@ def chamber_to_departure(z, d, nu, method="determinant"):
         prod_k nu_k^(d_k - z_k) * det{ h-window(j,N) at z_i - d_j - i + j }.
 
     Nonnegative; vanishes unless z_N = d_N.  Exact over exact rates.
-    method="gt_sum" instead sums the interlacing-pattern weights with
+    method="gt_sum" is instead prod_k nu_k^(-z_k) times the pattern sum
+    symfunc.gt_sum(z, nu, ledge=d) over the interlacing patterns with
     shape z and left edge d (same value; independent route)."""
     nu = as_rates(nu)
     n1 = len(nu)
@@ -427,13 +435,10 @@ def chamber_to_departure(z, d, nu, method="determinant"):
     d = _check_chamber(d, "d", n1)
     vals = nu.values
     if method == "gt_sum":
-        total = 0
-        for pat in symfunc.enumerate_gt(z, ledge=d):
-            total = total + symfunc.gt_weight(pat, vals)
-        scale = 1
+        out = symfunc.gt_sum(z, vals, ledge=d)
         for k in range(n1):
-            scale = scale * _pow(vals[k], -z[k])
-        return scale * total
+            out = out * _pow(vals[k], -z[k])
+        return out
     if method != "determinant":
         raise PreconditionError(f"unknown method {method!r}")
     if z[-1] != d[-1]:
@@ -543,8 +548,8 @@ def noncrossing_prob(x, t, nu, tol=1e-9, *, nm):
     array over the truncation range with one prefix sum."""
     rates = tuple(nu)
     x = _check_chamber(x, "x", len(rates))
-    if not all(v > 0 for v in rates):
-        raise PreconditionError(f"rates must be positive, got {rates}")
+    if not all(0 < v < math.inf for v in rates):
+        raise PreconditionError(f"rates must be positive and finite, got {rates}")
     check_time(t)
     if len(x) == 1 or t == 0:
         # one counter, or no time, leaves nothing to cross

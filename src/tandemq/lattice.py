@@ -90,7 +90,8 @@ def survival_probability(x, t, nu, tol, nm, arrangements=None):
     Truncation: with M = sum_sigma |weight_sigma| (exact), rate r is cut
     at y_i <= x_i + poisson_cap(nu_r t, tol/(max(M, 1) (N+1))) - i, and
     the neglected mass is at most M times the (float) sum of those
-    tails, which sits just below tol.
+    tails, which sits just below tol.  A cap past MAX_CAP refuses
+    against tol, with M times that tail as the achieved bound.
 
     The sums take only + - and *, on float64 arrays, or in high
     precision on object arrays of Decimal in the context that
@@ -109,7 +110,10 @@ def survival_probability(x, t, nu, tol, nm, arrangements=None):
         (rs, r): nm.sum_scalar(w) * rates[r] ** -a[n1 - 1 - bin(rs).count("1")]
         for (rs, r), w in weights.items()
     }
-    cuts = [poisson_cap(nm.scalar(r) * nm.scalar(t), tol / max(mass, 1.0) / n1) for r in nu]
+    try:
+        cuts = [poisson_cap(nm.scalar(r) * nm.scalar(t), tol / max(mass, 1.0) / n1) for r in nu]
+    except ToleranceNotAchieved as err:
+        raise err.restated(tol, mass) from None
     caps, tail = [cap for cap, _ in cuts], sum(tl for _, tl in cuts)
     ylo = min(a)
     tops = [{r: x[i] + caps[r] - i - ylo + 1 for r in places[i]} for i in range(n1)]
@@ -199,7 +203,7 @@ def grow_weighted_box(start_lo, start_hi, t, nu, tol, growth, poly_degree, poly_
         caps.append(start_hi[k] + m)
         bound += math.exp(log_mass + log_sf)
     if max(caps) - min(start_lo) > MAX_CAP:
-        raise ToleranceNotAchieved.from_logs(math.log(tol), log_mass, "weighted box cap limit")
+        raise ToleranceNotAchieved.from_logs(math.log(tol), log_mass, "weighted box cap limit", tol)
     if count_ordered_points(start_lo, caps) > MAX_BOX_POINTS:
-        raise ToleranceNotAchieved.from_logs(math.log(tol), log_mass, "weighted box point limit")
+        raise ToleranceNotAchieved.from_logs(math.log(tol), log_mass, "weighted box point limit", tol)
     return caps, bound

@@ -113,7 +113,7 @@ class Numerics:
 
     def __init__(self, precision="double"):
         if precision not in ("double", "high"):
-            raise ValueError(f"unknown precision {precision!r}")
+            raise PreconditionError(f"unknown precision {precision!r}")
         self.precision = precision
         self.high = precision == "high"
         self.dtype = object if self.high else float

@@ -107,6 +107,8 @@ def kt00_gap_relative(t, nu, rel_tol=1e-4, *, precision="double"):
     retry re-targets the tolerance from the measured value; the loop
     converges in two or three passes and the returned abs_error is still
     the honest bound from the final pass."""
+    if not 0 < rel_tol < math.inf:
+        raise PreconditionError(f"rel_tol must be positive and finite, got {rel_tol!r}")
     tol = 1e-12
     kv = kt00_gap(t, nu, tol=tol, precision=precision)
     for _ in range(8):
@@ -150,7 +152,8 @@ def kt_general(q, q2, t, nu, tol=1e-8, *, nm):
     is c + |q2| - |q|, so the terms past the last c hold at most
     P(Poisson(nu_0 t) > cap), the smallest cap that meets tol/4.  cut:
     the summed error of the h-series cuts inside the determinants, below
-    tol/8.  roundoff: the certified float round-off of the entries and
+    tol/8 (when a truncation limit stops the tail or the cuts short, the
+    refusal names tol and the bound on that part).  roundoff: the certified float round-off of the entries and
     the determinants (kernels._det_perm_diff).  When the three exceed
     tol the call raises ToleranceNotAchieved with their sum instead of
     returning a value; the message names a "determinant cancellation"
@@ -171,19 +174,20 @@ def kt_general(q, q2, t, nu, tol=1e-8, *, nm):
         # depend on the order of the stations (./M/1 interchangeability),
         # and with increasing service rates the determinants do not cancel
         nu = as_rates((nu[0],) + tuple(sorted(nu.services)))
-    cap, tail = poisson_cap(nm.scalar(nu[0]) * nm.scalar(t), tol / 4)
     d = queue_to_departures(q)
     base = queue_to_departures(q2)
     # departures never decrease, so every term with c < first is zero
     first = max(d[k] - base[k] for k in range(len(d)))
-    last = cap + sum(q) - sum(q2)
-    if last < first:
-        return KernelValue(0, tail)
-    target, count = tuple(v + first for v in base), last - first + 1
     try:
+        cap, tail = poisson_cap(nm.scalar(nu[0]) * nm.scalar(t), tol / 4)
+        last = cap + sum(q) - sum(q2)
+        if last < first:
+            return KernelValue(0, tail)
+        target, count = tuple(v + first for v in base), last - first + 1
         values, cut, roundoff = departure_kernel_stack(d, target, count, t, nu, tol / 8, nm)
     except ToleranceNotAchieved as err:
-        raise err.restated(tol) from None
+        # the tail or the cuts missed their share: the bound on that part
+        raise err.restated(tol, 1.0) from None
     bound = tail + cut + roundoff
     if bound > tol:
         s = nu.services

@@ -6,6 +6,7 @@ are kept exact so that the rational identity paths and the float paths
 are fed from the same parsed values.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,8 +25,8 @@ class RateVector:
         if len(self.values) < 2:
             raise PreconditionError("need an arrival rate and at least one service rate")
         for v in self.values:
-            if not v > 0:
-                raise PreconditionError(f"rates must be positive, got {v!r}")
+            if not 0 < v < math.inf:
+                raise PreconditionError(f"rates must be positive and finite, got {v!r}")
         object.__setattr__(self, "values", tuple(self.values))
 
     @classmethod

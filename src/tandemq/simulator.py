@@ -56,8 +56,8 @@ class SimConfig:
 
     def __post_init__(self):
         vals = tuple(self.rates)
-        if not vals or any(not v > 0 for v in vals):
-            raise PreconditionError("rates must be a nonempty positive sequence")
+        if not vals or any(not 0 < v < math.inf for v in vals):
+            raise PreconditionError("rates must be a nonempty sequence of positive finite values")
         object.__setattr__(self, "rates", vals)
         if self.replications < 1:
             raise PreconditionError("replications must be >= 1")
@@ -251,7 +251,10 @@ def uniformization_kt(q, q2, t, nu, cap, tol=1e-8):
     for k in range(n):
         stay[at({k: 0})] += p[k + 1]
     mu = lam * float(t)
-    n_terms, _ = poisson_cap(mu, tol / 2)
+    try:
+        n_terms, _ = poisson_cap(mu, tol / 2)
+    except ToleranceNotAchieved as err:
+        raise err.restated(tol, 1.0) from None
     weights = Numerics().poisson_pmf_table(mu, 0, n_terms)
     v = np.zeros((cap + 1,) * n)
     v[q] = 1.0

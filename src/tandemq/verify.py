@@ -139,14 +139,20 @@ def check_schur_symmetry(budget, rng):
 
 
 def check_gt_count(budget, rng):
+    """The pattern count s_shape(1, ..., 1) equals Weyl's dimension
+    formula prod_{i<j} (shape_i - shape_j + j - i)/(j - i) (Macdonald,
+    Symmetric Functions and Hall Polynomials, I.3)."""
     shapes = [(1, 0), (2, 1, 0), (2, 2, 0), (3, 1), (2, 1, 1, 0)]
     if budget == "full":
         shapes += [(4, 2, 0), (3, 2, 1, 0), (5, 3)]
     bad = 0
     for shape in shapes:
-        count = sum(1 for _ in symfunc.enumerate_gt(shape))
+        weyl = math.prod(
+            Fraction(shape[i] - shape[j] + j - i, j - i)
+            for i, j in itertools.combinations(range(len(shape)), 2)
+        )
         ones = (Fraction(1),) * len(shape)
-        bad += count != symfunc.schur(shape, ones, method="gt_sum")
+        bad += weyl != symfunc.schur(shape, ones, method="gt_sum")
     return CheckResult("gt-count: exact", bad == 0, float(bad), f"{len(shapes)} shapes")
 
 
@@ -363,14 +369,17 @@ _KT00_POINTS = (
 
 
 def check_kt00_two_forms(budget, rng):
+    """Worst pairwise gap between kt_general and its closed-form oracles."""
     pts = _KT00_POINTS[:2] if budget == "fast" else _KT00_POINTS
     worst = 0.0
     npts = 0
     for nu, ts in pts:
         for t in ts:
-            a = queueprobs.kt00_direct(t, nu, tol=1e-9)
-            b = queueprobs.kt00_stationary(t, nu, tol=1e-9)
-            worst = max(worst, abs(a.value - b.value))
+            n = len(nu) - 1
+            g = queueprobs.kt_general((0,) * n, (0,) * n, t, nu, tol=1e-9).value
+            a = queueprobs.kt00_direct(t, nu, tol=1e-9).value
+            b = queueprobs.kt00_stationary(t, nu, tol=1e-9).value
+            worst = max(worst, abs(a - b), abs(g - a), abs(g - b))
             npts += 1
     return CheckResult("kt00-two-forms: 2e-8", worst <= 2e-8, worst, f"{npts} stable points")
 
@@ -382,10 +391,11 @@ def check_kt00_vs_uniformization(budget, rng):
     npts = 0
     for nu, ts in pts:
         for t in ts:
-            a = queueprobs.kt00_stationary(t, nu, tol=1e-9)
             n = len(nu) - 1
-            u = simulator.uniformization_kt((0,) * n, (0,) * n, t, nu, cap, tol=1e-8)
-            worst = max(worst, abs(a.value - u.value))
+            a = queueprobs.kt00_stationary(t, nu, tol=1e-9).value
+            g = queueprobs.kt_general((0,) * n, (0,) * n, t, nu, tol=1e-9).value
+            u = simulator.uniformization_kt((0,) * n, (0,) * n, t, nu, cap, tol=1e-8).value
+            worst = max(worst, abs(a - u), abs(g - u))
             npts += 1
     return CheckResult(
         "kt00-vs-uniformization: 1e-6", worst <= 1e-6, worst, f"{npts} points, cap={cap}"

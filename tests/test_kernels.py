@@ -164,6 +164,20 @@ def test_departure_kernel_large_t_stays_a_probability():
         assert math.isfinite(v) and 0.0 <= v <= 1.0
 
 
+def test_departure_kernel_refuses_its_round_off():
+    # a service rate below an earlier one: the determinant cancels by
+    # about 1e17 at t=60, and the double value (-2.66e12) used to be
+    # returned without its certified round-off
+    d, d2, nu = (1, 0, 0, 0), (50, 50, 50, 50), (1, 1.5, 4, 2)
+    refusal = "certified round-off .*try precision='high'"
+    with pytest.raises(ToleranceNotAchieved, match=refusal) as info:
+        departure_kernel(d, d2, 60.0, nu)
+    assert info.value.requested == 1e-12
+    assert info.value.achieved > 1e17
+    hi = departure_kernel(d, d2, 60.0, nu, precision="high")
+    assert abs(hi - mpmath.mpf("0.004048039343486254")) < 1e-17
+
+
 def test_departure_stack_round_off_within_its_bound():
     # every double slice stays within its certified round-off of the
     # 50-digit one: cancelling determinants (a service rate below an
@@ -228,7 +242,7 @@ def test_departure_kernel_via_intertwining_refusals_name_tol(d, d2, t, nu, limit
         departure_kernel_via_intertwining(d, d2, t, nu, tol=1e-9)
     err = info.value
     assert limit in err.detail
-    assert err.requested == pytest.approx(1e-9, rel=1e-12)
+    assert err.requested == 1e-9
     assert err.logs[1] > math.log(1e-9)
 
 
@@ -238,7 +252,7 @@ def test_weighted_box_span_limit_reports_a_bound_above_tol():
         grow_weighted_box([0], [15000], 4000.0, [1.0], 1e-9, [1.0], 0, 0, 1.0)
     err = info.value
     assert err.detail == "weighted box cap limit"
-    assert err.requested == pytest.approx(1e-9, rel=1e-12)
+    assert err.requested == 1e-9
     assert err.logs[1] > math.log(1e-9)
 
 

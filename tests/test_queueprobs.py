@@ -11,7 +11,9 @@ from fractions import Fraction
 
 import pytest
 
+from tandemq.asymptotics import decay_report, fit_decay_rate
 from tandemq.errors import PreconditionError, ToleranceNotAchieved
+from tandemq.kernels import noncrossing_prob
 from tandemq.queueprobs import (
     chamber_harmonic,
     kt00_direct,
@@ -22,7 +24,7 @@ from tandemq.queueprobs import (
     mm1_kt,
     stationary_empty_prob,
 )
-from tandemq.simulator import uniformization_kt
+from tandemq.simulator import SimConfig, simulate_queue_prob, uniformization_kt
 from tandemq.symfunc import schur
 
 
@@ -300,3 +302,51 @@ def test_nan_time_is_a_precondition_error():
         for call in calls:
             with pytest.raises(PreconditionError, match="t must be finite"):
                 call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: kt_general((0, 0), (0, 0), 30000.0, (1, 2, 3), tol=1e-9),
+        lambda: kt00_direct(30000.0, (1, 2, 3), tol=1e-9),
+        lambda: kt00_gap(30000.0, (1, 2, 3), tol=1e-9),
+        lambda: noncrossing_prob((1, 0), 30000.0, (1, 2), tol=1e-9),
+        lambda: uniformization_kt((0,), (0,), 30000.0, (1, 2), 10, tol=1e-9),
+    ],
+    ids=["kt_general", "kt00_direct", "kt00_gap", "noncrossing_prob", "uniformization_kt"],
+)
+def test_tail_refusals_name_the_caller_tol(call):
+    # each Poisson mean passes the cap limit; the refusal used to name the
+    # share of tol given to that one tail (tol/4, tol/9, ...)
+    with pytest.raises(ToleranceNotAchieved, match="Poisson cap exceeded") as info:
+        call()
+    err = info.value
+    assert err.requested == 1e-9
+    assert str(err).startswith("requested tolerance 1e-09, ")
+    # the tail itself, or the arrangement mass times it: at least 1 here
+    assert err.achieved >= 1.0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: kt00_gap(1.0, (1, 2), precision="bogus"),
+        lambda: fit_decay_rate([]),
+        lambda: decay_report((1, 2, 3), []),
+        lambda: noncrossing_prob((1, 0), 1.0, (1, math.inf)),
+        lambda: simulate_queue_prob((0,), (0,), SimConfig((1, math.inf), 1.0, 1, 10)),
+        lambda: kt_general((0,), (0,), 1.0, (1, math.inf)),
+        lambda: kt00_gap(1.0, (1, math.nan)),
+        lambda: kt00_gap_relative(50.0, (1, 2, 4), rel_tol=0),
+        lambda: kt00_gap_relative(50.0, (1, 2, 4), rel_tol=math.nan),
+    ],
+    ids=["precision", "fit-empty", "report-empty", "noncrossing-inf", "simulate-inf",
+         "kt-inf", "kt00-gap-nan", "rel-tol-0", "rel-tol-nan"],
+)
+def test_bad_public_input_is_a_precondition_error(call):
+    # these raised ValueError, IndexError or OverflowError, warned and
+    # named a nan budget, or returned without meeting rel_tol
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError):
+            call()

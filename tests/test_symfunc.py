@@ -1,8 +1,9 @@
 """Symmetric-function layer: exact values against brute-force monomial
-enumeration, the window conventions, GT patterns, and the two Schur
-routes.  Everything here runs over Fractions; no float tolerances."""
+enumeration, the window conventions, the Gelfand-Tsetlin pattern sum
+against brute-force pattern enumeration, and the two Schur routes.  Everything here runs over Fractions; no float tolerances."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,11 +13,9 @@ from hypothesis import strategies as st
 
 from tandemq.errors import PreconditionError
 from tandemq.symfunc import (
-    GTPattern,
     complete_homogeneous,
     elementary,
-    enumerate_gt,
-    gt_weight,
+    gt_sum,
     schur,
     window_e,
     window_h,
@@ -141,7 +140,7 @@ def test_window_convolution_identity():
 
 
 # ---------------------------------------------------------------------------
-# GT patterns
+# Gelfand-Tsetlin pattern sums
 
 
 def brute_patterns(shape):
@@ -167,46 +166,63 @@ def brute_patterns(shape):
     return set(out)
 
 
-def test_enumerate_gt_counts():
-    assert sum(1 for _ in enumerate_gt((1, 0))) == 2
-    assert sum(1 for _ in enumerate_gt((2, 1, 0))) == 8
+def brute_gt_sum(shape, alpha, ledge=None):
+    """The pattern sum, one brute-force pattern at a time."""
+    total = Fraction(0)
+    for rows in brute_patterns(shape):
+        if ledge is not None and tuple(r[-1] for r in rows) != tuple(ledge):
+            continue
+        sums = [sum(r) for r in rows]
+        w = Fraction(alpha[0]) ** sums[0]
+        for k in range(1, len(rows)):
+            w *= Fraction(alpha[k]) ** (sums[k] - sums[k - 1])
+        total += w
+    return total
 
 
-def test_enumerate_gt_matches_brute_force():
-    for shape in [(1, 0), (2, 0), (2, 1, 0), (3, 1, 0), (2, 2, 1)]:
-        got = {p.rows for p in enumerate_gt(shape)}
-        assert got == brute_patterns(shape)
+GT_SHAPES = [(1, 0), (2, 0), (2, 1, 0), (3, 1, 0), (2, 2, 1), (1, -1, -2), (3, 3, 3), (2, 0, -1, -1)]
 
 
-def test_enumerate_gt_ledge_filter():
-    assert list(enumerate_gt((1, 1), ledge=(0, 1))) == []
-    pats = list(enumerate_gt((2, 1, 0), ledge=(1, 1, 0)))
-    assert pats and all(p.ledge == (1, 1, 0) for p in pats)
-    full = {p.rows for p in enumerate_gt((2, 1, 0))}
-    by_ledge = {
-        p.rows
-        for led in itertools.product(range(3), repeat=2)
-        for p in enumerate_gt((2, 1, 0), ledge=led + (0,))
-    }
-    assert by_ledge == full
+def test_brute_pattern_counts():
+    assert len(brute_patterns((1, 0))) == 2
+    assert len(brute_patterns((2, 1, 0))) == 8
 
 
-def test_gt_pattern_validation():
-    GTPattern(((1,), (2, 0)))
-    with pytest.raises(PreconditionError):
-        GTPattern(((3,), (2, 0)))
-    with pytest.raises(PreconditionError):
-        GTPattern(((1, 1), (2, 0)))
+def test_gt_sum_matches_brute_force():
+    rng = random.Random(5)
+    for shape in GT_SHAPES:
+        alpha = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in shape)
+        assert gt_sum(shape, alpha) == brute_gt_sum(shape, alpha)
 
 
-def test_gt_weight_examples():
+def test_gt_sum_ledge_matches_brute_force():
+    rng = random.Random(6)
+    for shape in GT_SHAPES:
+        alpha = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in shape)
+        edges = {tuple(r[-1] for r in rows) for rows in brute_patterns(shape)}
+        # every left edge that occurs, and one that does not
+        edges.add((shape[0] + 1,) + tuple(shape[1:]))
+        for ledge in edges:
+            assert gt_sum(shape, alpha, ledge) == brute_gt_sum(shape, alpha, ledge)
+        # the left edges partition the patterns
+        assert sum(gt_sum(shape, alpha, e) for e in edges) == gt_sum(shape, alpha)
+
+
+def test_gt_sum_examples():
     a, b = Fraction(5, 3), Fraction(7, 2)
-    zero = GTPattern(((0,), (0, 0)))
-    assert gt_weight(zero, (a, b)) == 1
-    top1 = GTPattern(((1,), (1, 0)))
-    top0 = GTPattern(((0,), (1, 0)))
-    assert gt_weight(top1, (a, b)) == a
-    assert gt_weight(top0, (a, b)) == b
+    assert gt_sum((0, 0), (a, b)) == 1
+    assert gt_sum((1, 0), (a, b), ledge=(1, 0)) == a
+    assert gt_sum((1, 0), (a, b), ledge=(0, 0)) == b
+    assert gt_sum((1, 1), (a, b), ledge=(0, 1)) == 0
+
+
+def test_gt_sum_rejects_bad_input():
+    with pytest.raises(PreconditionError):
+        gt_sum((0, 1), (1, 2))
+    with pytest.raises(PreconditionError):
+        gt_sum((1, 0), (1, 2, 3))
+    with pytest.raises(PreconditionError):
+        gt_sum((1, 0), (1, 2), ledge=(0,))
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +275,18 @@ def test_schur_symmetric(parts, data):
 def test_schur_counts_patterns_at_ones():
     for shape in [(1, 0), (2, 1, 0), (3, 1), (2, 2, 0)]:
         ones = (1,) * len(shape)
-        assert schur(shape, ones) == sum(1 for _ in enumerate_gt(shape))
+        assert schur(shape, ones) == len(brute_patterns(shape))
+
+
+def test_schur_at_ones_is_weyl_dimension():
+    # prod_{i<j} (shape_i - shape_j + j - i)/(j - i), Macdonald I.3
+    shapes = [(1, 0), (2, 1, 0), (2, 2, 0), (3, 1), (2, 1, 1, 0), (4, 2, 0), (3, 2, 1, 0), (5, 3)]
+    for shape in shapes + [(6, 4, 1, 0, 0)]:
+        weyl = math.prod(
+            Fraction(shape[i] - shape[j] + j - i, j - i)
+            for i, j in itertools.combinations(range(len(shape)), 2)
+        )
+        assert schur(shape, (1,) * len(shape)) == weyl
 
 
 def test_schur_determinant_needs_distinct():
