@@ -109,7 +109,8 @@ def departure_kernel(d, d2, t, nu, *, nm):
     value by at most 1e-18 (10^-(HIGH_DPS+2) in high precision).  When
     the cuts and the certified round-off of departure_kernel_stack
     exceed 1e-12 (a determinant that cancels, as at large t with a
-    service rate below an earlier one), it raises ToleranceNotAchieved."""
+    service rate below an earlier one), or a cut passes MAX_CAP, it
+    raises ToleranceNotAchieved against that 1e-12."""
     nu = as_rates(nu)
     n1 = len(nu)
     d = _check_chamber(d, "d", n1)
@@ -118,7 +119,10 @@ def departure_kernel(d, d2, t, nu, *, nm):
     if t == 0:
         return 1 if d == d2 else 0
     budget = 10.0 ** -(HIGH_DPS + 2) if nm.high else 1e-18
-    values, cut, roundoff = departure_kernel_stack(d, d2, 1, t, nu, budget, nm)
+    try:
+        values, cut, roundoff = departure_kernel_stack(d, d2, 1, t, nu, budget, nm)
+    except ToleranceNotAchieved as err:
+        raise err.restated(1e-12, 1.0) from None
     if cut + roundoff > 1e-12:
         detail = f"certified round-off {roundoff:.3g}; try precision='high'"
         raise ToleranceNotAchieved(1e-12, cut + roundoff, detail)

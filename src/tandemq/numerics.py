@@ -2,21 +2,22 @@
 
 All lattice truncations in this package are certified by Poisson tail
 bounds, and every truncation picks the smallest cap whose tail meets
-its budget through one search, poisson_log_cap.  It sums pmf terms in
-double log space in both modes, since tails only feed the float
-abs_error.  Pmf tables come in float64, mpmath or decimal arithmetic,
-the float ones from Loader's saddle-point form, so this module imports
-no scipy.  The "high"
-precision mode works at HIGH_DPS decimal digits; it exists for very
-deep tails (transition probabilities far below 1e-12) where float64
-round-off in signed sums would start to matter.  In it the survival
-sums (lattice.survival_probability), which only add and multiply, run
-on the C decimal module, and the exp/log-bound kernels on mpmath; the
-first high-precision Numerics imports mpmath.  The decorator
-`evaluation` is the only place that enters the mpmath and decimal
-contexts; the Numerics methods assume they run inside them.
+its budget through one downward walk, poisson_log_cap.  It sums pmf
+terms in double precision, in units of the budget, in both modes, since
+tails only feed the float abs_error.  Pmf tables come in float64, mpmath
+or decimal arithmetic, the float ones from Loader's saddle-point form, so
+this module imports no scipy.  The "high" precision mode works at
+HIGH_DPS decimal digits; it exists for very deep tails (transition
+probabilities far below 1e-12) where float64 round-off in signed sums
+would start to matter.  In it the survival sums
+(lattice.survival_probability), which only add and multiply, run on the
+C decimal module, and the exp/log-bound kernels on mpmath; the first
+high-precision Numerics imports mpmath.  The decorator `evaluation` is
+the only place that enters the mpmath and decimal contexts; the Numerics
+methods assume they run inside them.
 """
 
+import bisect
 import contextlib
 import decimal
 import functools
@@ -269,105 +270,74 @@ def poisson_cap(mu, tol):
     tail as a float."""
     if not 0 < tol < math.inf:
         raise PreconditionError(f"tol must be positive and finite, got {tol!r}")
-    cap, log_tail = poisson_log_cap(mu, math.log(tol))
+    try:
+        cap, log_tail = poisson_log_cap(mu, math.log(tol))
+    except ToleranceNotAchieved as err:
+        raise err.restated(tol, 1.0) from None
     return cap, math.exp(log_tail)
-
-
-# The walk of poisson_log_cap starts where the tail bound is about
-# e^_LOG_START below the budget (so that bound moves no tail it reports
-# by more than a relative 1e-10, a tenth of the margin), and no more
-# than e^_LOG_GAP below that, so the walk stays short and its first pmf
-# term, in units of the budget, far above the float underflow.
-_LOG_START = -23.0
-_LOG_GAP = 4.0
 
 
 def poisson_log_cap(mu, log_budget, what="Poisson cap"):
     """Smallest m >= 0 with log P(Poisson(mu) > m) below log_budget, and
     an upper bound on that log tail: the one truncation search of the
-    package.  Every tail is a sum of the pmf terms
-    exp(k log mu - log k! - mu), kept in log form or in units of the
-    budget, so budgets far below the float range (e^-7034) neither
-    underflow nor return a wrong m.
+    package, also for budgets far below the float range (e^-7034).
 
-    Past k >= mu - 1 each pmf term is at most mu/(k+2) times the one
-    before, so P(X > k) <= pmf(k+1)/(1 - mu/(k+2)).  From the Bernstein
-    cap mu + c sqrt(mu) + c^2, c^2 = -2 log_budget (or from above it,
-    until that bound is e^-23 below the budget), Newton steps on the log
-    of the bound go down to a k where it is within e^4 of that; from
-    there a walk adds pmf(k) to P(X > k) one k at a time, down to the
-    first tail that reaches the budget.
-    The tail must clear the budget by a relative 1e-9, which covers the
-    round-off of the log pmf terms (a few ulp of terms below 4e5) and of
-    the walk; the returned log tail includes that round-off.  Raises
-    PreconditionError for a non-finite or negative mu or a non-finite
-    budget, ToleranceNotAchieved for an m past MAX_CAP."""
+    One walk goes down from Bernstein's cap k = mu + sqrt(c2 mu) + c2/3,
+    c2 = 46 - 2 log budget, where the tail is e^-23 below the budget
+    (Boucheron, Lugosi and Massart 2013, ch. 2), or from the last k below
+    it whose pmf is within e^700 of the budget (by bisection).  Past
+    k >= mu - 1 each pmf term is at most mu/(k+2) times the one before,
+    so P(X > k) <= pmf(k+1)/(1 - mu/(k+2)); from that seed the walk adds
+    pmf(k) one k at a time, in units of the budget, down to the first
+    tail that reaches it.  The tail must clear the budget by a relative
+    1e-9, which covers the round-off of the log pmf terms (a few ulp of
+    terms below 4e5) and of the walk; the returned log tail includes that
+    round-off.  Raises PreconditionError for a non-finite or negative mu
+    or a non-finite budget, ToleranceNotAchieved for an m past MAX_CAP."""
     mu = float(mu)
     if not (0 <= mu < math.inf and math.isfinite(log_budget)):
         raise PreconditionError(f"no Poisson cut for mean {mu!r} and log budget {log_budget!r}")
     if mu == 0:
         return 0, -math.inf
-    goal = log_budget + math.log1p(-1e-9)
-    c2 = max(0.0, -2.0 * goal)
-    hi = min(MAX_CAP, math.ceil(mu + math.sqrt(c2 * mu) + c2))
-    lo = max(0, math.floor(mu) - 1)
-    if hi < lo:
-        # P(X > hi) >= P(X >= floor(mu)) >= 1/2: the median is >= mu - log 2
+    if mu >= MAX_CAP + 2:
+        # P(X > MAX_CAP) >= P(X >= floor(mu)) >= 1/2: the median is >= mu - log 2
         raise ToleranceNotAchieved.from_logs(log_budget, 0.0, f"{what} exceeded {MAX_CAP}")
-    log_mu, lgamma, log1p = math.log(mu), math.lgamma, math.log1p
+    log_mu = math.log(mu)
 
-    # the start k >= lo: log_next = log pmf(k+1), bound = log of its tail bound
-    target = goal + _LOG_START
-    k = hi
-    while True:
-        log_next = (k + 1) * log_mu - lgamma(k + 2.0) - mu
-        bound = log_next - log1p(-mu / (k + 2))
-        if bound < target:
-            break
-        k += k - lo + 1
-    while k > lo and target - bound > _LOG_GAP:
-        # a step down from k raises the log pmf by log((k+1)/mu) at most,
-        # the bound's factor 1/(1 - mu/(k+2)) by a little more
-        step = min(k - lo, int((target - bound) / (math.log(k + 1) - log_mu)))
-        while step >= 1:
-            j = k - step
-            log_j = (j + 1) * log_mu - lgamma(j + 2.0) - mu
-            bound_j = log_j - log1p(-mu / (j + 2))
-            if bound_j < target:
-                break
-            step //= 2
-        if step < 1:
-            break
-        k, log_next, bound = j, log_j, bound_j
-    top, log_tail = k, bound
-    if k > hi:
-        # z = P(X > k)/pmf(k+1) obeys z_(k-1) = 1 + z_k mu/(k+1)
-        z = math.exp(bound - log_next)
-        while k > hi:
-            z = 1.0 + z * mu / (k + 1)
-            k -= 1
-        log_next = (k + 1) * log_mu - lgamma(k + 2.0) - mu
-        log_tail = math.log(z) + log_next
-        if not log_tail < goal:
-            log_tail += _log_roundoff(k + 1, log_mu, mu, top - k)
-            raise ToleranceNotAchieved.from_logs(log_budget, log_tail, f"{what} exceeded {MAX_CAP}")
+    def log_pmf(j):
+        return j * log_mu - math.lgamma(j + 1.0) - mu
+
+    goal = log_budget + math.log1p(-1e-9)
+    if goal >= 0:  # every tail is below 1
+        return 0, math.log(-math.expm1(-mu))
+    c2 = 46.0 - 2.0 * goal
+    top = math.ceil(mu + math.sqrt(c2 * mu) + c2 / 3)
+    if log_pmf(top) < goal - 700:
+        # bisect for the last k whose pmf is within e^700 of the budget: the
+        # pmf falls from the mode on, and at the mode it is within that
+        mode = math.floor(mu)
+        top = mode - 1 + bisect.bisect(range(mode, top), False, key=lambda j: log_pmf(j) < goal - 700)
+    log_tail = log_pmf(top + 1) - math.log1p(-mu / (top + 2))
     # in units of the budget: t = P(X > k) and p = pmf(k)
-    t = math.exp(log_tail - goal)
-    p = math.exp(min(log_next + math.log(k + 1) - log_mu - goal, 700.0))
+    t, p = math.exp(log_tail - goal), math.exp(log_pmf(top) - goal)
     m = 0
-    for j in range(k, 0, -1):
-        t_down = t + p
-        if t_down >= 1.0:
+    for j in range(top, 0, -1):
+        if t + p >= 1.0:
             m = j
             break
-        t = t_down
+        t += p
         p = p * j / mu
-    if t > 1e-300:
+    if m > MAX_CAP:
+        # t may overflow at MAX_CAP: carry z = P(X > j)/pmf(j), z_(j-1) = (z_j + 1) mu/j
+        z = t / p
+        for j in range(m, MAX_CAP, -1):
+            z = (z + 1.0) * mu / j
+        log_tail = math.log(z) + log_pmf(MAX_CAP) + _log_roundoff(MAX_CAP, log_mu, mu, top - MAX_CAP)
+        raise ToleranceNotAchieved.from_logs(log_budget, log_tail, f"{what} exceeded {MAX_CAP}")
+    if m < top:
+        # past the seed, t >= pmf(top) >= e^-700 in units of the budget
         log_tail = math.log(t) + goal
-    else:
-        # t underflows only for mu below about 1e-280, where the bound is tight
-        log_tail = (m + 1) * log_mu - lgamma(m + 2.0) - mu - log1p(-mu / (m + 2))
-    # the start bound is tight to e^-23 of the budget, and a tail is at most 1
+    # a tail is at most 1
     return m, min(0.0, log_tail + _log_roundoff(m + 1, log_mu, mu, top - m))
 
 

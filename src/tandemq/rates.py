@@ -73,11 +73,11 @@ class RateVector:
                 f"unstable: arrival rate {self.values[0]} must be below every service rate"
             )
 
-    def require_distinct(self, eps=EPS_DISTINCT, service_only=False, hint=""):
+    def require_distinct(self, service_only=False, hint=""):
         vals = [float(v) for v in (self.services if service_only else self.values)]
-        if any(abs(a - b) / max(a, b) < eps for i, a in enumerate(vals) for b in vals[i + 1 :]):
+        if any(abs(a - b) / max(a, b) < EPS_DISTINCT for i, a in enumerate(vals) for b in vals[i + 1 :]):
             which = "service rates" if service_only else "all rates"
-            msg = f"rates not distinct: {which} must have pairwise relative gap >= {eps:g}"
+            msg = f"rates not distinct: {which} must have pairwise relative gap >= {EPS_DISTINCT:g}"
             if hint:
                 msg += f"; {hint}"
             raise CoincidentRatesError(msg)

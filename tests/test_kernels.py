@@ -178,6 +178,16 @@ def test_departure_kernel_refuses_its_round_off():
     assert abs(hi - mpmath.mpf("0.004048039343486254")) < 1e-17
 
 
+@pytest.mark.parametrize("precision", ["double", "high"])
+def test_departure_kernel_cut_refusal_names_its_tolerance(precision):
+    # at t=4000 the h-series cut passes MAX_CAP; the refusal names the
+    # 1e-12 of the round-off refusal, not the internal cut budget
+    with pytest.raises(ToleranceNotAchieved, match="h-series cut exceeded") as info:
+        departure_kernel((0, 0, 0), (0, 0, 0), 4000.0, (1, 2, 4), precision=precision)
+    assert info.value.requested == 1e-12
+    assert info.value.logs[1] > math.log(1e-12)
+
+
 def test_departure_stack_round_off_within_its_bound():
     # every double slice stays within its certified round-off of the
     # 50-digit one: cancelling determinants (a service rate below an

@@ -29,23 +29,32 @@ def _check_smallest(mu, log_tol):
         cap, log_tail = poisson_log_cap(mu, log_tol)
     except ToleranceNotAchieved as exc:
         # a refusal is right only if MAX_CAP leaves too much, and it names
-        # an upper bound on what MAX_CAP leaves
+        # a finite upper bound on what MAX_CAP leaves, tight to 1e-9 (past
+        # MAX_CAP + 1 the mean itself refuses, naming 1)
         exact = _log_tail(mu, MAX_CAP)
-        assert exact >= log_tol and exc.logs[1] >= exact - 1e-12
+        assert exact >= log_tol and math.isfinite(exc.logs[1])
+        tight = exact - 1e-12 <= exc.logs[1] <= exact + 1e-9
+        assert tight or (mu >= MAX_CAP + 2 and exc.logs[1] == 0.0)
         assert str(exc).endswith(f"(Poisson cap exceeded {MAX_CAP})")
         return
+    # the smallest cap whose tail clears the budget by the relative 1e-9
+    # margin (at mean and tol 1e-300, P(X > 0) misses it by 5e-301)
     exact = _log_tail(mu, cap)
-    assert exact < log_tol <= _log_tail(mu, cap - 1) or (mu == 0 and cap == 0)
+    assert exact < log_tol + math.log1p(-1e-9) <= _log_tail(mu, cap - 1) or (mu == 0 and cap == 0)
     # the returned tail is an upper bound, below the budget, and tight
     assert exact <= log_tail + 1e-12 and log_tail < log_tol
     assert log_tail <= exact + 1e-9 or mu == 0
 
 
-MUS = [0.0, 0.5, 30.0, 300.0, 5000.0, 19000.0]
+# tiny means, where the pmf leaves the float range in units of the
+# budget at Bernstein's start, and means on both sides of MAX_CAP
+MUS = [0.0, 1e-300, 1e-10, 0.5, 30.0, 300.0, 5000.0, 19000.0, 19999.0, 20001.0]
 
 
+# the weak tolerances e^-0.01 and e^-0.5 put caps below the mean, so the
+# walk passes the mode
 @pytest.mark.parametrize("mu", MUS)
-@pytest.mark.parametrize("tol", [1e-8, 1e-13, 1e-300])
+@pytest.mark.parametrize("tol", [1e-8, 1e-13, 1e-300, math.exp(-0.01), math.exp(-0.5)])
 def test_poisson_cap_is_smallest(mu, tol):
     _check_smallest(mu, math.log(tol))
     try:
@@ -63,6 +72,38 @@ def test_poisson_cap_is_smallest_below_float_range(mu, log_tol):
     _check_smallest(mu, log_tol)
 
 
+# (mean, log budget, cap or None for a refusal) as an upward doubling and
+# galloping descent found them, one or more per regime
+PINNED = [
+    (1e-300, -700.0, 1), (1e-300, -7000.0, 10), (1e-200, -0.01, 0), (1e-200, -3000.0, 6),
+    (1e-30, -23.0, 0), (1e-10, -0.5, 0), (2.4e-10, -23.0, 1), (1e-05, -40.0, 3),
+    (0.5, -0.01, 0), (0.5, -100.0, 30), (1.0, -1.0, 1), (2.0, -5.0, 6),
+    (30.0, -0.5, 28), (60.0, -23.0, 115), (60.0, -7000.0, 2529), (250.0, -40.0, 397),
+    (250.0, -700.0, 1042), (1000.0, -0.01, 927), (1000.0, -100.0, 1470), (5000.0, -5.0, 5176),
+    (5000.0, -3000.0, 11399), (19000.0, -0.5, 18963), (19000.0, -23.0, 19883),
+    (19000.0, -100.0, None), (19000.0, -3000.0, None), (19999.0, -0.01, 19670),
+    (19999.0, -1.0, None), (20001.0, -0.01, 19672), (20001.0, -0.5, 19963),
+    (20001.0, -5.0, None), (20001.0, -23.0, None), (20002.0, -0.01, None),
+]
+
+
+@pytest.mark.parametrize("mu, log_tol, cap", PINNED)
+def test_poisson_log_cap_pinned(mu, log_tol, cap):
+    if cap is None:
+        with pytest.raises(ToleranceNotAchieved, match=f"Poisson cap exceeded {MAX_CAP}"):
+            poisson_log_cap(mu, log_tol)
+    else:
+        assert poisson_log_cap(mu, log_tol)[0] == cap
+
+
+def test_poisson_log_cap_budgets_above_one():
+    # every tail is below 1: cap 0 and the tail P(X > 0) = 1 - e^-mu
+    for mu in (1e-300, 0.5, 100.0):
+        for log_tol in (5.0, 1000.0):
+            cap, log_tail = poisson_log_cap(mu, log_tol)
+            assert cap == 0 and abs(log_tail - float(_log_tail(mu, 0))) <= 1e-12
+
+
 def test_poisson_cap_reference_point():
     # stepping in whole units of c returned 83, with a tail of 5.2e-16
     assert poisson_cap(30.0, 5e-10)[0] == 69
@@ -77,6 +118,14 @@ def test_poisson_cap_limit():
     with pytest.raises(ToleranceNotAchieved, match=f"Poisson cap exceeded {MAX_CAP}") as exc:
         poisson_cap(3.0 * MAX_CAP, 1e-10)
     assert exc.value.achieved == 1.0
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-10])
+def test_poisson_cap_refusal_names_tol(tol):
+    # not exp(log tol), which is 1.0000000000000007e-09 for 1e-9
+    with pytest.raises(ToleranceNotAchieved) as exc:
+        poisson_cap(60000.0, tol)
+    assert exc.value.requested == tol and exc.value.achieved == 1.0
 
 
 @pytest.mark.parametrize("mu, tol", [(math.nan, 1e-8), (math.inf, 1e-8), (-1.0, 1e-8),
