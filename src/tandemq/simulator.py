@@ -9,14 +9,18 @@ the Markov dynamics and vectorizes across replications.
 Replications are processed in fixed blocks of 65536; block b draws its
 randomness from a counter-based generator keyed by (seed, b), so serial
 and parallel runs produce identical output and reruns are byte-stable.
-A block draws its Poisson event counts, then one uniform per replication
-and event, replication by replication (in row chunks, which continue the
-same stream); the last block of a run draws all BLOCK counts but the
-uniforms of its first replications only, those that the run asks for.
-The station of an event is the number of cumulative rate fractions at
-or below its uniform.  Events are then replayed step by step over the
-replications sorted by event count, most first, so step j touches only
-the prefix of replications that have a j-th event.
+A block draws its Poisson event counts, then one 64-bit Philox word per
+replication and event, replication by replication (in row chunks, which
+continue the same stream); the last block of a run draws all BLOCK
+counts but the words of its first replications only, those that the run
+asks for.  The station of an event is the number of cumulative rate
+fractions at or below the uniform (word >> 11) * 2**-53 that numpy would
+make of its word, counted by comparing the word itself with one integer
+threshold per fraction, into a byte table with one row per replication.
+Events are then replayed step by step over the replications sorted by
+event count, most first, so step j touches only the prefix of
+replications that have a j-th event; it gathers their labels of event j
+from the table in that order.
 
 Uniformization steps the law of the queue vector on the box {0..cap}^n
 as one numpy array: every jump of a tandem chain shifts that array along
@@ -32,17 +36,18 @@ import numpy as np
 
 from .errors import PreconditionError, ToleranceNotAchieved
 from .kernels import KernelValue, _check_chamber, _check_queue
-from .numerics import Numerics, check_time, poisson_cap
+from .numerics import MAX_BOX_POINTS, Numerics, check_time, poisson_cap
 from .rates import as_rates
 
 BLOCK = 65536
 # The label table of n replications holds one byte per event up to the
-# most events kmax of their block, briefly twice over: n * kmax may reach
-# BLOCK * MAX_EVENTS bytes (64 MB here).
+# most events kmax of their block: n * kmax may reach BLOCK * MAX_EVENTS
+# bytes (64 MB here).
 MAX_EVENTS = 1024
-# Uniforms drawn per chunk: 1 MB of float64, which stays in cache while
-# it is compared with each rate fraction; kmax is at most one chunk.
+# Philox words drawn per chunk: 1 MB of uint64, which stays in cache while
+# it is compared with each threshold; kmax is at most one chunk.
 CHUNK = 1 << 17
+INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -59,12 +64,12 @@ class SimConfig:
         if not vals or any(not 0 < v < math.inf for v in vals):
             raise PreconditionError("rates must be a nonempty sequence of positive finite values")
         object.__setattr__(self, "rates", vals)
-        if self.replications < 1:
-            raise PreconditionError("replications must be >= 1")
+        if not isinstance(self.replications, numbers.Integral) or self.replications < 1:
+            raise PreconditionError(f"replications must be an int >= 1, got {self.replications!r}")
         if not 0 < self.horizon < math.inf:
             raise PreconditionError(f"horizon must be positive and finite, got {self.horizon!r}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise PreconditionError("seed must fit in 64 bits")
+        if not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 2**64:
+            raise PreconditionError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
 
 
 class Estimate(NamedTuple):
@@ -77,17 +82,23 @@ def _block_rng(seed, block):
     return np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
 
 
-def _station_draws(rng, fl, t, n):
+def _station_draws(rng, fl, t, n, start):
     """Event labels of the first n replications of one block, ordered
     for the event loop.
 
-    Returns (order, active, labels): order lists the replications by
-    event count, most first (stable); active[j] counts those with more
-    than j events; labels[j, :active[j]] are the stations of event j in
-    that order.  The uniforms are drawn as the first n rows of one
-    (BLOCK, kmax) row-major array would be, in row chunks, kmax the
-    most events of the whole block, and a label is the number of
-    cumulative rate fractions at or below its uniform."""
+    Returns (order, steps): order lists the replications by event count,
+    most first (stable), and steps yields, for each event index j, the
+    stations of event j of the replications in that order that have a
+    j-th event (a prefix of order, shorter as j grows).  The Philox words
+    are drawn as the first n rows of one (BLOCK, kmax) row-major array
+    would be, in row chunks, kmax the most events of the whole block.  A
+    label is the number of cumulative rate fractions c at or below the
+    uniform (raw >> 11) * 2**-53 of its word, counted on the raw word as
+    raw >= ceil(c * 2**53) << 11; a fraction that rounded to 1 is never
+    reached and has no threshold.  The labels stay in the row-major
+    table, and step j gathers its column in order.  Refuses, before
+    allocating, a block whose event counts are too large to hold or that
+    could carry an entry of start past int64."""
     lam = float(sum(fl))
     counts = rng.poisson(lam * t, size=BLOCK)
     kmax = int(counts.max(initial=0))
@@ -96,20 +107,35 @@ def _station_draws(rng, fl, t, n):
             f"t={t!r} expects {lam * t:.4g} events per replication; {n} replications "
             f"may draw at most {min(CHUNK, BLOCK * MAX_EVENTS // n)} each"
         )
+    # an entry moves by at most one per event, and the state is int64
+    if min(start) < INT64.min or max(start) > INT64.max - kmax:
+        raise PreconditionError(
+            f"start {start} does not fit in int64 with room for the {kmax} events "
+            "a replication may draw"
+        )
     counts = counts[:n]
     cum = np.cumsum(fl) / lam
-    table = np.empty((n, kmax), dtype=np.min_scalar_type(len(fl) - 1))
+    limits = [np.uint64(math.ceil(c * 2**53) << 11) for c in cum[:-1] if c < 1.0]
+    flat = np.empty(n * kmax, dtype=np.min_scalar_type(len(fl) - 1))
     rows = max(1, CHUNK // max(kmax, 1))
     for r0 in range(0, n, rows):
-        u = rng.random((min(rows, n - r0), kmax))
-        lab = table[r0 : r0 + len(u)]
-        lab[...] = u >= cum[0]
-        for c in cum[1:-1]:
-            lab += u >= c
-    order = np.argsort(-counts, kind="stable")
+        raw = rng.bit_generator.random_raw(min(rows, n - r0) * kmax)
+        lab = flat[r0 * kmax : r0 * kmax + len(raw)]
+        lab[...] = raw >= limits[0] if limits else 0
+        for c in limits[1:]:
+            lab += raw >= c
+    # counts descending; a stable sort of 8- or 16-bit keys is a radix sort
+    order = np.argsort((kmax - counts).astype(np.min_scalar_type(kmax)), kind="stable")
     active = n - np.cumsum(np.bincount(counts, minlength=kmax))[:kmax]
-    table = table[order]
-    return order, active.tolist(), np.ascontiguousarray(table.T)
+    # at step j, at[i] indexes event j of replication order[i] in the table
+    at = order * kmax
+
+    def steps():
+        for a in active.tolist():
+            yield flat.take(at[:a])
+            at[:a] += 1
+
+    return order, steps()
 
 
 def _unsort(order, hits):
@@ -121,11 +147,11 @@ def _unsort(order, hits):
 def _queue_block(args):
     fl, q, q2, t, seed, block, reps = args
     rng = _block_rng(seed, block)
-    order, active, labels = _station_draws(rng, fl, t, reps)
+    order, steps = _station_draws(rng, fl, t, reps, q)
     n = len(q)
     state = [np.full(reps, v, dtype=np.int64) for v in q]
-    for j, a in enumerate(active):
-        s = labels[j, :a]
+    for s in steps:
+        a = len(s)
         state[0][:a] += s == 0
         for k in range(1, n + 1):
             m = (s == k) & (state[k - 1][:a] > 0)
@@ -141,13 +167,13 @@ def _queue_block(args):
 def _noncross_block(args):
     fl, x, t, seed, block, reps = args
     rng = _block_rng(seed, block)
-    order, active, labels = _station_draws(rng, fl, t, reps)
+    order, steps = _station_draws(rng, fl, t, reps, x)
     pos = [np.full(reps, v, dtype=np.int64) for v in x]
     # a counter that jumps onto its left neighbour's position crosses it;
     # the replication is lost for good, so its later steps need no mask
     crossed = np.zeros(reps, dtype=bool)
-    for j, a in enumerate(active):
-        s = labels[j, :a]
+    for s in steps:
+        a = len(s)
         pos[0][:a] += s == 0
         for k in range(1, len(x)):
             m = s == k
@@ -229,6 +255,10 @@ def uniformization_kt(q, q2, t, nu, cap, tol=1e-8):
     q2 = _check_queue(q2, n, "q2")
     if max(q) > cap or max(q2) > cap:
         raise PreconditionError("queue entries must not exceed the truncation cap")
+    if (cap + 1) ** n > MAX_BOX_POINTS:
+        raise PreconditionError(
+            f"the box {{0..{cap}}}^{n} has {(cap + 1) ** n} states, more than {MAX_BOX_POINTS}"
+        )
     check_time(t)
     fl = nu.as_floats()
     lam = float(sum(fl))

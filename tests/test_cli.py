@@ -371,6 +371,20 @@ def test_simulate_refusals_exit_2():
     assert "jobs must be >= 1" in r.stderr
 
 
+def test_simulate_start_beyond_int64_exits_2():
+    big = "100000000000000000000"
+    for args in (("kt", "--rates", "1,2", "--q", big, "--q2", "0"),
+                 ("noncross", "--rates", "1,2", "--x", f"{big},0")):
+        r = run_cli("simulate", *args, "--t", "1", "--reps", "10")
+        assert r.returncode == 2
+        assert "int64" in r.stderr
+        assert "Traceback" not in r.stderr
+    r = run_cli("simulate", "kt", "--rates", "1,2", "--q", "3000000000", "--q2", "3000000000",
+                "--t", "1e-9", "--reps", "10")
+    assert r.returncode == 0, r.stderr
+    assert float(r.stdout.splitlines()[1].split(",")[0]) == 1.0
+
+
 def test_import_leaves_verify_unloaded():
     code = (
         "import sys, tandemq; loaded = 'tandemq.verify' in sys.modules; "

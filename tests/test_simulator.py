@@ -37,6 +37,13 @@ def test_sim_config_validation():
         SimConfig(rates=(1.0, 2.0), horizon=1.0, seed=0, replications=0)
     with pytest.raises(PreconditionError):
         SimConfig(rates=(1.0, 2.0), horizon=1.0, seed=2**64, replications=10)
+    # a fractional seed used to run as its integer part, a fractional
+    # count to fail later with a TypeError
+    with pytest.raises(PreconditionError, match="seed"):
+        SimConfig(rates=(1.0, 2.0), horizon=1.0, seed=7.5, replications=10)
+    with pytest.raises(PreconditionError, match="replications"):
+        SimConfig(rates=(1.0, 2.0), horizon=1.0, seed=7, replications=1000.5)
+    assert SimConfig(rates=(1.0, 2.0), horizon=1.0, seed=np.uint64(7), replications=np.int64(10))
 
 
 def test_queue_sim_reproducible_and_parallel_equal():
@@ -99,16 +106,19 @@ def test_sim_parallel_reproduces_pinned_estimates():
             assert _pinned_estimate(*args, jobs=2) == Estimate(*want)
 
 
-def _reference_draws(fl, t, seed, block):
-    # the original block layout: one (BLOCK, kmax) uniform draw, labels
-    # by searchsorted, one row per replication
-    rng = simulator._block_rng(seed, block)
+def _uniform_labels(rng, fl, t, n):
+    # the original block layout: one (n, kmax) uniform draw, labels by
+    # searchsorted, one row per replication
     lam = float(sum(fl))
     counts = rng.poisson(lam * t, size=BLOCK)
     cum = np.cumsum(fl) / lam
     cum[-1] = 1.0
-    u = rng.random((BLOCK, int(counts.max(initial=0))))
-    return counts, np.searchsorted(cum, u, side="right")
+    u = rng.random((n, int(counts.max(initial=0))))
+    return counts[:n], np.searchsorted(cum, u, side="right")
+
+
+def _reference_draws(fl, t, seed, block):
+    return _uniform_labels(simulator._block_rng(seed, block), fl, t, BLOCK)
 
 
 def _reference_queue_block(args):
@@ -161,6 +171,73 @@ def test_blocks_match_reference_loops(seed):
         # a run, its first few
         for reps in (BLOCK, 1000, 1):
             np.testing.assert_array_equal(block(args + (reps,)), want[:reps])
+
+
+# (1, 1) and (1, 3) have dyadic fractions, the fraction of (1, 1e-17)
+# rounds to 1, (1e-300, 1, 2) has a tiny first threshold and (1, 1e-300, 2)
+# two equal ones
+ADVERSARIAL_RATES = [(1.0, 1.0), (1.0, 3.0), (1.0, 1e-17), (1e-300, 1.0, 2.0), (1.0, 1e-300, 2.0)]
+
+
+@pytest.mark.parametrize("fl", ADVERSARIAL_RATES)
+@pytest.mark.parametrize("n", [BLOCK, 1000, 1])
+def test_station_draws_match_uniform_labels(fl, n):
+    rng = simulator._block_rng(21, 0)
+    order, steps = simulator._station_draws(rng, fl, 2.0, n, (0,) * len(fl))
+    ref = simulator._block_rng(21, 0)
+    counts, want = _uniform_labels(ref, fl, 2.0, n)
+    np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+    np.testing.assert_array_equal(order, np.argsort(-counts, kind="stable"))
+    got = np.full(want.shape, -1)
+    for j, s in enumerate(steps):
+        got[order[: len(s)], j] = s
+    want[np.arange(want.shape[1]) >= counts[:, None]] = -1
+    np.testing.assert_array_equal(got, want)
+
+
+class _Words:
+    """A stand-in generator: every replication draws len(words) events,
+    whose Philox words are the given ones."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+        self.bit_generator = self
+
+    def poisson(self, lam, size):
+        return np.full(size, len(self.words))
+
+    def random_raw(self, size):
+        assert size == len(self.words)
+        return self.words
+
+
+@pytest.mark.parametrize("fl", ADVERSARIAL_RATES + [(1.0, 2.0, 4.0)])
+def test_station_draws_thresholds_on_edge_words(fl):
+    # the words on either side of each threshold and at both ends; a label
+    # counts the fractions at or below numpy's uniform of the word
+    cum = np.cumsum(fl) / sum(fl)
+    words = [0, 2**64 - 1]
+    for c in cum[:-1]:
+        k = math.ceil(c * 2**53)
+        words += [w for w in ((k - 1) << 11, (k << 11) - 1, k << 11) if w < 2**64]
+    _, steps = simulator._station_draws(_Words(words), fl, 1.0, 1, (0,) * len(fl))
+    got = [int(s[0]) for s in steps]
+    assert got == [sum((w >> 11) * 2.0**-53 >= c for c in cum[:-1]) for w in words]
+
+
+def test_sim_refuses_start_beyond_int64():
+    cfg = SimConfig(rates=(1.0, 2.0), horizon=1.0, seed=0, replications=10)
+    with pytest.raises(PreconditionError, match="int64"):
+        simulate_queue_prob((10**20,), (0,), cfg=cfg)
+    with pytest.raises(PreconditionError, match="int64"):
+        simulate_queue_prob((2**63 - 5,), (0,), cfg=cfg)
+    with pytest.raises(PreconditionError, match="int64"):
+        simulate_noncrossing((10**20, 0), cfg=cfg)
+    with pytest.raises(PreconditionError, match="int64"):
+        simulate_noncrossing((0, -(10**20)), cfg=cfg)
+    # entries well inside int64 still run
+    assert simulate_queue_prob((3 * 10**9,), (3 * 10**9,), cfg=cfg).replications == 10
+    assert simulate_noncrossing((-(2**62), -(2**62) - 5), cfg=cfg).replications == 10
 
 
 def test_sim_rejects_jobs_below_one():
@@ -330,6 +407,19 @@ def test_uniformization_matches_dense_generator(nu, cap, q, q2, t, solves):
 def test_uniformization_time_zero():
     got = uniformization_kt((2,), (2,), 0.0, (1, 2), 10, tol=1e-10)
     assert got.value == pytest.approx(1.0, abs=1e-10)
+
+
+def test_uniformization_refuses_oversized_box_without_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match="states"):
+            uniformization_kt((0, 0, 0), (0, 0, 0), 1.0, (1, 2, 3, 4), 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    # verify's largest box, N=3 at cap 80, is below the limit
+    assert 81**3 <= simulator.MAX_BOX_POINTS
 
 
 def test_uniformization_rejects_state_beyond_cap():
