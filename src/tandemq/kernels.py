@@ -29,6 +29,7 @@ that shares no code with departure_kernel_stack.
 
 import functools
 import math
+import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -43,8 +44,22 @@ from .rates import as_rates
 from .symfunc import _pow
 
 
+def _integers(x, name):
+    """x as a tuple of ints.  Accepts integers (numpy's too) and
+    integral floats; raises PreconditionError on any other entry (0.5,
+    nan, inf, a string), which int() would truncate, parse or fail on."""
+    x = tuple(x)
+    for v in x:
+        integral = isinstance(v, numbers.Integral) or (
+            isinstance(v, numbers.Real) and math.isfinite(v) and v == int(v)
+        )
+        if not integral:
+            raise PreconditionError(f"{name} entries must be integers, got {v!r}")
+    return tuple(int(v) for v in x)
+
+
 def _check_chamber(x, name="z", n1=None):
-    x = tuple(int(v) for v in x)
+    x = _integers(x, name)
     for k in range(len(x) - 1):
         if x[k] < x[k + 1]:
             raise PreconditionError(f"{name}={x} is not weakly decreasing")
@@ -54,7 +69,7 @@ def _check_chamber(x, name="z", n1=None):
 
 
 def _check_queue(q, n_stations, name="q"):
-    q = tuple(int(v) for v in q)
+    q = _integers(q, name)
     if len(q) != n_stations:
         raise PreconditionError(f"{name} must have {n_stations} entries, got {len(q)}")
     if any(v < 0 for v in q):

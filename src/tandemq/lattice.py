@@ -5,7 +5,9 @@ Internal engines shared by the kernel and queue-probability modules:
 * survival sums: noncrossing probabilities, and signed sums of them
   over arrangements of the rates on the levels, as one subset recursion
   over the rates and determinant columns placed so far, each state one
-  prefix-summed array over the truncation range;
+  prefix-summed array over the truncation range; the exact arrangement
+  weights are cached per rate vector, so a series over t computes its
+  Fraction arithmetic once;
 * the weakly decreasing integer points of a box, enumerated as one
   numpy array;
 * box caps that certify a tail bound before any sum is taken.
@@ -13,6 +15,7 @@ Internal engines shared by the kernel and queue-probability modules:
 Nothing in here is part of the public interface.
 """
 
+import functools
 import math
 from collections import defaultdict
 from fractions import Fraction
@@ -64,7 +67,8 @@ class Arrangements(NamedTuple):
     """Placements sigma of the rates on the levels 0..N: level i takes a
     rate sigma(i) from places[i], and sigma weighs scale / prod (1 -
     nu_sigma(j)/nu_sigma(i)) over the level pairs i < j whose two rates
-    both lie in paired."""
+    both lie in paired.  places holds frozensets, so that the weights
+    can be cached on it."""
 
     places: tuple
     paired: frozenset = frozenset()
@@ -101,8 +105,8 @@ def survival_probability(x, t, nu, tol, nm, arrangements=None):
     nm.scalar(nu_r) * nm.scalar(t) in both modes, so the caps, the grid
     and the bound do not depend on the arithmetic of the sums."""
     n1 = len(nu)
-    places, paired, scale = arrangements or Arrangements(tuple({i} for i in range(n1)))
-    weights, mass = _arrangement_weights([Fraction(v) for v in nu], places, paired, scale)
+    places, paired, scale = arrangements or Arrangements(tuple(frozenset({i}) for i in range(n1)))
+    weights, mass = _arrangement_weights(tuple(Fraction(v) for v in nu), places, paired, scale)
     rates = [nm.sum_scalar(r) for r in nu]
     a = [x[j] - j for j in range(n1)]
     # each weight with the rate power nu_r^-a_i of the level i it sits at
@@ -148,11 +152,16 @@ def survival_probability(x, t, nu, tol, nm, arrangements=None):
     return sum(h[-1] for h in below.values()) * nm.sum_scalar(scale), mass * tail
 
 
+@functools.lru_cache(maxsize=64)
 def _arrangement_weights(vals, places, paired, scale):
     """The exact weight of placing rate r one level above the placed
     rates R, as {(R, r): w} over bitmasks R, and sum_sigma
     |weight_sigma| over the complete placements (a float), by one
-    recursion over the rate sets."""
+    recursion over the rate sets.
+
+    Cached on its exact (hashable) inputs: the Fraction rates, the
+    places as frozensets, the paired set and the scale.  The returned
+    mapping is shared between calls and must be read only."""
     weights, mass = {}, {0: abs(Fraction(scale))}
     for i in range(len(vals) - 1, -1, -1):
         nxt = defaultdict(Fraction)

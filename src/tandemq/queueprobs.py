@@ -13,11 +13,17 @@ import math
 from fractions import Fraction
 
 from . import lattice
+from .asymptotics import relaxation_rate
 from .errors import PreconditionError, ToleranceNotAchieved
 from .kernels import _check_queue, departure_kernel_stack, queue_to_departures
 from .numerics import KernelValue, check_time, evaluation, poisson_cap
 from .rates import _div, as_rates
 from .symfunc import _pow
+
+# kt00_gap_relative starts at rel_tol e^(-g t) (1+t)^(-3/2) times this
+# margin: at N = 2..4 and t = 0.5..300 the measured gaps lie between 0.07
+# and 0.85 times e^(-g t) (1+t)^(-3/2)
+ENVELOPE_MARGIN = 1e-3
 
 
 def stationary_empty_prob(nu):
@@ -98,18 +104,24 @@ def kt00_gap(t, nu, tol=1e-10, *, nm):
 
 
 def kt00_gap_relative(t, nu, rel_tol=1e-4, *, precision="double"):
-    """kt00_gap with the truncation tolerance tightened iteratively until
-    the certified bound drops below rel_tol times the value itself.
+    """kt00_gap with the truncation tolerance tightened until the
+    certified bound drops below rel_tol times the value itself.
 
-    At large t the gap sits well below any a-priori envelope (the leading
-    exponential carries an algebraically decaying factor), so a fixed
-    absolute tolerance either wastes work or certifies nothing.  Each
-    retry re-targets the tolerance from the measured value; the loop
-    converges in two or three passes and the returned abs_error is still
-    the honest bound from the final pass."""
+    A fixed absolute tolerance either wastes work or certifies nothing,
+    since the gap decays like e^(-g t) t^(-3/2), g the relaxation rate
+    (asymptotics.relaxation_rate).  The first tolerance is therefore
+    rel_tol e^(-g t) (1+t)^(-3/2) ENVELOPE_MARGIN, taken in logs and
+    clamped to [1e-300, 1e-12]; a tighter cut costs little, as the caps
+    grow like sqrt(log(1/tol)), so one pass certifies the value.  Where
+    the envelope is too loose, each retry re-targets the tolerance from
+    the measured value, and the returned abs_error is the honest bound
+    from the final pass."""
     if not 0 < rel_tol < math.inf:
         raise PreconditionError(f"rel_tol must be positive and finite, got {rel_tol!r}")
-    tol = 1e-12
+    check_time(t)
+    g = relaxation_rate(nu)
+    log_tol = math.log(rel_tol) + math.log(ENVELOPE_MARGIN) - g * t - 1.5 * math.log1p(t)
+    tol = min(max(math.exp(log_tol), 1e-300), 1e-12)
     kv = kt00_gap(t, nu, tol=tol, precision=precision)
     for _ in range(8):
         target = abs(float(kv.value)) * rel_tol

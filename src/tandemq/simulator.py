@@ -61,15 +61,20 @@ class SimConfig:
 
     def __post_init__(self):
         vals = tuple(self.rates)
-        if not vals or any(not 0 < v < math.inf for v in vals):
+        if not vals or not all(_positive_finite(v) for v in vals):
             raise PreconditionError("rates must be a nonempty sequence of positive finite values")
         object.__setattr__(self, "rates", vals)
         if not isinstance(self.replications, numbers.Integral) or self.replications < 1:
             raise PreconditionError(f"replications must be an int >= 1, got {self.replications!r}")
-        if not 0 < self.horizon < math.inf:
+        if not _positive_finite(self.horizon):
             raise PreconditionError(f"horizon must be positive and finite, got {self.horizon!r}")
         if not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 2**64:
             raise PreconditionError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
+
+
+def _positive_finite(v):
+    # a string or None would make the comparison raise a TypeError
+    return isinstance(v, numbers.Real) and 0 < v < math.inf
 
 
 class Estimate(NamedTuple):

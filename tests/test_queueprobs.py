@@ -9,8 +9,10 @@ import time
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from tandemq import lattice, queueprobs
 from tandemq.asymptotics import decay_report, fit_decay_rate
 from tandemq.errors import PreconditionError, ToleranceNotAchieved
 from tandemq.kernels import noncrossing_prob
@@ -24,7 +26,7 @@ from tandemq.queueprobs import (
     mm1_kt,
     stationary_empty_prob,
 )
-from tandemq.simulator import SimConfig, simulate_queue_prob, uniformization_kt
+from tandemq.simulator import SimConfig, simulate_noncrossing, simulate_queue_prob, uniformization_kt
 from tandemq.symfunc import schur
 
 
@@ -114,6 +116,79 @@ def test_kt00_gap_relative_certifies():
     assert kv.abs_error <= 1e-4 * kv.value
     ref = kt00_gap(30.0, (1, 4, 2, 3), tol=1e-3 * kv.value)
     assert abs(kv.value - ref.value) <= 2e-3 * kv.value
+
+
+def _count_gap_passes(monkeypatch):
+    passes = []
+    inner = queueprobs.kt00_gap
+
+    def counted(t, nu, tol=1e-10, *, precision="double"):
+        passes.append(tol)
+        return inner(t, nu, tol, precision=precision)
+
+    monkeypatch.setattr(queueprobs, "kt00_gap", counted)
+    return passes
+
+
+@pytest.mark.parametrize(
+    "nu, t, precision",
+    [(nu, t, "double") for nu in ((1, 2, 4), (1, 3.2, 2.2), (0.978, 3.908, 2.037, 2.963))
+     for t in (70.0, 150.0, 290.0)]
+    + [((1, 2, 4), 30.4, "high"), ((1, 4, 2, 3), 29.6, "high")],
+)
+def test_kt00_gap_relative_one_pass_from_the_envelope(monkeypatch, nu, t, precision):
+    # the relaxation-theorem envelope sets a first tol that already
+    # certifies rel_tol; a first tol of 1e-12 needs a retry on all of the
+    # double inputs but (1, 2, 4) at t = 70
+    passes = _count_gap_passes(monkeypatch)
+    kv = kt00_gap_relative(t, nu, precision=precision)
+    assert len(passes) == 1
+    assert kv.value > 0 and kv.abs_error <= 1e-4 * kv.value
+
+
+def test_kt00_gap_relative_retries_past_a_useless_envelope(monkeypatch):
+    nu, t = (1, 4, 2, 3), 290.0
+    want = kt00_gap_relative(t, nu)
+    # with g = 0 the first tol is clamped to 1e-12, far above the gap
+    monkeypatch.setattr(queueprobs, "relaxation_rate", lambda nu: 0.0)
+    passes = _count_gap_passes(monkeypatch)
+    kv = kt00_gap_relative(t, nu)
+    assert passes[0] == 1e-12 and len(passes) > 1
+    assert kv.value > 0 and kv.abs_error <= 1e-4 * kv.value
+    assert abs(kv.value - want.value) <= kv.abs_error + want.abs_error
+
+
+@pytest.mark.parametrize(
+    "nu, precision",
+    [((1, 2, 4), "bogus"), ((2, 1, 4), "double"), ((1, 2, 2), "double"), ((1, 2, 2 + 1e-9), "high")],
+    ids=["precision", "unstable", "coincident", "near-coincident"],
+)
+def test_kt00_gap_relative_errors_are_kt00_gaps(nu, precision):
+    with pytest.raises(PreconditionError) as want:
+        kt00_gap(50.0, nu, precision=precision)
+    with pytest.raises(PreconditionError) as got:
+        kt00_gap_relative(50.0, nu, precision=precision)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+def test_arrangement_weight_cache_hits_are_fresh_values():
+    lattice._arrangement_weights.cache_clear()
+    cold = kt00_gap(90.0, (1, 4, 2, 3), tol=1e-20)
+    warm = kt00_gap(90.0, (1, 4, 2, 3), tol=1e-20)
+    info = lattice._arrangement_weights.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert warm == cold
+    every = frozenset(range(4))
+    key = (
+        tuple(Fraction(v) for v in (1, 4, 2, 3)),
+        (every,) * 3 + (every - {0},),
+        every,
+        -stationary_empty_prob((1, 4, 2, 3)),
+    )
+    cached = lattice._arrangement_weights(*key)
+    assert lattice._arrangement_weights.cache_info().hits == 2
+    assert cached == lattice._arrangement_weights.__wrapped__(*key)
 
 
 def test_kt00_closed_forms_high_against_double():
@@ -350,3 +425,34 @@ def test_bad_public_input_is_a_precondition_error(call):
         warnings.simplefilter("error")
         with pytest.raises(PreconditionError):
             call()
+
+
+# each call with a valid state of its kind: a queue vector or a chamber point
+STATE_CALLS = {
+    "kt_general": (lambda q: kt_general(q, (0, 0), 0.5, (1, 2, 3)), (2, 1)),
+    "noncrossing_prob": (lambda x: noncrossing_prob(x, 0.5, (3, 2, 1)), (2, 1, 0)),
+    "uniformization_kt": (lambda q: uniformization_kt(q, (0, 0), 0.5, (1, 2, 3), 20), (2, 1)),
+    "simulate_queue_prob": (
+        lambda q: simulate_queue_prob(q, (0, 0), SimConfig((1, 2, 3), 0.5, 1, 10)),
+        (2, 1),
+    ),
+    "simulate_noncrossing": (lambda x: simulate_noncrossing(x, SimConfig((3, 2, 1), 0.5, 1, 10)), (2, 1, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATE_CALLS))
+@pytest.mark.parametrize("bad", [0.5, 2.5, math.nan, math.inf, -math.inf, "2", None])
+def test_non_integral_state_entries_are_refused(name, bad):
+    # int() truncated 2.5 to 2 and parsed "2", so a different state was
+    # evaluated without a word
+    call, state = STATE_CALLS[name]
+    with pytest.raises(PreconditionError, match="must be integers"):
+        call((bad,) + state[1:])
+
+
+@pytest.mark.parametrize("name", sorted(STATE_CALLS))
+def test_integral_state_entries_of_any_type_agree(name):
+    call, state = STATE_CALLS[name]
+    want = call(state)
+    for kind in (np.int64, float, np.float64):
+        assert call(tuple(kind(v) for v in state)) == want

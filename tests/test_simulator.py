@@ -43,6 +43,10 @@ def test_sim_config_validation():
         SimConfig(rates=(1.0, 2.0), horizon=1.0, seed=7.5, replications=10)
     with pytest.raises(PreconditionError, match="replications"):
         SimConfig(rates=(1.0, 2.0), horizon=1.0, seed=7, replications=1000.5)
+    # a string rate or horizon used to raise a raw TypeError
+    for rates, horizon in (((1.0, "2"), 1.0), ((1.0, None), 1.0), ((1.0, 2.0), "1")):
+        with pytest.raises(PreconditionError, match="rates" if horizon == 1.0 else "horizon"):
+            SimConfig(rates=rates, horizon=horizon, seed=0, replications=10)
     assert SimConfig(rates=(1.0, 2.0), horizon=1.0, seed=np.uint64(7), replications=np.int64(10))
 
 
