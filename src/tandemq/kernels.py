@@ -18,13 +18,12 @@ The intertwining weights are polynomial in the rates and evaluate
 exactly over ints/Fractions.  Time-dependent kernels are numeric
 (float64, or under precision="high" mpmath, and decimal for the survival
 sum of noncrossing_prob); every infinite sum is cut with a certified
-bound.  departure_kernel sums its h-window entries as nested suffix sums
-of one pmf table per row, and keeps entries and determinants in sign
-and log|.| form (departure_kernel_stack).  The weight-kernel sandwich at
-the end (departure_kernel_via_intertwining) is the independent route
-that the verify suite checks departure_kernel against: a lattice sum of
-products of two float determinants, taken in numpy blocks with slogdet,
-that shares no code with departure_kernel_stack.
+bound.  departure_kernel_stack builds all entries of all slices in one
+batched pass: one pmf table, N levels of suffix sums for the h-window
+entries, one array for the e-window ones.  The weight-kernel sandwich
+(departure_kernel_via_intertwining), a lattice sum of products of two
+float determinants with slogdet, shares no code with it: it is the
+independent route the verify suite checks departure_kernel against.
 """
 
 import functools
@@ -156,50 +155,119 @@ def departure_kernel_stack(d, d2, count, t, nu, budget, nm):
         (nu_a/nu_b)^(d_b - b) sum_k coef_k nu_a^-k pois(nu_a t, n + k),
 
     coef_k = 1 on the diagonal (k = 0 only), (-1)^k e_k(nu_{b+1..a}) for
-    a > b (k <= a - b), and h_k(nu_{a+1..b}) for a < b, a series cut
-    where its certified tail drops below e^lt (_h_cut).  _entry_row sums
-    them as suffix sums and keeps the entries as sign and log|.|, so no
-    factor overflows; one subset recursion (_det_perm_diff) gives the
-    determinants and both bounds.  The first lt assumes permanents of
-    unit size; a larger one misses the budget, and every cut is then
-    lowered below the worst one by the measured excess."""
+    a > b (k <= a - b, exact: _e_coefficients), and h_k(nu_{a+1..b}) for
+    a < b, a series cut where its certified tail drops below e^lt
+    (_h_cut).  _entry_stack forms all entries of all slices at once as
+    (row, column, slice) arrays of sign and log|.|, so no factor
+    overflows, and their round-off: the pmf's as its one table is built,
+    each h level's in _h_levels, the e sums' and the prefactors' last.
+    One subset recursion (_det_perm_diff) gives the determinants and both
+    bounds.  The first lt assumes permanents of unit size; a larger one
+    misses the budget, and every cut is then lowered below the worst one
+    by the measured excess."""
     nu = as_rates(nu)
-    n1 = len(nu)
-    log_budget = math.log(budget)
+    n1, log_budget = len(nu), math.log(budget)
     lt = log_budget - math.log(count * n1 * n1)
-    logs = nm.log(np.array([nm.scalar(v) for v in nu], dtype=nm.dtype))
+    logs, coefs = nm.log(np.array([nm.scalar(v) for v in nu], nm.dtype)), _e_coefficients(nu, nm)
     for _ in range(3):
         try:
-            rows = [_entry_row(a, d, d2, count, t, nu, logs, lt, nm) for a in range(n1)]
+            sign, logabs, logcut, logrnd = _entry_stack(d, d2, count, t, nu, logs, coefs, lt, nm)
         except ToleranceNotAchieved as err:
             raise err.restated(budget) from None
-        sign, logabs, logcut, logrnd = (np.stack(x, axis=1) for x in zip(*rows))
-        values, log_cut, log_round = _det_perm_diff(sign, logabs, logcut.T, logrnd, nm)
+        values, log_cut, log_round = _det_perm_diff(sign, logabs, logcut, logrnd, nm)
         if log_cut <= log_budget:
             return values, math.exp(log_cut), math.exp(log_round) if log_round < 709 else math.inf
         lt = min(lt, logcut.max()) - (log_cut - log_budget) - math.log(2.0)
     raise ToleranceNotAchieved.from_logs(log_budget, log_cut, "h-series cut", budget)
 
 
-def _entry_row(a, d, d2, count, t, nu, logs, lt, nm):
-    """Row a of every slice, given the logs of the rates: the sign and
-    log|.| of entry (a, b) for n = n0 + c, n0 = d2_a - d_b - a + b, as
-    (count, N+1) arrays, the log of each entry's cut bound and the float
-    log of its round-off bound, from one pmf table (_e_entry for a > b).
-
-    For a <= b the entry is its prefactor times F_b(n) = sum_k
-    h_k(x_{a+1..b}) pois(mu, n + k), x_j = nu_j/nu_a, mu = nu_a t, and
-    h_k(S) = h_k(S - b) + x_b h_{k-1}(S) (Macdonald, Symmetric Functions
-    and Hall Polynomials, I.2) gives F_a(n) = pois(mu, n) and F_b(n) =
-    F_{b-1}(n) + x_b F_b(n + 1): with g_m = log F_{b-1}(m) + i_m log x_b,
-    i = n - n0_a, top = max g and A_n = e^acc_n = sum_{m >= n}
-    e^(g_m - top), log F_b(n) = acc_n + top - i_n log x_b (_h_level).
-    All levels stop at one index past every entry's slices and cut, so
-    each entry is exactly its series cut at a k >= its cut (_h_cut).
+def _entry_stack(d, d2, count, t, nu, logs, coefs, lt, nm):
+    """Every entry (a, b) of every slice, given the logs of the rates and
+    the e coefficients: sign, log|.| and the float log of the round-off
+    bound as (count, N+1, N+1) views of (N+1, N+1, count) arrays, and the
+    log of the cut bound as an (N+1, N+1) array.  Entry (a, b) of slice c
+    sits at n = n0_ab + c, n0_ab = d2_a - d_b - a + b; row a of the pmf
+    table at k = n0_aa - off + i, -inf past its own hi, one index past
+    every entry's slices and cut: column off + i is index i = n - n0_aa,
+    and each entry is exactly its series cut at a k >= its cut (_h_cut).
+    For a <= b the entry is its prefactor times F_b(n) (_h_levels); for a
+    > b, pois(mu, n') q_n, mu = nu_a t, n' = max(n, 0), q_n the sum over k
+    of coef_k nu_a^-k pois(mu, n + k) / pois(mu, n'), each ratio a product
+    of at most m = a - b factors mu / i, all pairs in one array.
 
     Round-off, relative, in units u = nm.unit.  F_a: the log pmf's
     (Numerics.poisson_logpmf_error) and |n - mu| for the rounding of mu.
-    F_b(n), to first order, with rel the bound of F_{b-1}:
+    q_n: a term is off by (6m + 4) u at most, the sum adds m u per term,
+    and log|q_n| adds u |log|q_n|| + 4u, below u (s |log s| + 1/e) + 4u
+    |q_n| for s the sum of the |terms|; the pmf adds its bound and 2
+    |log|.  The prefactor adds |log|, and its log is off by 3 |log| + 6
+    |d_b - b| (|log nu_a| + |log nu_b|) at most."""
+    fl, flogs, idx = nu.as_floats(), np.asarray(logs, dtype=float), np.arange(len(nu))
+    n1, shift, slices = len(fl), np.array(d) - idx, np.arange(count)
+    n0 = np.subtract.outer(np.array(d2) - idx, shift)  # growing in b
+    cuts, logcut = np.zeros((n1, n1), dtype=int), np.full((n1, n1), -np.inf)
+    for a in range(n1):
+        for b in range(a + 1, n1):  # h_k(x_{a+1..b}) <= binom(k+b-a-1, b-a-1) max(x)^k
+            cuts[a, b], logcut[a, b] = _h_cut(
+                n0[a, b], fl[a] * float(t), max(fl[a + 1 : b + 1]) / fl[a], b - a - 1,
+                shift[b] * (flogs[a] - flogs[b]), lt)
+    # left of the diagonal the entries start at max(n0, 0), and n0 + cut is below n0_aa
+    diag = n0[idx, idx]
+    off = np.maximum(diag - np.maximum(n0[:, 0], 0), 0).max()
+    hi = np.maximum((n0 + cuts).max(axis=1), 0) + count - 1
+    ks = (diag - off)[:, None] + np.arange(off + (hi - diag).max() + 1)  # k by row and column
+    kmin, kmax = ks[:, 0].min(), hi.max()
+    mus = np.array([nm.scalar(v) * nm.scalar(t) for v in nu.values], dtype=nm.dtype)
+    fmus, logpmf = np.asarray(mus, dtype=float)[:, None], nm.poisson_logpmf_table(mus, kmin, hi)
+    err = nm.poisson_logpmf_error(mus, kmin, hi, logpmf) + abs(np.arange(kmin, kmax + 1) - fmus)
+    table, err = (x[idx[:, None], np.minimum(ks, kmax) - kmin] for x in (logpmf, err))
+    table[ks > hi[:, None]] = -np.inf
+    diff = np.subtract.outer(logs, logs)  # log nu_a - log nu_b
+    const = shift * diff
+    fconst, alogs = np.asarray(const, dtype=float), abs(flogs)
+    cerr = 3 * abs(fconst) + 6 * abs(shift) * np.add.outer(alogs, alogs)
+    lerr = np.add.outer(4 * alogs, 4 * alogs) + abs(np.asarray(diff, dtype=float))
+    levels, rels = (np.empty((n1, n1, table.shape[1] - off), dtype=x) for x in (nm.dtype, float))
+    levels[0], rels[0] = logf, rel = table[:, off:], err[:, off:]
+    for j in range(1, n1):  # level j = b - a, over the rows a = 0..N-j
+        logf, rel = _h_levels(logf[:-1], rel[:-1], np.diagonal(diff, -j), np.diagonal(lerr, j), nm)
+        levels[j, : n1 - j], rels[j, : n1 - j] = logf, rel
+    (ua, ub), (ea, eb) = np.nonzero(idx[:, None] <= idx), np.nonzero(idx[:, None] > idx)
+    at = ((ub - ua)[:, None], ua[:, None], (n0 - diag[:, None])[ua, ub][:, None] + slices)
+    value, r = levels[at], rels[at]
+    flat = np.asarray(value, dtype=float)
+    urnd = flat + np.log(r + np.minimum(abs(flat), 1e300) + cerr[ua, ub][:, None])
+    ns = n0[ea, eb][:, None] + slices
+    k = ns[:, :, None] + idx  # term k is the product of mu / i over max(n, 0) < i <= n + k
+    quotients = mus[:, None] / np.arange(1, max(k.max(), 1) + 1)
+    factors = np.where((k > 0) & (idx > 0), quotients[ea[:, None, None], np.maximum(k, 1) - 1], 1)
+    terms = np.where(k >= 0, np.cumprod(factors, axis=2) * coefs[:, None, :], 0)
+    q, s = terms.sum(axis=2), np.asarray(abs(terms), dtype=float).sum(axis=2)
+    pos = (ea[:, None], np.maximum(ns, 0) - ks[ea, :1])
+    lp = table[pos]
+    flp = np.asarray(lp, dtype=float)
+    mag = err[pos] + 2 * np.minimum(abs(flp), 1e300) + cerr[ea, eb][:, None]
+    ernd = abs(np.asarray(q, dtype=float)) * (mag + 4) + 1
+    ernd += s * ((7 * (ea - eb) + 4)[:, None] + abs(np.log(np.maximum(s, 1e-300))))
+    sign, logabs, logrnd = (np.empty((n1, n1, count), dtype=x) for x in (int, nm.dtype, float))
+    sign[ua, ub], sign[ea, eb] = flat > -np.inf, np.sign(q)
+    logabs[ua, ub], logabs[ea, eb] = value, lp + nm.log(abs(q))
+    logrnd[ua, ub], logrnd[ea, eb] = urnd, flp + np.log(ernd)
+    logabs += const[:, :, None]
+    logrnd = logrnd + fconst[:, :, None] + math.log(nm.unit)
+    return sign.transpose(2, 0, 1), logabs.transpose(2, 0, 1), logcut, logrnd.transpose(2, 0, 1)
+
+
+def _h_levels(logf, rel, step, lerr, nm):
+    """Level b - a of _entry_stack's entries F_b(n) = sum_k h_k(x_{a+1..b})
+    pois(mu, n + k), x_j = nu_j/nu_a, over its rows a: (log F_b, its
+    bound) from (log F_{b-1}, rel), given log x_b and lerr.  h_k(S) =
+    h_k(S - b) + x_b h_{k-1}(S) (Macdonald, Symmetric Functions and Hall
+    Polynomials, I.2) gives F_a(n) = pois(mu, n) and F_b(n) = F_{b-1}(n) +
+    x_b F_b(n + 1): with g_m = log F_{b-1}(m) + i_m log x_b, i = n - n0_aa,
+    top = max g and A_n = e^acc_n = sum_{m >= n} e^(g_m - top), log F_b(n)
+    = acc_n + top - i_n log x_b, whose relative round-off is, to first
+    order, in units u,
 
         [sum_{m >= n} e^(g_m - top) (rel_m + |i_m log x_b| + |g_m| + |g_m - top| + 4)
          + sum_{m >= n} A_m (|acc_m| + 6 + lerr)] / A_n
@@ -208,98 +276,39 @@ def _entry_row(a, d, d2, count, t, nu, logs, lt, nm):
     An error in the exponent of term m (rel_m, the product, sum, shift
     and exp) moves each A_n by e^(g_m - top) times it, and one in the step
     at m (np.logaddexp rounds a difference, an exp, a log1p below log 2
-    and a sum; mpmath far less) by A_m times it.  log x_b is off by
-    lerr = 4 |log nu_a| + 4 |log nu_b| + |log x_b|, term m by (m - n) lerr
-    after the shift back (the last line), and sum_{m >= n} (m - n)
-    e^(g_m - top) = sum_{m > n} A_m.  Shifting by top keeps |acc| small
-    where the mass is.  The prefactor adds |log|, and its log is off by
-    3 |log| + 6 |d_b - b| (|log nu_a| + |log nu_b|) at most."""
-    fl = nu.as_floats()
-    n1 = len(fl)
-    flogs = np.asarray(logs, dtype=float)
-    mu = nm.scalar(nu.values[a]) * nm.scalar(t)
-    n0s = [d2[a] - d[b] - a + b for b in range(n1)]
-    cuts, logcut = [0] * n1, np.full(n1, -np.inf)
-    for b in range(a + 1, n1):
-        # h_k(x_{a+1..b}) <= binom(k+b-a-1, b-a-1) max(x)^k
-        cuts[b], logcut[b] = _h_cut(
-            n0s[b], fl[a] * float(t), max(fl[a + 1 : b + 1]) / fl[a], b - a - 1,
-            (d[b] - b) * (flogs[a] - flogs[b]), lt,
-        )
-    # n0 grows with b, and the entries left of the diagonal start at max(n0, 0)
-    lo = min(n0s[a], max(n0s[0], 0))
-    hi = max(max(n0s[b] + cuts[b] for b in range(a, n1)), 0) + count - 1
-    logpmf = nm.poisson_logpmf_table(mu, lo, hi)
-    err = nm.poisson_logpmf_error(mu, lo, hi, logpmf) + abs(np.arange(lo, hi + 1) - float(mu))
-    logf, rel = logpmf[n0s[a] - lo :], err[n0s[a] - lo :]
-    cols = []
-    for b in range(n1):
-        shift = d[b] - b
-        const = shift * (logs[a] - logs[b])
-        cerr = 3 * abs(float(const)) + 6 * abs(shift) * (abs(flogs[a]) + abs(flogs[b]))
-        if b < a:
-            mag = err + 2 * np.minimum(abs(np.asarray(logpmf, dtype=float)), 1e300) + cerr
-            sign, value, rnd = _e_entry(a, b, n0s[b], count, nu, mu, logpmf, mag, lo, nm)
-        else:
-            if b > a:
-                logf, rel = _h_level(logf, rel, logs[a], logs[b], nm)
-            value, r = (x[n0s[b] - n0s[a] :][:count] for x in (logf, rel))
-            flat = np.asarray(value, dtype=float)
-            sign = (flat > -np.inf).astype(int)
-            rnd = flat + np.log(r + np.minimum(abs(flat), 1e300) + cerr)
-        cols.append((sign, value + const, rnd + float(const) + math.log(nm.unit)))
-    sign, logabs, logrnd = (np.stack(x, axis=1) for x in zip(*cols))
-    return sign, logabs, logcut, logrnd
-
-
-def _h_level(logf, rel, log_a, log_b, nm):
-    """(log F_b, its bound) from (log F_{b-1}, rel), as in _entry_row."""
-    dist = np.arange(len(logf)) * (log_b - log_a)
+    and a sum; mpmath far less) by A_m times it.  log x_b is off by lerr =
+    4 |log nu_a| + 4 |log nu_b| + |log x_b|, term m by (m - n) lerr after
+    the shift back (the last line), and sum_{m >= n} (m - n) e^(g_m - top)
+    = sum_{m > n} A_m.  Shifting by top keeps |acc| small where the mass
+    is."""
+    dist = np.arange(logf.shape[1]) * step[:, None]
     g = logf + dist
     fg = np.asarray(g, dtype=float)
-    top = fg.max()
+    top = fg.max(axis=1, keepdims=True)
     acc = nm.log_suffix_sum(g - top)
     logf = acc + top - dist
     fg, facc, fdist = fg - top, np.asarray(acc, dtype=float), abs(np.asarray(dist, dtype=float))
     with np.errstate(invalid="ignore"):
         terms = fg + np.log(rel + fdist + abs(fg + top) + abs(fg) + 4)
-    terms[fg == -np.inf] = -np.inf  # a pmf below 0 adds nothing
-    lerr = 4 * abs(float(log_a)) + 4 * abs(float(log_b)) + abs(float(log_b - log_a))
-    terms = np.logaddexp(terms, facc + np.log(abs(facc) + 6 + lerr))
-    rel = np.exp(np.logaddexp.accumulate(terms[::-1])[::-1] - facc)
+        terms[fg == -np.inf] = -np.inf  # a pmf below 0 or past the row adds nothing
+        terms = np.logaddexp(terms, facc + np.log(np.minimum(abs(facc), 1e300) + 6 + lerr[:, None]))
+        rel = np.exp(np.logaddexp.accumulate(terms[:, ::-1], axis=1)[:, ::-1] - facc)
     return logf, rel + abs(facc + top) + fdist + abs(np.asarray(logf, dtype=float))
 
 
-def _e_entry(a, b, n0, count, nu, mu, logpmf, mag, lo, nm):
-    """_entry_row's entry (a, b), a > b, before the prefactor, with mag
-    the relative round-off of the pmf by index from lo.  It is
-    pois(mu, n') q_n, n' = max(n, 0), q_n the sum over k of
-    (-1)^k e_k(nu_{b+1..a}) nu_a^-k pois(mu, n + k) / pois(mu, n'), each
-    ratio a product of at most m = a - b factors mu / i.  A term of q_n
-    is off by (6m + 4) u at most, the sum adds m u per term, and
-    log|q_n| adds u |log|q_n|| + 4u, below u (s |log s| + 1/e) + 4u |q_n|
-    for s the sum of the |terms|."""
-    m = a - b
-    ks = np.arange(m + 1)
-    rate = nm.scalar(nu.values[a])
-    table = symfunc._e_table(m, nu.values[b + 1 : a + 1])
-    coefs = np.array([nm.scalar(v) for v in table], dtype=nm.dtype) * (-1 / rate) ** ks
-    ns = n0 + np.arange(count)
-    base = np.maximum(ns, 0)
-    ratio = np.ones((count, m + 1), dtype=nm.dtype)
-    for j in range(1, m + 1):
-        ratio[:, j] = ratio[:, j - 1] * (mu / (base + j))
-    if n0 < 0:
-        # a slice with n < 0 starts at index 0: term k is ratio n + k
-        idx = ns[:, None] + ks - base[:, None]
-        ratio = ratio[np.arange(count)[:, None], np.maximum(idx, 0)] * (idx >= 0)
-    terms = ratio * coefs
-    q = terms.sum(axis=1)
-    lp = logpmf[base - lo]
-    s = np.asarray(abs(terms), dtype=float).sum(axis=1)
-    rnd = abs(np.asarray(q, dtype=float)) * (mag[base - lo] + 4) + 1
-    rnd += s * (7 * m + 4 + abs(np.log(np.maximum(s, 1e-300))))
-    return np.sign(q).astype(int), lp + nm.log(abs(q)), np.asarray(lp, dtype=float) + np.log(rnd)
+def _e_coefficients(nu, nm):
+    """(-1)^k e_k(nu_{b+1..a}) nu_a^-k, k = 0..N (0 past a - b), per pair a > b in
+    row-major order, exact over p = nu times a common denominator, then rounded once."""
+    exact = [Fraction(v) for v in nu.values]
+    den = math.lcm(*(f.denominator for f in exact))
+    p = [f.numerator * (den // f.denominator) for f in exact]
+    coefs = np.zeros((len(p) * (len(p) - 1) // 2, len(p)), dtype=nm.dtype)
+    for a in range(1, len(p)):
+        e, first = [1], a * (a - 1) // 2  # e times 1 - p_j z for j = a, a - 1, ..., b + 1
+        for b in range(a - 1, -1, -1):
+            e = [x - p[b + 1] * y for x, y in zip(e + [0], [0] + e)]
+            coefs[first + b, : len(e)] = [nm.quotient(v, p[a] ** k) for k, v in enumerate(e)]
+    return coefs
 
 
 def _h_cut(n0, mu, ratio, deg, log_f, lt):
@@ -483,14 +492,11 @@ def departure_to_chamber(d, z, nu):
     d = _check_chamber(d, "d", n1)
     z = _check_chamber(z, "z", n1)
     vals = nu.values
-    mat = []
-    for a in range(n1):
-        row = []
-        for b in range(n1):
-            r = d[a] - z[b] - a + b
-            e = symfunc.window_e(r, a, n1 - 1, vals)
-            row.append(-e if r % 2 else e)
-        mat.append(row)
+    zs = [z[b] - b for b in range(n1)]
+    mat = [
+        [(-1) ** (r % 2) * symfunc.window_e(r, a, n1 - 1, vals) for r in [d[a] - a - s for s in zs]]
+        for a in range(n1)
+    ]
     out = linalg.det(mat)
     for k in range(n1):
         out = out * _pow(vals[k], z[k] - d[k])
@@ -524,15 +530,9 @@ def queue_to_departures(q, completed=0):
     """Departure vector with the given queue contents and `completed`
     jobs already through the last station: entry k is completed plus the
     total content of stations k+1..N."""
-    out = []
-    acc = completed
-    for v in reversed(q):
-        if v < 0:
-            raise PreconditionError("queue lengths must be nonnegative")
-        out.append(acc)
-        acc += v
-    out.append(acc)
-    return tuple(reversed(out))
+    if any(v < 0 for v in q):
+        raise PreconditionError("queue lengths must be nonnegative")
+    return tuple(completed + sum(q[k:]) for k in range(len(q) + 1))
 
 
 def chamber_to_queue(z, q, nu):

@@ -69,8 +69,9 @@ def _stirling_terms(hi):
 
 
 def poisson_logpmf(mu, lo, hi):
-    """log pmf of Poisson(mu), mu > 0 a float, at the integers lo..hi,
-    0 <= lo (poisson_logpmf_error bounds its error).
+    """log pmf of Poisson(mu), mu > 0 a float or a column of them (one
+    row each), at the integers lo..hi, 0 <= lo (poisson_logpmf_error
+    bounds its error).
 
     Loader's form (Fast and accurate computation of binomial
     probabilities, 2000): -(log k! - k log k + k) - bd0 with
@@ -81,8 +82,8 @@ def poisson_logpmf(mu, lo, hi):
     k = np.arange(lo, hi + 1, dtype=float)
     d = k - mu
     x = d / mu
-    if lo == 0 < len(x):
-        x[0] = 0.0
+    if lo == 0 <= hi:
+        x[..., 0] = 0.0
     return -(c + k * np.log1p(x) - d)
 
 
@@ -137,6 +138,13 @@ class Numerics:
             return self.mp.mpf(x.numerator) / x.denominator
         return self.mp.mpf(x)
 
+    def quotient(self, num, den):
+        """num / den for ints, rounded once: as a float (Python's int
+        division is correctly rounded), or in high precision an mpf."""
+        if self.high:
+            return self.mp.mpf(num) / den
+        return num / den
+
     def sum_scalar(self, x):
         """x as an element of the survival sums: a float, or in high
         precision a Decimal of the current decimal context."""
@@ -161,19 +169,36 @@ class Numerics:
             return np.log(x)
 
     def log_suffix_sum(self, x):
-        """log sum_{m >= n} exp(x_m) for each n: in double a reversed
-        np.logaddexp.accumulate, in high exp, cumsum and log (mpf cannot overflow)."""
+        """log sum_{m >= n} exp(x_m) for each n along the last axis: in
+        double a reversed np.logaddexp.accumulate, in high exp, cumsum and
+        log (mpf cannot overflow)."""
         if self.high:
-            return self.log(np.cumsum(self.exp(x[::-1]))[::-1])
-        return np.logaddexp.accumulate(x[::-1])[::-1]
+            return self.log(np.cumsum(self.exp(x[..., ::-1]), axis=-1)[..., ::-1])
+        return np.logaddexp.accumulate(x[..., ::-1], axis=-1)[..., ::-1]
 
     def poisson_logpmf_table(self, mu, lo, hi):
         """log pmf of Poisson(mu) on integers lo..hi inclusive (-inf for
-        k < 0), with log 0! = 0 at mu = 0 (poisson_logpmf)."""
+        k < 0), with log 0! = 0 at mu = 0 (poisson_logpmf).  For 1-D
+        arrays mu and hi, one row per mean over lo..max(hi), -inf past the
+        row's own hi."""
         if self.high:
+            if np.ndim(mu):
+                out = np.full((len(mu), max(0, max(hi) - lo + 1)), -np.inf, dtype=object)
+                for row, m, h in zip(out, mu, hi):
+                    row[: h - lo + 1] = self.log(self.poisson_pmf_table(m, lo, h))
+                return out
             return self.log(self.poisson_pmf_table(mu, lo, hi))
-        out = np.full(max(0, hi - lo + 1), -np.inf)
         start = max(lo, 0)
+        if np.ndim(mu):
+            top = max(hi)
+            out = np.full((len(mu), max(0, top - lo + 1)), -np.inf)
+            if top >= start:
+                # at mu = 0 Loader's form gives log 0! = 0 and -inf past it
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    out[:, start - lo :] = poisson_logpmf(np.asarray(mu, dtype=float)[:, None], start, top)
+                out[np.arange(lo, top + 1) > np.asarray(hi)[:, None]] = -np.inf
+            return out
+        out = np.full(max(0, hi - lo + 1), -np.inf)
         mu = float(mu)
         if mu > 0 and hi >= start:
             out[start - lo :] = poisson_logpmf(mu, start, hi)
@@ -184,16 +209,20 @@ class Numerics:
     def poisson_logpmf_error(self, mu, lo, hi, table):
         """A float bound on the error of each value of
         poisson_logpmf_table(mu, lo, hi), given as table, in units of
-        self.unit.  In high precision the table is the log of the pmf
-        recurrence, which loses about one unit per step and one per
-        |log pmf|."""
+        self.unit (0 where the table is -inf).  In high precision the table
+        is the log of the pmf recurrence, which loses about one unit per
+        step and one per |log pmf|.  Rows as in poisson_logpmf_table."""
         flat = np.minimum(abs(np.asarray(table, dtype=float)), 1e300)
+        top = max(hi) if np.ndim(mu) else hi
         if self.high:
-            return 2.0 * np.maximum(np.arange(lo, hi + 1), 0) + flat + 4
-        err = np.zeros(len(flat))
+            return 2.0 * np.maximum(np.arange(lo, top + 1), 0) + flat + 4
+        m = np.asarray(mu, dtype=float)[..., None]
+        err = np.zeros(flat.shape)
         start = max(lo, 0)
-        if float(mu) > 0 and hi >= start:
-            err[start - lo :] = poisson_logpmf_error(float(mu), start, hi, table[start - lo :])
+        if top >= start:
+            values = table[..., start - lo :]
+            err[..., start - lo :] = poisson_logpmf_error(m, start, top, values)
+            err[table == -np.inf] = 0.0
         return err
 
     def poisson_pmf_table(self, mu, lo, hi):

@@ -115,7 +115,9 @@ def kt00_gap_relative(t, nu, rel_tol=1e-4, *, precision="double"):
     grow like sqrt(log(1/tol)), so one pass certifies the value.  Where
     the envelope is too loose, each retry re-targets the tolerance from
     the measured value, and the returned abs_error is the honest bound
-    from the final pass."""
+    from the final pass.  A retry at the tolerance just used would repeat
+    that pass, so the loop stops there (at the 1e-300 floor) and returns
+    it."""
     if not 0 < rel_tol < math.inf:
         raise PreconditionError(f"rel_tol must be positive and finite, got {rel_tol!r}")
     check_time(t)
@@ -129,7 +131,10 @@ def kt00_gap_relative(t, nu, rel_tol=1e-4, *, precision="double"):
             break
         # value may itself be noise when the bound dominates; shrinking
         # the tolerance geometrically still terminates within the cap
-        tol = max(min(tol * 1e-6, target) if target > 0 else tol * 1e-6, 1e-300)
+        retry = max(min(tol * 1e-6, target) if target > 0 else tol * 1e-6, 1e-300)
+        if retry == tol:
+            break
+        tol = retry
         kv = kt00_gap(t, nu, tol=tol, precision=precision)
     return kv
 

@@ -4,7 +4,9 @@ pair (exact inverse property), the lattice enumeration, and the
 certified truncation contracts."""
 
 import itertools
+import json
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -210,6 +212,31 @@ def test_departure_stack_round_off_within_its_bound():
         assert round_hi < 1e-40
     # the t=300 slices: kt((2,1,0), 0) is close to pi(0) = 1/4
     assert min(lo) > 1e-3 and sum(lo) > 0.7 / 4
+
+
+# departure_kernel_stack outputs of the per-entry model that the batched
+# one replaced, with the kt_general arguments of: N=1; kt00 at N=2..4;
+# unsorted rates (1,3,1.6,2.2), (1,0,2) -> (0,1,0) at t=20, whose first
+# cuts miss the budget (one retry); slices with n < 0 left of the diagonal;
+# coincident rates; and one 50-digit stack
+STACK_PINS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "departure_stack_pins.json").read_text()
+)
+
+
+@pytest.mark.parametrize("pin", STACK_PINS, ids=[p["label"] for p in STACK_PINS])
+def test_departure_stack_matches_its_pins(pin):
+    nm = Numerics(pin["precision"])
+    args = (pin["d"], pin["d2"], pin["count"], pin["t"], as_rates(pin["nu"]), pin["budget"], nm)
+    with mpmath.workdps(HIGH_DPS):
+        values, cut, roundoff = departure_kernel_stack(*args)
+        pinned = [mpmath.mpf(v) for v in pin["values"]]
+        gap = max(abs(mpmath.mpf(v) - w) for v, w in zip(values, pinned))
+    pin_cut, pin_roundoff = float(pin["cut"]), float(pin["roundoff"])
+    assert len(values) == len(pinned)
+    assert gap <= roundoff + pin_roundoff
+    assert abs(cut - pin_cut) <= 0.01 * pin_cut
+    assert abs(roundoff - pin_roundoff) <= 0.01 * pin_roundoff
 
 
 def test_departure_kernel_vs_intertwining_points():

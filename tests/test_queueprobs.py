@@ -158,6 +158,17 @@ def test_kt00_gap_relative_retries_past_a_useless_envelope(monkeypatch):
     assert abs(kv.value - want.value) <= kv.abs_error + want.abs_error
 
 
+@pytest.mark.parametrize("precision", ["double", "high"])
+def test_kt00_gap_relative_stops_at_the_tolerance_floor(monkeypatch, precision):
+    # the envelope clamps the first tol to 1e-300, and a retry at the same
+    # tol would repeat the pass: one pass, returned as it came
+    want = kt00_gap(300.0, (0.2, 5, 6), tol=1e-300, precision=precision)
+    passes = _count_gap_passes(monkeypatch)
+    kv = kt00_gap_relative(300.0, (0.2, 5, 6), precision=precision)
+    assert passes == [1e-300]
+    assert kv == want
+
+
 @pytest.mark.parametrize(
     "nu, precision",
     [((1, 2, 4), "bogus"), ((2, 1, 4), "double"), ((1, 2, 2), "double"), ((1, 2, 2 + 1e-9), "high")],
@@ -307,6 +318,17 @@ def test_kt_general_agrees_or_names_the_cancellation(nu, t):
         assert "cancellation" in str(err)
         return
     assert abs(a.value - ref.value) <= a.abs_error + ref.abs_error
+
+
+@pytest.mark.parametrize("q, q2", [((1, 0), (0, 1)), ((0, 0), (0, 0)), ((2, 1), (1, 1))])
+@pytest.mark.parametrize("c", [1e-200, 1e-100, 1e-20])
+def test_kt_general_tiny_rates_match_tiny_time(q, q2, c):
+    # kt depends on the rates and t only through nu t; the e-window
+    # coefficients of rates below 1e-155 once overflowed
+    nu = (1, 2, 4)
+    rates = kt_general(q, q2, 1.0, tuple(c * v for v in nu))
+    time = kt_general(q, q2, c, nu)
+    assert abs(rates.value - time.value) <= rates.abs_error + time.abs_error
 
 
 def test_kt_general_high_precision_agrees():
