@@ -59,8 +59,9 @@ def _exp(log):
 
 
 def _fmt(log):
-    """e^log as %g prints it, also past the float range."""
+    """e^log as %g prints it, also past the float range; past 1e15 its
+    exponent, which the mantissa no longer follows, prints as %g too."""
     if -700.0 < log < 700.0 or not math.isfinite(log):
         return f"{_exp(log):g}"
     k, frac = divmod(log / math.log(10.0), 1.0)
-    return f"{10.0**frac:g}e{int(k):+d}"
+    return f"{10.0**frac:g}e{int(k):+d}" if abs(k) < 1e15 else f"1e{k:+g}"

@@ -36,10 +36,10 @@ import numpy as np
 from . import lattice, linalg, symfunc
 from .errors import PreconditionError, ToleranceNotAchieved
 from .numerics import (
-    HIGH_DPS, KernelValue, Numerics, check_time, evaluation, poisson_log_cap,
-    polynomial_absorb_constant,
+    HIGH_DPS, KernelValue, Numerics, check_time, check_tol, evaluation, poisson_log_cap,
+    poisson_tilt,
 )
-from .rates import as_rates
+from .rates import as_rates, positive_finite
 from .symfunc import _pow
 
 
@@ -154,17 +154,17 @@ def departure_kernel_stack(d, d2, count, t, nu, budget, nm):
 
         (nu_a/nu_b)^(d_b - b) sum_k coef_k nu_a^-k pois(nu_a t, n + k),
 
-    coef_k = 1 on the diagonal (k = 0 only), (-1)^k e_k(nu_{b+1..a}) for
-    a > b (k <= a - b, exact: _e_coefficients), and h_k(nu_{a+1..b}) for
-    a < b, a series cut where its certified tail drops below e^lt
-    (_h_cut).  _entry_stack forms all entries of all slices at once as
-    (row, column, slice) arrays of sign and log|.|, so no factor
-    overflows, and their round-off: the pmf's as its one table is built,
-    each h level's in _h_levels, the e sums' and the prefactors' last.
-    One subset recursion (_det_perm_diff) gives the determinants and both
-    bounds.  The first lt assumes permanents of unit size; a larger one
-    misses the budget, and every cut is then lowered below the worst one
-    by the measured excess."""
+    coef_k = 1 on the diagonal (k = 0 only), (-1)^k e_k(nu_{b+1..a}) for a
+    > b (k <= a - b, exact: _e_coefficients), and h_k(nu_{a+1..b}) for a <
+    b, a series cut where its certified tail drops below e^lt
+    (numerics.poisson_tilt).  _entry_stack forms all entries of all slices
+    at once as (row, column, slice) arrays of sign and log|.|, so no
+    factor overflows, and their round-off: the pmf's as its one table is
+    built, each h level's in _h_levels, the e sums' and the prefactors'
+    last.  One subset recursion (_det_perm_diff) gives the determinants and
+    both bounds.  The first lt assumes permanents of unit size; a larger
+    one misses the budget, and every cut is then lowered below the worst
+    one by the measured excess."""
     nu = as_rates(nu)
     n1, log_budget = len(nu), math.log(budget)
     lt = log_budget - math.log(count * n1 * n1)
@@ -189,7 +189,10 @@ def _entry_stack(d, d2, count, t, nu, logs, coefs, lt, nm):
     sits at n = n0_ab + c, n0_ab = d2_a - d_b - a + b; row a of the pmf
     table at k = n0_aa - off + i, -inf past its own hi, one index past
     every entry's slices and cut: column off + i is index i = n - n0_aa,
-    and each entry is exactly its series cut at a k >= its cut (_h_cut).
+    and each entry is exactly its series cut at a k >= its cut.  For a <
+    b, h_k(x_{a+1..b}) <= binom(k+d, d) max(x)^k, d = b - a - 1, so with
+    numerics.poisson_tilt the tail past n + K is at most e^log_mass g^-n
+    P(Poisson(mu g) > n + K), which decreases in n >= n0_ab.
     For a <= b the entry is its prefactor times F_b(n) (_h_levels); for a
     > b, pois(mu, n') q_n, mu = nu_a t, n' = max(n, 0), q_n the sum over k
     of coef_k nu_a^-k pois(mu, n + k) / pois(mu, n'), each ratio a product
@@ -207,10 +210,12 @@ def _entry_stack(d, d2, count, t, nu, logs, coefs, lt, nm):
     n0 = np.subtract.outer(np.array(d2) - idx, shift)  # growing in b
     cuts, logcut = np.zeros((n1, n1), dtype=int), np.full((n1, n1), -np.inf)
     for a in range(n1):
-        for b in range(a + 1, n1):  # h_k(x_{a+1..b}) <= binom(k+b-a-1, b-a-1) max(x)^k
-            cuts[a, b], logcut[a, b] = _h_cut(
-                n0[a, b], fl[a] * float(t), max(fl[a + 1 : b + 1]) / fl[a], b - a - 1,
-                shift[b] * (flogs[a] - flogs[b]), lt)
+        mu = fl[a] * float(t)
+        for b in range(a + 1, n1):
+            g, log_mass = poisson_tilt(mu, max(fl[a + 1 : b + 1]) / fl[a], b - a - 1)
+            base = shift[b] * (flogs[a] - flogs[b]) + log_mass - n0[a, b] * math.log(g)
+            m, log_sf = poisson_log_cap(mu * g, lt - base, "h-series cut")
+            cuts[a, b], logcut[a, b] = max(0, m - n0[a, b]), base + log_sf
     # left of the diagonal the entries start at max(n0, 0), and n0 + cut is below n0_aa
     diag = n0[idx, idx]
     off = np.maximum(diag - np.maximum(n0[:, 0], 0), 0).max()
@@ -309,30 +314,6 @@ def _e_coefficients(nu, nm):
             e = [x - p[b + 1] * y for x, y in zip(e + [0], [0] + e)]
             coefs[first + b, : len(e)] = [nm.quotient(v, p[a] ** k) for k, v in enumerate(e)]
     return coefs
-
-
-def _h_cut(n0, mu, ratio, deg, log_f, lt):
-    """Smallest series length K whose tail bound is below e^lt, and the
-    log of that bound, for the entry e^log_f sum_{k>=0} hhat_k ratio^k
-    pois(mu, n + k) with hhat_k <= binom(k+deg, deg) and n >= n0.
-
-    binom(k+deg, deg) <= A (1+delta)^k (polynomial_absorb_constant); with
-    G = max(1, (1+delta) ratio) the exact tilt identity
-    pois(mu, j) G^j = e^{mu(G-1)} pois(mu G, j) bounds the tail past K by
-
-        e^log_f A G^-n e^{mu(G-1)} P(Poisson(mu G) > n + K),
-
-    which decreases in n, so the bound at n0 covers every n.  K is
-    max(0, m - n0) for the smallest m that meets e^lt (poisson_log_cap)."""
-    if deg == 0:
-        delta, absorb = 0.0, 1.0
-    else:
-        delta = min(1.0, deg / (mu * ratio))
-        absorb = polynomial_absorb_constant(deg, delta)
-    g = max(1.0, (1.0 + delta) * ratio)
-    base = log_f + math.log(absorb) - n0 * math.log(g) + mu * (g - 1.0)
-    m, log_sf = poisson_log_cap(mu * g, lt - base, "h-series cut")
-    return max(0, m - n0), base + log_sf
 
 
 @functools.lru_cache(maxsize=None)
@@ -567,9 +548,10 @@ def noncrossing_prob(x, t, nu, tol=1e-9, *, nm):
     array over the truncation range with one prefix sum."""
     rates = tuple(nu)
     x = _check_chamber(x, "x", len(rates))
-    if not all(0 < v < math.inf for v in rates):
+    if not all(map(positive_finite, rates)):
         raise PreconditionError(f"rates must be positive and finite, got {rates}")
     check_time(t)
+    check_tol(tol)
     if len(x) == 1 or t == 0:
         # one counter, or no time, leaves nothing to cross
         return KernelValue(1.0, 0.0)
@@ -596,8 +578,7 @@ def departure_kernel_via_intertwining(d, d2, t, nu, tol=1e-8):
     d = _check_chamber(d, "d", n1)
     d2 = _check_chamber(d2, "d2", n1)
     check_time(t)
-    if tol <= 0:
-        raise PreconditionError("tol must be positive")
+    check_tol(tol)
     if t == 0:
         return KernelValue(1.0 if d == d2 else 0.0, 0.0)
     supp = departure_to_chamber_support(d, nu)
@@ -618,10 +599,11 @@ def _sandwich_sum(supp, t, fl, tol, tgt):
 
         scale * prod_k pmf-factor_k * growth_k^{y_k} * binom(y_k + shift + deg, deg)
 
-    so grow_weighted_box applies coordinatewise.  scale collects both
-    Leibniz sums, the start weights, the pmf rescaling constants, the
-    constant offsets of the growth envelope and the pinned coordinate's
-    bounded h-window factor.
+    so grow_weighted_box applies coordinatewise, through the tilt that
+    also cuts departure_kernel's h-series (numerics.poisson_tilt).  scale
+    collects both Leibniz sums, the start weights, the pmf rescaling
+    constants, the constant offsets of the growth envelope and the pinned
+    coordinate's bounded h-window factor.
     """
     n1 = len(fl)
     numax = max(fl)

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ToleranceNotAchieved
-from .numerics import MAX_BOX_POINTS, MAX_CAP, poisson_cap, poisson_log_cap, polynomial_absorb_constant
+from .numerics import MAX_BOX_POINTS, MAX_CAP, poisson_cap, poisson_log_cap, poisson_tilt
 
 
 def ordered_points(lo, hi):
@@ -184,33 +184,29 @@ def grow_weighted_box(start_lo, start_hi, t, nu, tol, growth, poly_degree, poly_
     independent Poisson(nu_k t) increments from starts in
     [start_lo, start_hi] and |W(z)| <= scale * prod_k binom(m_k +
     poly_shift + poly_degree, poly_degree) * growth_k^m_k with m_k the
-    increment.
+    increment.  Coordinate k takes the tilt (g_k, log_mass_k) of
+    numerics.poisson_tilt, which also cuts the h-series of the departure
+    kernel: its share is tol/(N+1) over scale and every e^log_mass_k, and
+    its cap the smallest whose tail P(Poisson(nu_k t g_k) > cap) meets
+    that share.  Returns (caps, bound).
 
-    The polynomial factor is absorbed into a slightly larger tilt, and
-    the tilted tail is exact: sum_{m>M} pmf(mu,m) g^m =
-    e^{mu(g-1)} P(Poisson(mu g) > M).  Coordinate k gets tol/(N+1),
-    divided by scale and the tilted total mass of the other coordinates,
-    and the smallest cap that meets it.  Returns (caps, bound).
-
-    A refusal names tol.  Past MAX_CAP in one cap it reports tol times the
-    factor by which that tail misses its share; past the span or point
-    limit, where nothing is summed, the whole sum's bound scale * mass.
+    A refusal names tol.  Past MAX_CAP in one cap, or a tilted mean past
+    the float range, it reports tol times the factor by which that tail
+    misses its share; past the span or point limit, where nothing is
+    summed, the whole sum's bound scale * mass.
     """
     n1 = len(nu)
-    delta = 0.25
-    absorb = polynomial_absorb_constant(poly_degree, delta, poly_shift)
     mus = [float(r) * float(t) for r in nu]
-    gts = [max(1.0, g) * (1.0 + delta) for g in growth]
-    # log of scale times the tilted total mass of every coordinate
-    log_mass = math.log(scale) + sum(math.log(absorb) + mus[k] * (gts[k] - 1.0) for k in range(n1))
     caps, bound = [], 0.0
-    for k in range(n1):
-        try:
-            m, log_sf = poisson_log_cap(mus[k] * gts[k], math.log(tol / n1) - log_mass, "weighted box cap")
-        except ToleranceNotAchieved as err:
-            raise err.restated(tol) from None
-        caps.append(start_hi[k] + m)
-        bound += math.exp(log_mass + log_sf)
+    try:
+        tilts = [poisson_tilt(mus[k], growth[k], poly_degree, poly_shift) for k in range(n1)]
+        log_mass = math.log(scale) + sum(lm for _, lm in tilts)
+        for k, (g, _) in enumerate(tilts):
+            m, log_sf = poisson_log_cap(mus[k] * g, math.log(tol / n1) - log_mass, "weighted box cap")
+            caps.append(start_hi[k] + m)
+            bound += math.exp(log_mass + log_sf)
+    except ToleranceNotAchieved as err:
+        raise err.restated(tol) from None
     if max(caps) - min(start_lo) > MAX_CAP:
         raise ToleranceNotAchieved.from_logs(math.log(tol), log_mass, "weighted box cap limit", tol)
     if count_ordered_points(start_lo, caps) > MAX_BOX_POINTS:

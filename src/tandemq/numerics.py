@@ -2,7 +2,8 @@
 
 All lattice truncations in this package are certified by Poisson tail
 bounds, and every truncation picks the smallest cap whose tail meets
-its budget through one downward walk, poisson_log_cap.  It sums pmf
+its budget through one downward walk, poisson_log_cap (series with
+polynomial and geometric factors after one tilt, poisson_tilt).  It sums pmf
 terms in double precision, in units of the budget, in both modes, since
 tails only feed the float abs_error.  Pmf tables come in float64, mpmath
 or decimal arithmetic, the float ones from Loader's saddle-point form, so
@@ -30,6 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PreconditionError, ToleranceNotAchieved
+from .rates import positive_finite
 
 HIGH_DPS = 50
 
@@ -288,17 +290,23 @@ def _decimal_context():
 
 
 def check_time(t):
-    """Raises PreconditionError, naming t, unless 0 <= t < inf; the
-    evaluations call it before they build any table."""
-    if not 0 <= t < math.inf:
+    """Raises PreconditionError, naming t, unless t is 0 or a positive
+    finite real; the evaluations call it before they build any table."""
+    if not (t == 0 or positive_finite(t)):
         raise PreconditionError(f"t must be finite and nonnegative, got {t!r}")
+
+
+def check_tol(tol, name="tol"):
+    """Raises PreconditionError, naming the caller's tolerance, unless it
+    is a positive finite real; each public evaluation checks tol once."""
+    if not positive_finite(tol):
+        raise PreconditionError(f"{name} must be positive and finite, got {tol!r}")
 
 
 def poisson_cap(mu, tol):
     """Smallest cap with P(Poisson(mu) > cap) below tol > 0, and that
     tail as a float."""
-    if not 0 < tol < math.inf:
-        raise PreconditionError(f"tol must be positive and finite, got {tol!r}")
+    check_tol(tol)
     try:
         cap, log_tail = poisson_log_cap(mu, math.log(tol))
     except ToleranceNotAchieved as err:
@@ -377,18 +385,29 @@ def _log_roundoff(k, log_mu, mu, steps):
     return 2.0**-50 * (abs(k * log_mu) + math.lgamma(k + 1.0) + mu + steps + 4)
 
 
-def polynomial_absorb_constant(degree, delta, shift=0):
-    """max over m >= 0 of binom(m + shift + degree, degree) * (1+delta)^-m.
+def poisson_tilt(mu, ratio, degree, shift=0):
+    """The one tilt of a Poisson series with a polynomial and a geometric
+    factor: (g, log_mass) with, for every M >= -1,
 
-    Lets a polynomial factor binom(m+s+d, d) be absorbed into a slightly
-    larger geometric tilt: binom(m+s+d, d) <= K * (1+delta)^m.
-    """
-    best = val = float(math.comb(shift + degree, degree))
-    m = 0
-    while True:
-        m += 1
-        val = val * (m + shift + degree) / (m + shift) / (1.0 + delta)
-        if val > best:
-            best = val
-        elif m > degree / delta + 4:
-            return best
+        sum_{m>M} binom(m+s+d, d) r^m pois(mu, m) <= e^log_mass P(Poisson(mu g) > M),
+
+    r = ratio, d = degree, s = shift.  Proof: with delta = min(1, d/(mu
+    r)) (0 if d = 0) and K the largest binom(m+s+d, d) (1+delta)^-m,
+    binom(m+s+d, d) r^m <= K g^m for g = max(1, (1+delta) r), and pois(mu,
+    m) g^m = e^(mu(g-1)) pois(mu g, m): log_mass = log K + mu(g-1).  The
+    term ratio (m+s+d+1)/((m+s+1)(1+delta)) is at least 1 exactly while
+    m+s+1 <= d/delta, so K sits at m* = max(0, floor(d/delta) - s),
+    floored exactly.  log K = sum_i log1p((m*+s)/i) - m* log1p(delta), i =
+    1..d: each part is within 4u of its size (u = 2^-53) and fsum within u
+    of the sum, so 2^-50 times the sizes keeps it above the exact value.
+    A ratio or a tilted mean mu g past the float range raises
+    ToleranceNotAchieved with an infinite achieved bound, for the caller
+    to restate against its tolerance."""
+    delta = degree / max(mu * ratio, degree) if degree else 0.0
+    g = max(1.0, (1.0 + delta) * ratio)
+    if not (ratio < math.inf and mu * g < math.inf):
+        detail = f"tilted Poisson mean {mu!r} * {g!r} past the float range"
+        raise ToleranceNotAchieved.from_logs(-math.inf, math.inf, detail)
+    m = max(0, degree // Fraction(delta) - shift) if degree else 0
+    parts = [math.log1p((m + shift) / i) for i in range(1, degree + 1)] + [-m * math.log1p(delta)]
+    return g, math.fsum(parts) + 2.0**-50 * sum(map(abs, parts)) + mu * (g - 1.0)

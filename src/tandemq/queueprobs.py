@@ -16,7 +16,7 @@ from . import lattice
 from .asymptotics import relaxation_rate
 from .errors import PreconditionError, ToleranceNotAchieved
 from .kernels import _check_queue, departure_kernel_stack, queue_to_departures
-from .numerics import KernelValue, check_time, evaluation, poisson_cap
+from .numerics import KernelValue, check_time, check_tol, evaluation, poisson_cap
 from .rates import _div, as_rates
 from .symfunc import _pow
 
@@ -74,6 +74,7 @@ def kt00_direct(t, nu, tol=1e-10, *, nm):
     nu = as_rates(nu)
     nu.require_distinct(service_only=True)
     check_time(t)
+    check_tol(tol)
     if t == 0:
         return KernelValue(1.0, 0.0)
     every = frozenset(range(len(nu)))
@@ -94,6 +95,7 @@ def kt00_gap(t, nu, tol=1e-10, *, nm):
     nu.require_stable()
     nu.require_distinct(service_only=False)
     check_time(t)
+    check_tol(tol)
     if t == 0:
         return KernelValue(1 - nm.scalar(stationary_empty_prob(nu)), 0.0)
     every = frozenset(range(len(nu)))
@@ -118,8 +120,7 @@ def kt00_gap_relative(t, nu, rel_tol=1e-4, *, precision="double"):
     from the final pass.  A retry at the tolerance just used would repeat
     that pass, so the loop stops there (at the 1e-300 floor) and returns
     it."""
-    if not 0 < rel_tol < math.inf:
-        raise PreconditionError(f"rel_tol must be positive and finite, got {rel_tol!r}")
+    check_tol(rel_tol, "rel_tol")
     check_time(t)
     g = relaxation_rate(nu)
     log_tol = math.log(rel_tol) + math.log(ENVELOPE_MARGIN) - g * t - 1.5 * math.log1p(t)
@@ -182,8 +183,7 @@ def kt_general(q, q2, t, nu, tol=1e-8, *, nm):
     q = _check_queue(q, nu.n_stations, "q")
     q2 = _check_queue(q2, nu.n_stations, "q2")
     check_time(t)
-    if tol <= 0:
-        raise PreconditionError("tol must be positive")
+    check_tol(tol)
     if t == 0:
         return KernelValue(1.0 if q == q2 else 0.0, 0.0)
     if not any(q) and not any(q2):
@@ -236,10 +236,9 @@ def mm1_kt(q, q2, t, nu, rel_tol=1e-15):
     nu = as_rates(nu)
     if nu.n_stations != 1:
         raise PreconditionError("mm1_kt needs exactly one station")
-    q, q2 = int(q), int(q2)
-    if q < 0 or q2 < 0:
-        raise PreconditionError("queue lengths must be nonnegative")
+    q, q2 = _check_queue((q, q2), 2, "(q, q2)")
     check_time(t)
+    check_tol(rel_tol, "rel_tol")
     if t == 0:
         return KernelValue(1.0 if q == q2 else 0.0, 0.0)
     lam, mu = nu.as_floats()

@@ -7,6 +7,7 @@ are fed from the same parsed values.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,6 +18,11 @@ from .errors import CoincidentRatesError, PreconditionError, UnstableRatesError
 EPS_DISTINCT = 1e-6
 
 
+def positive_finite(v):
+    """0 < v < inf for a real v (numpy's too); False for a string or None."""
+    return isinstance(v, numbers.Real) and 0 < v < math.inf
+
+
 @dataclass(frozen=True)
 class RateVector:
     values: tuple
@@ -25,7 +31,7 @@ class RateVector:
         if len(self.values) < 2:
             raise PreconditionError("need an arrival rate and at least one service rate")
         for v in self.values:
-            if not 0 < v < math.inf:
+            if not positive_finite(v):
                 raise PreconditionError(f"rates must be positive and finite, got {v!r}")
         object.__setattr__(self, "values", tuple(self.values))
 

@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import PreconditionError, ToleranceNotAchieved
 from .kernels import KernelValue, _check_chamber, _check_queue
-from .numerics import MAX_BOX_POINTS, Numerics, check_time, poisson_cap
-from .rates import as_rates
+from .numerics import MAX_BOX_POINTS, Numerics, check_time, check_tol, poisson_cap
+from .rates import as_rates, positive_finite
 
 BLOCK = 65536
 # The label table of n replications holds one byte per event up to the
@@ -61,20 +61,15 @@ class SimConfig:
 
     def __post_init__(self):
         vals = tuple(self.rates)
-        if not vals or not all(_positive_finite(v) for v in vals):
+        if not vals or not all(positive_finite(v) for v in vals):
             raise PreconditionError("rates must be a nonempty sequence of positive finite values")
         object.__setattr__(self, "rates", vals)
         if not isinstance(self.replications, numbers.Integral) or self.replications < 1:
             raise PreconditionError(f"replications must be an int >= 1, got {self.replications!r}")
-        if not _positive_finite(self.horizon):
+        if not positive_finite(self.horizon):
             raise PreconditionError(f"horizon must be positive and finite, got {self.horizon!r}")
         if not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 2**64:
             raise PreconditionError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
-
-
-def _positive_finite(v):
-    # a string or None would make the comparison raise a TypeError
-    return isinstance(v, numbers.Real) and 0 < v < math.inf
 
 
 class Estimate(NamedTuple):
@@ -265,6 +260,7 @@ def uniformization_kt(q, q2, t, nu, cap, tol=1e-8):
             f"the box {{0..{cap}}}^{n} has {(cap + 1) ** n} states, more than {MAX_BOX_POINTS}"
         )
     check_time(t)
+    check_tol(tol)
     fl = nu.as_floats()
     lam = float(sum(fl))
     p = [f / lam for f in fl]

@@ -258,6 +258,15 @@ def test_tolerance_failure_exit_3(monkeypatch, capsys):
     assert "tolerance" in capsys.readouterr().err.lower()
 
 
+def test_rate_ratio_past_the_float_range_exits_3(capsys):
+    # the tilted mean of the h-series between the arrival rate and the
+    # services is past the float range: a refusal, not a cut for mean inf
+    assert cli.main(["kt00", "--rates", "1e-300,1e300,2e300", "--t", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("tandemq: requested tolerance 1e-10, achieved only inf")
+    assert "past the float range" in err
+
+
 def test_refusal_names_caller_tolerance(capsys):
     # the h-series budget of one entry is near e^-7034; the refusal used to
     # print it and the achieved tail as underflowed zeros

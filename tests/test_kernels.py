@@ -286,7 +286,7 @@ def test_departure_kernel_via_intertwining_refusals_name_tol(d, d2, t, nu, limit
 def test_weighted_box_span_limit_reports_a_bound_above_tol():
     # each cap is within MAX_CAP of its start, but the box spans more
     with pytest.raises(ToleranceNotAchieved) as info:
-        grow_weighted_box([0], [15000], 4000.0, [1.0], 1e-9, [1.0], 0, 0, 1.0)
+        grow_weighted_box([0], [16000], 4000.0, [1.0], 1e-9, [1.0], 0, 0, 1.0)
     err = info.value
     assert err.detail == "weighted box cap limit"
     assert err.requested == 1e-9

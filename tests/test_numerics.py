@@ -3,6 +3,7 @@ Poisson tail is below the request, certified against 50-digit tails; and
 the log k! table and log pmf tables it shares with the kernels."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from tandemq.errors import PreconditionError, ToleranceNotAchieved
 from tandemq.numerics import (
     MAX_CAP, Numerics, poisson_cap, poisson_log_cap, poisson_logpmf, poisson_logpmf_error,
+    poisson_tilt,
 )
 
 
@@ -169,3 +171,58 @@ def test_poisson_logpmf_table_edges():
         exact = [k * mpmath.log(mu) - mpmath.loggamma(k + 1) - mu for k in range(61)]
     for v, e in zip(got[3:], exact):
         assert abs(v - e) <= 8 * math.ulp(max(abs(float(e)), 1.0))
+
+
+def _exact_log_absorb(m, delta, degree, shift):
+    """log binom(m+s+d, d) (1+delta)^-m at 40 digits, delta the float."""
+    with mpmath.workdps(40):
+        return mpmath.log(math.comb(m + shift + degree, degree)) - m * mpmath.log1p(mpmath.mpf(delta))
+
+
+@pytest.mark.parametrize("degree", range(13))
+def test_poisson_tilt_absorb_constant_is_the_exact_maximum(degree):
+    # the closed form against binom(m+s+d, d) (1+delta)^-m at m*, m* +- 1
+    # and 0: at least each of them, and within 1e-12 of the one at m*
+    for target in (1e-6, 1e-5, 1e-3, 0.07, 0.3, 1.0):
+        for shift in (0, 1, 3, 7, 20):
+            mu = degree / target if degree else 1.0
+            g, log_mass = poisson_tilt(mu, 1.0, degree, shift)
+            # r = 1 makes delta = min(1, d/mu) and g = 1 + delta
+            delta = degree / max(mu, degree) if degree else 0.0
+            assert g == 1.0 + delta
+            log_absorb = log_mass - mu * (g - 1.0)
+            if degree == 0:
+                assert log_absorb == 0.0
+                continue
+            top = max(0, math.floor(Fraction(degree) / Fraction(delta)) - shift)
+            exact = {m: _exact_log_absorb(m, delta, degree, shift) for m in {0, max(0, top - 1), top, top + 1}}
+            # where d/delta is an integer, m* - 1 ties with m*
+            assert max(exact.values()) - exact[top] < 1e-35
+            assert all(log_absorb >= want for want in exact.values())
+            assert log_absorb - exact[top] <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "mu, ratio, degree, shift, cut",
+    [(3.0, 1.0, 2, 0, 5), (40.0, 0.5, 3, 4, 30), (0.2, 7.0, 1, 9, 3), (12.0, 2.0, 0, 0, 30), (5.0, 3.0, 4, 1, 0)],
+)
+def test_poisson_tilt_bounds_the_series_tail(mu, ratio, degree, shift, cut):
+    # sum_{m>M} binom(m+s+d, d) r^m pois(mu, m) <= e^log_mass P(Poisson(mu g) > M)
+    g, log_mass = poisson_tilt(mu, ratio, degree, shift)
+    assert g >= max(1.0, ratio)
+    with mpmath.workdps(40):
+        tail = mpmath.nsum(
+            lambda m: math.comb(int(m) + shift + degree, degree) * mpmath.mpf(ratio) ** m
+            * mpmath.exp(m * mpmath.log(mu) - mu - mpmath.loggamma(m + 1)),
+            [cut + 1, mpmath.inf],
+        )
+        assert mpmath.log(tail) <= log_mass + _log_tail(mu * g, cut)
+
+
+@pytest.mark.parametrize(
+    "mu, ratio, degree", [(1e-300, math.inf, 0), (1.0, math.inf, 2), (1e300, 1e10, 1), (0.0, math.inf, 3)]
+)
+def test_poisson_tilt_past_the_float_range_refuses(mu, ratio, degree):
+    with pytest.raises(ToleranceNotAchieved, match="past the float range") as info:
+        poisson_tilt(mu, ratio, degree)
+    assert info.value.logs[1] == math.inf

@@ -3,6 +3,7 @@ empty-system probability against each other and against uniformization,
 the general completion-count sum (including equal, coincident and
 unstable rates), the Bessel closed form, and the harmonic weight."""
 
+import faulthandler
 import math
 import random
 import time
@@ -15,7 +16,7 @@ import pytest
 from tandemq import lattice, queueprobs
 from tandemq.asymptotics import decay_report, fit_decay_rate
 from tandemq.errors import PreconditionError, ToleranceNotAchieved
-from tandemq.kernels import noncrossing_prob
+from tandemq.kernels import departure_kernel_via_intertwining, noncrossing_prob
 from tandemq.queueprobs import (
     chamber_harmonic,
     kt00_direct,
@@ -26,6 +27,7 @@ from tandemq.queueprobs import (
     mm1_kt,
     stationary_empty_prob,
 )
+from tandemq.rates import as_rates
 from tandemq.simulator import SimConfig, simulate_noncrossing, simulate_queue_prob, uniformization_kt
 from tandemq.symfunc import schur
 
@@ -436,9 +438,16 @@ def test_tail_refusals_name_the_caller_tol(call):
         lambda: kt00_gap(1.0, (1, math.nan)),
         lambda: kt00_gap_relative(50.0, (1, 2, 4), rel_tol=0),
         lambda: kt00_gap_relative(50.0, (1, 2, 4), rel_tol=math.nan),
+        # a string among the numbers made a comparison raise a TypeError
+        lambda: as_rates((1, "2")),
+        lambda: noncrossing_prob((0, 0), 1.0, (1, "2")),
+        lambda: kt_general((1, 0), (0, 1), "1", (1, 2, 3)),
+        lambda: simulate_queue_prob((0,), (0,), SimConfig((1, "2"), 1.0, 1, 10)),
+        lambda: kt00_gap_relative(50.0, (1, 2, 4), rel_tol="1e-4"),
     ],
     ids=["precision", "fit-empty", "report-empty", "noncrossing-inf", "simulate-inf",
-         "kt-inf", "kt00-gap-nan", "rel-tol-0", "rel-tol-nan"],
+         "kt-inf", "kt00-gap-nan", "rel-tol-0", "rel-tol-nan", "rates-str", "noncrossing-str",
+         "t-str", "simulate-str", "rel-tol-str"],
 )
 def test_bad_public_input_is_a_precondition_error(call):
     # these raised ValueError, IndexError or OverflowError, warned and
@@ -478,3 +487,74 @@ def test_integral_state_entries_of_any_type_agree(name):
     want = call(state)
     for kind in (np.int64, float, np.float64):
         assert call(tuple(kind(v) for v in state)) == want
+
+
+@pytest.mark.parametrize("tol", [-1, 0, math.nan, math.inf, "1e-8", None])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tol: kt_general((1, 0), (0, 1), 1.0, (1, 2, 3), tol=tol),
+        lambda tol: kt00_direct(1.0, (1, 2, 3), tol=tol),
+        lambda tol: kt00_gap(1.0, (1, 2, 3), tol=tol),
+        lambda tol: kt00_stationary(1.0, (1, 2, 3), tol=tol),
+        lambda tol: noncrossing_prob((1, 0), 1.0, (1, 2), tol=tol),
+        lambda tol: uniformization_kt((0,), (0,), 1.0, (1, 2), 10, tol=tol),
+        lambda tol: departure_kernel_via_intertwining((1, 0), (2, 0), 1.0, (1, 2), tol=tol),
+    ],
+    ids=["kt_general", "kt00_direct", "kt00_gap", "kt00_stationary", "noncrossing_prob",
+         "uniformization_kt", "via_intertwining"],
+)
+def test_bad_tol_names_the_caller_tol(call, tol):
+    # the error named an inner share (-0.0667, -0.5), a nan log budget, or
+    # was a raw TypeError
+    with pytest.raises(PreconditionError) as info:
+        call(tol)
+    assert str(info.value) == f"tol must be positive and finite, got {tol!r}"
+
+
+@pytest.mark.parametrize(
+    "q, q2, rel_tol, match",
+    [
+        (0.5, 0, 1e-15, "must be integers"),
+        (0, "a", 1e-15, "must be integers"),
+        (0, math.inf, 1e-15, "must be integers"),
+        (0, 1, 0, "rel_tol must be positive"),
+        (0, 1, -1e-3, "rel_tol must be positive"),
+        (0, 1, math.nan, "rel_tol must be positive"),
+    ],
+)
+def test_mm1_kt_rejects_bad_states_and_rel_tol(q, q2, rel_tol, match):
+    # int() turned 0.5 into the q=0 value 0.6338, and rel_tol=0 claimed a
+    # Bessel underflow
+    with pytest.raises(PreconditionError, match=match):
+        mm1_kt(q, q2, 1.0, (1, 2), rel_tol=rel_tol)
+    assert mm1_kt(np.int64(1), 2.0, 1.0, (1, 2)) == mm1_kt(1, 2, 1.0, (1, 2))
+
+
+@pytest.mark.parametrize("nu", [(1, 1e-160, 1e160), (1e-100, 1, 1e200)])
+def test_cut_search_refuses_huge_rate_ratios_at_once(nu):
+    # the absorb constant's loop ran about t max(nu) steps; a regression
+    # dumps the stack and ends the run instead of hanging
+    faulthandler.dump_traceback_later(60, exit=True)
+    try:
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            with pytest.raises(ToleranceNotAchieved, match="h-series cut exceeded") as info:
+                kt_general((1, 0), (0, 1), 1.0, nu)
+            times.append(time.perf_counter() - start)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert min(times) < 0.01
+    # the achieved bound is about e^(1e160): its exponent prints to %g
+    assert len(str(info.value)) < 100
+    assert info.value.logs[1] > 1e150
+
+
+def test_rate_ratio_past_the_float_range_refuses():
+    # services 1e300 times the arrival rate: the tilted mean of the
+    # h-series is past the float range, which named a cut for mean inf
+    with pytest.raises(ToleranceNotAchieved, match="past the float range") as info:
+        kt_general((0, 0), (0, 0), 1.0, (1e-300, 1e300, 2e300))
+    assert info.value.requested == 1e-8
+    assert info.value.achieved == math.inf
