@@ -9,18 +9,39 @@ the Markov dynamics and vectorizes across replications.
 Replications are processed in fixed blocks of 65536; block b draws its
 randomness from a counter-based generator keyed by (seed, b), so serial
 and parallel runs produce identical output and reruns are byte-stable.
-A block draws its Poisson event counts, then one 64-bit Philox word per
-replication and event, replication by replication (in row chunks, which
-continue the same stream); the last block of a run draws all BLOCK
-counts but the words of its first replications only, those that the run
-asks for.  The station of an event is the number of cumulative rate
-fractions at or below the uniform (word >> 11) * 2**-53 that numpy would
-make of its word, counted by comparing the word itself with one integer
-threshold per fraction, into a byte table with one row per replication.
+A block reads its 64-bit Philox words as one packed stream: first BLOCK
+words, one event count per replication, then, replication by
+replication, one word per event, so the labels of replication i start
+counts[0] + ... + counts[i-1] words after the counts.  The last block of
+a run draws all BLOCK counts but the label words of its first
+replications only, those that the run asks for; those replications are
+the same as in a full block.  A word w stands for numpy's uniform
+U = (w >> 11) * 2**-53, and both draws invert a CDF on it with integer
+thresholds ceil(c * 2**53) << 11, w >= threshold exactly when U >= c:
+
+- the count is the number of k with F(k) <= U, F the float Poisson CDF
+  of the mean mu = sum(nu) t (the cumulative sum of
+  Numerics.poisson_pmf_table), cut at the k where the Poisson tail falls
+  below COUNT_TAIL = 2**-60 (poisson_cap), with the threshold at the cut
+  itself dropped so that every word falls inside the table;
+- the station is the number of cumulative rate fractions at or below U.
+
+The Kolmogorov distance between the sampled counts and Poisson(mu) is
+at most 2**-53 + (E + K + 2) 2**-53 + 2**-60, below 2e-11 for every mean
+a block accepts (mu <= MAX_MEAN).  P(count <= k) is exactly
+ceil(F(k) 2**53) 2**-53, within 2**-53 of the float CDF F(k) (1 where F
+rounded to 1, and past the cut); F is within (E + K + 2) 2**-53 of the
+true CDF, E bounding the error of the table's log pmf values in units of
+2**-53 (Numerics.poisson_logpmf_error, below 1e5 at MAX_MEAN), one unit
+for np.exp and K for the cumulative sum of the K <= 17520 terms; and past
+the cut the true CDF is within the 2**-60 tail of 1.
+
 Events are then replayed step by step over the replications sorted by
 event count, most first, so step j touches only the prefix of
 replications that have a j-th event; it gathers their labels of event j
-from the table in that order.
+from the packed table in that order.  The queue lengths or positions are
+held in the narrowest integer type that every reachable state fits
+(uint8 for small starts), since an entry moves by at most one per event.
 
 Uniformization steps the law of the queue vector on the box {0..cap}^n
 as one numpy array: every jump of a tandem chain shifts that array along
@@ -40,14 +61,21 @@ from .numerics import MAX_BOX_POINTS, Numerics, check_time, check_tol, poisson_c
 from .rates import as_rates, positive_finite
 
 BLOCK = 65536
-# The label table of n replications holds one byte per event up to the
-# most events kmax of their block: n * kmax may reach BLOCK * MAX_EVENTS
-# bytes (64 MB here).
+# The labels of a block's first n replications take one byte per event:
+# at most BLOCK * MAX_EVENTS bytes (64 MB here).
 MAX_EVENTS = 1024
-# Philox words drawn per chunk: 1 MB of uint64, which stays in cache while
-# it is compared with each threshold; kmax is at most one chunk.
+# The largest mean event count of a replication: its count table, cut
+# where the Poisson tail falls below COUNT_TAIL, stays within MAX_CAP.
+MAX_MEAN = 16384
+COUNT_TAIL = 2.0**-60
+# the top bits of a count word that pick its guide-table bucket
+GUIDE_BITS = 12
+# label words drawn per chunk: 1 MB of uint64, which stays in cache while
+# it is compared with each threshold
 CHUNK = 1 << 17
-INT64 = np.iinfo(np.int64)
+# the state columns take the first of these types that holds every state
+# a block can reach
+STATE_TYPES = (np.uint8, np.int16, np.int32, np.int64)
 
 
 @dataclass(frozen=True)
@@ -82,60 +110,103 @@ def _block_rng(seed, block):
     return np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
 
 
+def _count_thresholds(mu):
+    """Integer thresholds of the event-count inversion at mean mu: a word
+    w draws the count #{k : w >= thresholds[k]}.  thresholds[k] is
+    ceil(F(k) * 2**53) << 11 for the float Poisson CDF F on k below the
+    cut where the tail falls under COUNT_TAIL; a k whose F rounded to 1
+    has none.  So the largest count, that of the word 2**64 - 1, is
+    len(thresholds), at most the cut."""
+    top, _ = poisson_cap(mu, COUNT_TAIL)
+    cdf = np.cumsum(Numerics().poisson_pmf_table(mu, 0, top - 1))
+    return np.ceil(cdf[cdf < 1.0] * 2.0**53).astype(np.uint64) << np.uint64(11)
+
+
+def _event_counts(words, thresholds):
+    """#{k : w >= thresholds[k]} for each word w, by a guide table
+    (Devroye 1986, ch. III): the top GUIDE_BITS bits of a word pick a
+    bucket, which fixes the count unless a threshold falls inside it;
+    only the words of such buckets are searched."""
+    shift = np.uint64(64 - GUIDE_BITS)
+    starts = np.arange(1 << GUIDE_BITS, dtype=np.uint64) << shift
+    below = np.searchsorted(thresholds, starts)
+    upto = np.searchsorted(thresholds, starts + (starts[1] - np.uint64(1)), side="right")
+    bucket = words >> shift
+    counts = below[bucket]
+    split = np.flatnonzero(upto[bucket] != counts)
+    counts[split] = np.searchsorted(thresholds, words[split], side="right")
+    return counts
+
+
+def _labels(rng, fl, total):
+    """Stations of the next total events, one word each: the number of
+    cumulative rate fractions c at or below the word's uniform, counted
+    on the raw word as raw >= ceil(c * 2**53) << 11; a fraction that
+    rounded to 1 is never reached and has no threshold.  The words come
+    in chunks that continue the same stream."""
+    cum = np.cumsum(fl) / float(sum(fl))
+    limits = [np.uint64(math.ceil(c * 2**53) << 11) for c in cum[:-1] if c < 1.0]
+    labels = np.empty(total, dtype=np.min_scalar_type(len(fl) - 1))
+    for w0 in range(0, total, CHUNK):
+        raw = rng.bit_generator.random_raw(min(CHUNK, total - w0))
+        lab = labels[w0 : w0 + len(raw)]
+        lab[...] = raw >= limits[0] if limits else 0
+        for c in limits[1:]:
+            lab += raw >= c
+    return labels
+
+
 def _station_draws(rng, fl, t, n, start):
     """Event labels of the first n replications of one block, ordered
     for the event loop.
 
-    Returns (order, steps): order lists the replications by event count,
-    most first (stable), and steps yields, for each event index j, the
+    Returns (order, steps, state): order lists the replications by event
+    count, most first (stable); steps yields, for each event index j, the
     stations of event j of the replications in that order that have a
-    j-th event (a prefix of order, shorter as j grows).  The Philox words
-    are drawn as the first n rows of one (BLOCK, kmax) row-major array
-    would be, in row chunks, kmax the most events of the whole block.  A
-    label is the number of cumulative rate fractions c at or below the
-    uniform (raw >> 11) * 2**-53 of its word, counted on the raw word as
-    raw >= ceil(c * 2**53) << 11; a fraction that rounded to 1 is never
-    reached and has no threshold.  The labels stay in the row-major
-    table, and step j gathers its column in order.  Refuses, before
-    allocating, a block whose event counts are too large to hold or that
-    could carry an entry of start past int64."""
-    lam = float(sum(fl))
-    counts = rng.poisson(lam * t, size=BLOCK)
-    kmax = int(counts.max(initial=0))
-    if kmax > CHUNK or n * kmax > BLOCK * MAX_EVENTS:
+    j-th event (a prefix of order, shorter as j grows); state holds one
+    column per entry of start, filled with it, in the first of
+    STATE_TYPES that holds every state the events can reach.  The counts of
+    all BLOCK replications come first, then the labels of the first n,
+    packed: event j of replication i sits at offset[i] + j, offset the
+    exclusive cumulative sum of the counts, and step j gathers the labels
+    at offset + j in order.  Refuses, before any draw, a mean past
+    MAX_MEAN or a start whose entries could pass int64, and, before
+    drawing labels, n replications with more events than a block holds."""
+    mu = float(sum(fl)) * t
+    expects = f"t={t!r} expects {mu:.4g} events per replication"
+    if not mu <= MAX_MEAN:
+        raise PreconditionError(f"{expects}; a replication may expect at most {MAX_MEAN}")
+    thresholds = _count_thresholds(mu)
+    # an entry moves by at most one per event, and a replication draws at
+    # most len(thresholds) events: a state type must hold lo..hi
+    lo, hi = min(start), max(start) + len(thresholds)
+    fits = [d for d in STATE_TYPES if np.iinfo(d).min <= lo and hi <= np.iinfo(d).max]
+    if not fits:
         raise PreconditionError(
-            f"t={t!r} expects {lam * t:.4g} events per replication; {n} replications "
-            f"may draw at most {min(CHUNK, BLOCK * MAX_EVENTS // n)} each"
-        )
-    # an entry moves by at most one per event, and the state is int64
-    if min(start) < INT64.min or max(start) > INT64.max - kmax:
-        raise PreconditionError(
-            f"start {start} does not fit in int64 with room for the {kmax} events "
+            f"start {start} does not fit in int64 with room for the {len(thresholds)} events "
             "a replication may draw"
         )
-    counts = counts[:n]
-    cum = np.cumsum(fl) / lam
-    limits = [np.uint64(math.ceil(c * 2**53) << 11) for c in cum[:-1] if c < 1.0]
-    flat = np.empty(n * kmax, dtype=np.min_scalar_type(len(fl) - 1))
-    rows = max(1, CHUNK // max(kmax, 1))
-    for r0 in range(0, n, rows):
-        raw = rng.bit_generator.random_raw(min(rows, n - r0) * kmax)
-        lab = flat[r0 * kmax : r0 * kmax + len(raw)]
-        lab[...] = raw >= limits[0] if limits else 0
-        for c in limits[1:]:
-            lab += raw >= c
+    counts = _event_counts(rng.bit_generator.random_raw(BLOCK), thresholds)[:n]
+    total = int(counts.sum())
+    if total > BLOCK * MAX_EVENTS:
+        raise PreconditionError(
+            f"{expects}; {n} replications drew {total}, more than the "
+            f"{BLOCK * MAX_EVENTS} a block may hold"
+        )
+    labels = _labels(rng, fl, total)
+    kmax = int(counts.max(initial=0))
     # counts descending; a stable sort of 8- or 16-bit keys is a radix sort
     order = np.argsort((kmax - counts).astype(np.min_scalar_type(kmax)), kind="stable")
     active = n - np.cumsum(np.bincount(counts, minlength=kmax))[:kmax]
-    # at step j, at[i] indexes event j of replication order[i] in the table
-    at = order * kmax
+    # at step j, at[i] indexes event j of replication order[i] in labels
+    at = (np.cumsum(counts) - counts)[order]
 
     def steps():
         for a in active.tolist():
-            yield flat.take(at[:a])
+            yield labels.take(at[:a])
             at[:a] += 1
 
-    return order, steps()
+    return order, steps(), [np.full(n, v, dtype=fits[0]) for v in start]
 
 
 def _unsort(order, hits):
@@ -147,9 +218,8 @@ def _unsort(order, hits):
 def _queue_block(args):
     fl, q, q2, t, seed, block, reps = args
     rng = _block_rng(seed, block)
-    order, steps = _station_draws(rng, fl, t, reps, q)
+    order, steps, state = _station_draws(rng, fl, t, reps, q)
     n = len(q)
-    state = [np.full(reps, v, dtype=np.int64) for v in q]
     for s in steps:
         a = len(s)
         state[0][:a] += s == 0
@@ -167,8 +237,7 @@ def _queue_block(args):
 def _noncross_block(args):
     fl, x, t, seed, block, reps = args
     rng = _block_rng(seed, block)
-    order, steps = _station_draws(rng, fl, t, reps, x)
-    pos = [np.full(reps, v, dtype=np.int64) for v in x]
+    order, steps, pos = _station_draws(rng, fl, t, reps, x)
     # a counter that jumps onto its left neighbour's position crosses it;
     # the replication is lost for good, so its later steps need no mask
     crossed = np.zeros(reps, dtype=bool)

@@ -380,6 +380,19 @@ def test_simulate_refusals_exit_2():
     assert "jobs must be >= 1" in r.stderr
 
 
+def test_simulate_mean_past_float_range_exits_2():
+    # numpy's Poisson sampler used to raise "lam value too large"; a rate
+    # sum of inf did the same
+    for rates, flags, t, shown in (
+        ("1,2", ("--q", "0", "--q2", "0"), "1e300", "t=1e+300 expects 3e+300 events"),
+        ("1,1e308,1e308", ("--q", "0,0", "--q2", "0,0"), "1", "t=1.0 expects inf events"),
+    ):
+        r = run_cli("simulate", "kt", "--rates", rates, *flags, "--t", t, "--reps", "10")
+        assert r.returncode == 2
+        assert f"{shown} per replication" in r.stderr
+        assert "Traceback" not in r.stderr
+
+
 def test_simulate_start_beyond_int64_exits_2():
     big = "100000000000000000000"
     for args in (("kt", "--rates", "1,2", "--q", big, "--q2", "0"),

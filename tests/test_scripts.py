@@ -41,3 +41,13 @@ def test_decay_experiment_too_few_fit_points():
     assert r.returncode == 1
     assert "not enough certified points" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_sim_calibration_summary():
+    r = run_script("sim_calibration.py", "--seeds", "1", "--blocks", "1")
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    # one row per case, its z values after two spaces
+    assert sum("  z " in line for line in lines) == 12
+    assert lines[-1].startswith("12 estimates of 65536 replications: mean z ")
+    assert "mean z^2" in lines[-1] and "max |z|" in lines[-1]

@@ -1,16 +1,20 @@
 """Oracle layer: reproducibility and statistical calibration of the
 Monte Carlo paths, and the truncation contract of uniformization."""
 
+import bisect
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import poisson
 
 from tandemq import simulator
 from tandemq.errors import PreconditionError, ToleranceNotAchieved
 from tandemq.kernels import noncrossing_prob
+from tandemq.numerics import Numerics, poisson_cap
 from tandemq.queueprobs import mm1_kt
 from tandemq.simulator import (
     BLOCK,
@@ -70,21 +74,75 @@ def test_noncross_sim_reproducible():
     assert a.replications == 70000
 
 
-# Estimates recorded from the simulator before its blocks were rewritten
-# (floats written with repr).  The blocks must consume the same Philox
-# draws in the same order and return the same hits, so every estimate
-# is reproduced exactly, serial and parallel.
+# The stream of a block, restated one replication at a time and without
+# the package's tables: replication i's count inverts scipy's Poisson CDF
+# at the uniform of count word i, and after all BLOCK count words its
+# labels invert the cumulative rate fractions at the uniforms of its next
+# count words.
+
+
+def _uniform(word):
+    # numpy's double of a 64-bit word
+    return (int(word) >> 11) * 2.0**-53
+
+
+def _reference_draws(fl, t, seed, block, n):
+    """The counts of one block's BLOCK replications, the labels of its
+    first n (one list per replication) and the generator state after
+    them."""
+    mu = float(sum(fl)) * t
+    cdf = list(poisson.cdf(np.arange(int(mu + 20 * math.sqrt(mu) + 60)), mu))
+    cum = list(np.cumsum(fl) / sum(fl))[:-1]
+    rng = simulator._block_rng(seed, block)
+    counts = [bisect.bisect_right(cdf, _uniform(w)) for w in rng.bit_generator.random_raw(BLOCK)]
+    words = iter(rng.bit_generator.random_raw(sum(counts[:n])))
+    labels = [[bisect.bisect_right(cum, _uniform(next(words))) for _ in range(c)]
+              for c in counts[:n]]
+    return counts, labels, rng.bit_generator.state
+
+
+def _reference_queue(q, q2, labels):
+    state = list(q)
+    for s in labels:
+        if s == 0:
+            state[0] += 1
+        elif state[s - 1] > 0:
+            state[s - 1] -= 1
+            if s < len(q):
+                state[s] += 1
+    return state == list(q2)
+
+
+def _reference_noncross(x, labels):
+    pos = list(x)
+    for s in labels:
+        # a counter that jumps onto its left neighbour's position crosses it
+        if s > 0 and pos[s] == pos[s - 1]:
+            return False
+        pos[s] += 1
+    return True
+
+
+def _reference_hits(kind, fl, a, b, t, seed, block, n):
+    _, labels, _ = _reference_draws(fl, t, seed, block, n)
+    if kind == "queue":
+        return np.array([_reference_queue(a, b, lab) for lab in labels])
+    return np.array([_reference_noncross(a, lab) for lab in labels])
+
+
+# Estimates of the reference loops above (floats written with repr): the
+# simulator must reproduce each one exactly, serial and parallel.
 PINNED = [
     ("queue", (1.0, 2.0), (2,), (1,), 1.0, 11, BLOCK,
-     (0.26983642578125, 0.0033984414258365282, 65536)),
+     (0.2694244384765625, 0.0033968039585530675, 65536)),
     ("queue", (1.0, 2.0, 3.0), (1, 2), (0, 1), 0.8, 12, BLOCK,
-     (0.1480865478515625, 0.002719411701960361, 65536)),
+     (0.1472320556640625, 0.0027129140875709707, 65536)),
     ("queue", (1.0, 1.5, 2.0, 2.5), (1, 0, 2), (0, 1, 1), 0.7, 13, 70000,
-     (0.05552857142857143, 0.0016965349701035797, 70000)),
+     (0.05907142857142857, 0.0017465346995999042, 70000)),
     ("noncross", (3.0, 2.0, 1.0), (1, 1, 0), None, 0.5, 14, 70000,
-     (0.5411714285714285, 0.0036914994683777506, 70000)),
+     (0.5376857142857143, 0.003693542147659492, 70000)),
     ("noncross", (1.0, 2.5), (3, 1), None, 1.5, 15, BLOCK,
-     (0.4914398193359375, 0.0038275931365326908, 65536)),
+     (0.496673583984375, 0.0038280694882870505, 65536)),
     # t so small that every event count is 0
     ("queue", (1.0, 2.0, 3.0), (1, 0), (1, 0), 1e-9, 16, 1000, (1.0, 0.0, 1000)),
     ("noncross", (3.0, 2.0, 1.0), (1, 1, 0), None, 1e-9, 17, 1000, (1.0, 0.0, 1000)),
@@ -110,71 +168,24 @@ def test_sim_parallel_reproduces_pinned_estimates():
             assert _pinned_estimate(*args, jobs=2) == Estimate(*want)
 
 
-def _uniform_labels(rng, fl, t, n):
-    # the original block layout: one (n, kmax) uniform draw, labels by
-    # searchsorted, one row per replication
-    lam = float(sum(fl))
-    counts = rng.poisson(lam * t, size=BLOCK)
-    cum = np.cumsum(fl) / lam
-    cum[-1] = 1.0
-    u = rng.random((n, int(counts.max(initial=0))))
-    return counts[:n], np.searchsorted(cum, u, side="right")
-
-
-def _reference_draws(fl, t, seed, block):
-    return _uniform_labels(simulator._block_rng(seed, block), fl, t, BLOCK)
-
-
-def _reference_queue_block(args):
-    fl, q, q2, t, seed, block = args
-    counts, labels = _reference_draws(fl, t, seed, block)
-    state = np.tile(np.asarray(q, dtype=np.int64), (BLOCK, 1))
-    for j in range(labels.shape[1]):
-        act = j < counts
-        s = labels[:, j]
-        state[act & (s == 0), 0] += 1
-        for k in range(1, len(q) + 1):
-            m = act & (s == k) & (state[:, k - 1] > 0)
-            state[m, k - 1] -= 1
-            if k < len(q):
-                state[m, k] += 1
-    return (state == np.asarray(q2)).all(axis=1)
-
-
-def _reference_noncross_block(args):
-    fl, x, t, seed, block = args
-    counts, labels = _reference_draws(fl, t, seed, block)
-    state = np.tile(np.asarray(x, dtype=np.int64), (BLOCK, 1))
-    alive = np.ones(BLOCK, dtype=bool)
-    for j in range(labels.shape[1]):
-        act = alive & (j < counts)
-        s = labels[:, j]
-        for k in range(len(x)):
-            m = act & (s == k)
-            if k >= 1:
-                crossed = m & (state[:, k] == state[:, k - 1])
-                alive[crossed] = False
-                m &= ~crossed
-            state[m, k] += 1
-    return alive
-
-
 @pytest.mark.parametrize("seed", [3, 4])
 def test_blocks_match_reference_loops(seed):
     cases = [
-        (simulator._queue_block, _reference_queue_block, ((1.0, 2.0), (1,), (0,), 1.3, seed, 0)),
-        (simulator._queue_block, _reference_queue_block,
-         ((1.0, 1.5, 2.0, 2.5), (0, 2, 1), (1, 1, 0), 0.9, seed, 1)),
-        (simulator._noncross_block, _reference_noncross_block, ((3.0, 2.0, 1.0), (1, 1, 0), 0.8, seed, 0)),
-        (simulator._noncross_block, _reference_noncross_block,
-         ((1.0, 2.0, 3.0, 4.0), (3, 2, 1, 0), 0.5, seed, 2)),
+        ("queue", (1.0, 2.0), (1,), (0,), 1.3, 0),
+        ("queue", (1.0, 1.5, 2.0, 2.5), (0, 2, 1), (1, 1, 0), 0.9, 1),
+        ("noncross", (3.0, 2.0, 1.0), (1, 1, 0), None, 0.8, 0),
+        ("noncross", (1.0, 2.0, 3.0, 4.0), (3, 2, 1, 0), None, 0.5, 2),
     ]
-    for block, reference, args in cases:
-        want = reference(args)
+    for kind, fl, a, b, t, block in cases:
+        want = _reference_hits(kind, fl, a, b, t, seed, block, BLOCK)
         # a block runs a whole block of replications or, the last one of
         # a run, its first few
         for reps in (BLOCK, 1000, 1):
-            np.testing.assert_array_equal(block(args + (reps,)), want[:reps])
+            if kind == "queue":
+                got = simulator._queue_block((fl, a, b, t, seed, block, reps))
+            else:
+                got = simulator._noncross_block((fl, a, t, seed, block, reps))
+            np.testing.assert_array_equal(got, want[:reps])
 
 
 # (1, 1) and (1, 3) have dyadic fractions, the fraction of (1, 1e-17)
@@ -187,32 +198,56 @@ ADVERSARIAL_RATES = [(1.0, 1.0), (1.0, 3.0), (1.0, 1e-17), (1e-300, 1.0, 2.0), (
 @pytest.mark.parametrize("n", [BLOCK, 1000, 1])
 def test_station_draws_match_uniform_labels(fl, n):
     rng = simulator._block_rng(21, 0)
-    order, steps = simulator._station_draws(rng, fl, 2.0, n, (0,) * len(fl))
-    ref = simulator._block_rng(21, 0)
-    counts, want = _uniform_labels(ref, fl, 2.0, n)
-    np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+    order, steps, _ = simulator._station_draws(rng, fl, 2.0, n, (0,) * len(fl))
+    counts, labels, state = _reference_draws(fl, 2.0, 21, 0, n)
+    # the draws end where the reference's do: BLOCK count words, then the
+    # label words of the first n replications only
+    np.testing.assert_equal(rng.bit_generator.state, state)
+    counts = np.array(counts[:n])
     np.testing.assert_array_equal(order, np.argsort(-counts, kind="stable"))
+    want = np.full((n, counts.max(initial=0)), -1)
+    for row, lab in zip(want, labels):
+        row[: len(lab)] = lab
     got = np.full(want.shape, -1)
     for j, s in enumerate(steps):
         got[order[: len(s)], j] = s
-    want[np.arange(want.shape[1]) >= counts[:, None]] = -1
     np.testing.assert_array_equal(got, want)
 
 
-class _Words:
-    """A stand-in generator: every replication draws len(words) events,
-    whose Philox words are the given ones."""
+def test_state_columns_take_the_narrowest_type_that_holds_them():
+    fl, t = (1.0, 2.0), 2.0
+    most = len(simulator._count_thresholds(3.0 * t))
+    for start, want in [
+        ((0, 0), np.uint8), ((255 - most, 0), np.uint8), ((256 - most, 0), np.int16),
+        ((3, -1), np.int16), ((2**15 - 1 - most, -(2**15)), np.int16),
+        ((2**15 - most, 0), np.int32), ((0, -(2**31) - 1), np.int64),
+    ]:
+        *_, state = simulator._station_draws(simulator._block_rng(0, 0), fl, t, 10, start)
+        assert [c.dtype for c in state] == [want] * 2
+        assert [int(c[0]) for c in state] == list(start)
+    # blocks that start at the top of uint8 still match the reference
+    top = 255 - most
+    for kind, a, b in (("queue", (top,), (top,)), ("noncross", (top, top - 1), None)):
+        want = _reference_hits(kind, fl, a, b, t, 8, 0, 20000)
+        if kind == "queue":
+            got = simulator._queue_block((fl, a, b, t, 8, 0, 20000))
+        else:
+            got = simulator._noncross_block((fl, a, t, 8, 0, 20000))
+        np.testing.assert_array_equal(got, want)
 
-    def __init__(self, words):
-        self.words = np.array(words, dtype=np.uint64)
+
+class _Words:
+    """A stand-in generator that hands out the given words: a block's
+    BLOCK count words, then the label words of its first replication."""
+
+    def __init__(self, *draws):
+        self.draws = [np.array(d, dtype=np.uint64) for d in draws]
         self.bit_generator = self
 
-    def poisson(self, lam, size):
-        return np.full(size, len(self.words))
-
     def random_raw(self, size):
-        assert size == len(self.words)
-        return self.words
+        words = self.draws.pop(0)
+        assert size == len(words)
+        return words
 
 
 @pytest.mark.parametrize("fl", ADVERSARIAL_RATES + [(1.0, 2.0, 4.0)])
@@ -224,9 +259,63 @@ def test_station_draws_thresholds_on_edge_words(fl):
     for c in cum[:-1]:
         k = math.ceil(c * 2**53)
         words += [w for w in ((k - 1) << 11, (k << 11) - 1, k << 11) if w < 2**64]
-    _, steps = simulator._station_draws(_Words(words), fl, 1.0, 1, (0,) * len(fl))
+    # a count word halfway up the Poisson CDF's step at len(words) draws
+    # that many events, at a mean near it
+    m = len(words)
+    count_word = int((poisson.cdf(m - 1, m) + poisson.pmf(m, m) / 2) * 2**53) << 11
+    rng = _Words([count_word] * BLOCK, words)
+    _, steps, _ = simulator._station_draws(rng, fl, m / sum(fl), 1, (0,) * len(fl))
     got = [int(s[0]) for s in steps]
     assert got == [sum((w >> 11) * 2.0**-53 >= c for c in cum[:-1]) for w in words]
+    assert rng.draws == []
+
+
+@pytest.mark.parametrize("mu", [1e-9, 0.5, 7.0, 10.5, 1050.0])
+def test_event_counts_follow_poisson(mu):
+    # one block's count words: each count's frequency within 5 sigma of
+    # its binomial law, and none past the table
+    words = simulator._block_rng(31, 0).bit_generator.random_raw(BLOCK)
+    thresholds = simulator._count_thresholds(mu)
+    counts = simulator._event_counts(words, thresholds)
+    cap, _ = poisson_cap(mu, simulator.COUNT_TAIL)
+    assert counts.max() <= len(thresholds) <= cap
+    p = poisson.pmf(np.arange(cap + 1), mu)
+    seen = np.bincount(counts, minlength=cap + 1)
+    assert np.all(abs(seen - BLOCK * p) <= 5 * np.sqrt(BLOCK * p * (1 - p)))
+
+
+# at 100 and 4000 the float CDF at the cut is still below 1, so only the
+# dropped threshold keeps the top word inside the table
+@pytest.mark.parametrize("mu", [1e-300, 1e-9, 0.5, 7.0, 100.0, 1050.0, 4000.0, simulator.MAX_MEAN])
+def test_event_counts_on_edge_words(mu):
+    # the words on either side of each threshold and at both ends: a count
+    # is the number of thresholds at or below its word, and the top word
+    # maps to the last entry of the table, not past it
+    thresholds = simulator._count_thresholds(mu)
+    one = np.uint64(1)
+    ends = np.array([0, 2**64 - 1], dtype=np.uint64)
+    words = np.concatenate([ends, thresholds - one, thresholds, thresholds + one])
+    counts = simulator._event_counts(words, thresholds)
+    np.testing.assert_array_equal(counts, np.searchsorted(thresholds, words, side="right"))
+    assert counts[1] == len(thresholds) <= poisson_cap(mu, simulator.COUNT_TAIL)[0]
+
+
+@pytest.mark.parametrize("mu", [1e-300, 1e-9, 0.5, 7.0, 10.5, 1050.0, 4000.0, simulator.MAX_MEAN])
+def test_count_law_within_stated_kolmogorov_bound(mu):
+    # the module docstring's bound: the threshold rounding, the float CDF
+    # (log pmf error, exp and the cumulative sum) and the cut tail
+    cap, _ = poisson_cap(mu, simulator.COUNT_TAIL)
+    nm = Numerics()
+    logpmf = nm.poisson_logpmf_table(mu, 0, cap - 1)
+    err = nm.poisson_logpmf_error(mu, 0, cap - 1, logpmf).max(initial=0.0)
+    bound = 2.0**-53 + (err + cap + 2) * 2.0**-53 + simulator.COUNT_TAIL
+    assert bound < 2e-11
+    # P(count <= k) of a uniform word: ceil(F(k) 2**53) 2**-53 below the
+    # last threshold, 1 from it on
+    thresholds = simulator._count_thresholds(mu)
+    sampled = np.ones(cap + 1)
+    sampled[: len(thresholds)] = (thresholds >> np.uint64(11)).astype(float) * 2.0**-53
+    assert np.abs(sampled - poisson.cdf(np.arange(cap + 1), mu)).max() <= bound
 
 
 def test_sim_refuses_start_beyond_int64():
@@ -291,6 +380,36 @@ def test_sim_refuses_oversized_block_without_allocating():
         tracemalloc.stop()
     # the block's Poisson counts (BLOCK int64) and little else
     assert peak < 16 * BLOCK * 8
+
+
+def test_sim_refuses_mean_past_float_or_block_limit():
+    # a mean of 3e300, and a rate sum that overflows to inf, used to reach
+    # numpy's Poisson sampler and raise a ValueError
+    for rates, t, shown in (((1.0, 2.0), 1e300, "3e+300"), ((1.0, 1e308, 1e308), 1.0, "inf")):
+        cfg = SimConfig(rates=rates, horizon=t, seed=0, replications=10)
+        want = f"t={t!r} expects {shown} events per replication"
+        n = len(rates) - 1
+        with pytest.raises(PreconditionError, match=re.escape(want)):
+            simulate_queue_prob((0,) * n, (0,) * n, cfg=cfg)
+        with pytest.raises(PreconditionError, match=re.escape(want)):
+            simulate_noncrossing(tuple(range(n, -1, -1)), cfg=cfg)
+
+
+def test_sim_refuses_block_labels_past_limit_before_drawing_them():
+    # about 1100 events per replication: 10 replications run, but a whole
+    # block would hold more than BLOCK * MAX_EVENTS labels
+    cfg = SimConfig(rates=(1.0, 2.0), horizon=1100 / 3, seed=0, replications=BLOCK)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match="a block may hold"):
+            simulate_queue_prob((0,), (0,), cfg=cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the block's count words and counts, and little else
+    assert peak < 16 * BLOCK * 8
+    few = SimConfig(rates=(1.0, 2.0), horizon=1100 / 3, seed=0, replications=10)
+    assert simulate_queue_prob((0,), (0,), cfg=few).replications == 10
 
 
 def test_noncross_single_counter_is_certain():
