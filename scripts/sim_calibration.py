@@ -6,6 +6,8 @@ once per seed, and prints each estimate's z = (estimate - exact) / SE,
 SE = half_width_95 / 1.96.  The exact values come from kt00_direct or
 kt_general and noncrossing_prob.  A calibrated simulator gives a mean z
 near 0, a mean z^2 near 1 and, over 72 z values, a max |z| below 4.
+Exits 1 when max |z| reaches 5: for 72 normal z values the chance of
+that is about 4e-5.
 
 usage: python3 scripts/sim_calibration.py --seeds 6 --blocks 4
 """
@@ -14,6 +16,8 @@ import argparse
 import sys
 
 from tandemq import kernels, queueprobs, simulator
+
+MAX_Z = 5.0
 
 QUEUE = (
     ((1.0, 2.0, 4.0), (0, 0), (0, 0), 1.0),
@@ -67,8 +71,12 @@ def main(argv=None):
         zs += row
         print(f"{label:<55} exact {exact:.6f}  z " + " ".join(f"{z:+.2f}" for z in row))
     n = len(zs)
+    worst = max(map(abs, zs))
     print(f"\n{n} estimates of {reps} replications: mean z {sum(zs) / n:+.3f}, "
-          f"mean z^2 {sum(z * z for z in zs) / n:.3f}, max |z| {max(map(abs, zs)):.2f}")
+          f"mean z^2 {sum(z * z for z in zs) / n:.3f}, max |z| {worst:.2f}")
+    if worst >= MAX_Z:
+        print(f"sim_calibration: max |z| {worst:.2f} reaches {MAX_Z}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -7,23 +7,28 @@ that find the station idle are null.  This is distribution-exact for
 the Markov dynamics and vectorizes across replications.
 
 Replications are processed in fixed blocks of 65536; block b draws its
-randomness from a counter-based generator keyed by (seed, b), so serial
-and parallel runs produce identical output and reruns are byte-stable.
-A block reads its 64-bit Philox words as one packed stream: first BLOCK
-words, one event count per replication, then, replication by
-replication, one word per event, so the labels of replication i start
-counts[0] + ... + counts[i-1] words after the counts.  The last block of
-a run draws all BLOCK counts but the label words of its first
-replications only, those that the run asks for; those replications are
-the same as in a full block.  A word w stands for numpy's uniform
-U = (w >> 11) * 2**-53, and both draws invert a CDF on it with integer
-thresholds ceil(c * 2**53) << 11, w >= threshold exactly when U >= c:
+randomness from two counter-based Philox streams keyed by (seed, b), so
+serial and parallel runs produce identical output and reruns are
+byte-stable.  Every draw inverts a CDF at a 53-bit uniform
+U = ((byte << 45) | low) * 2**-53 with thresholds ceil(c * 2**53): U >= c
+exactly when U * 2**53 >= ceil(c * 2**53).  byte is the next byte of the
+byte stream, eight to a 64-bit word, low byte first; low, the next word
+of the low stream (the same key from counter 2**255) shifted right by
+19, is drawn only when byte is the top byte of a threshold, as any other
+byte decides the draw alone (Knuth & Yao 1976).  The byte stream holds
+first BLOCK samples, one event count per replication, then, replication
+by replication, one per event, so the labels of replication i start
+counts[0] + ... + counts[i-1] samples after the counts; the low stream
+serves the ties of those samples in the same order.  The last block of a
+run draws all BLOCK counts but the labels of its first replications
+only, those that the run asks for; those replications are the same as
+in a full block.
 
 - the count is the number of k with F(k) <= U, F the float Poisson CDF
   of the mean mu = sum(nu) t (the cumulative sum of
   Numerics.poisson_pmf_table), cut at the k where the Poisson tail falls
   below COUNT_TAIL = 2**-60 (poisson_cap), with the threshold at the cut
-  itself dropped so that every word falls inside the table;
+  itself dropped so that every sample falls inside the table;
 - the station is the number of cumulative rate fractions at or below U.
 
 The Kolmogorov distance between the sampled counts and Poisson(mu) is
@@ -68,11 +73,6 @@ MAX_EVENTS = 1024
 # where the Poisson tail falls below COUNT_TAIL, stays within MAX_CAP.
 MAX_MEAN = 16384
 COUNT_TAIL = 2.0**-60
-# the top bits of a count word that pick its guide-table bucket
-GUIDE_BITS = 12
-# label words drawn per chunk: 1 MB of uint64, which stays in cache while
-# it is compared with each threshold
-CHUNK = 1 << 17
 # the state columns take the first of these types that holds every state
 # a block can reach
 STATE_TYPES = (np.uint8, np.int16, np.int32, np.int64)
@@ -106,57 +106,57 @@ class Estimate(NamedTuple):
     replications: int
 
 
-def _block_rng(seed, block):
-    return np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
+def _block_streams(seed, block):
+    """The byte stream and the low stream of a block: Philox keyed by
+    (seed, block), the low stream from counter 2**255 on."""
+    key = np.array([seed, block], dtype=np.uint64)
+    return np.random.Philox(key=key), np.random.Philox(key=key, counter=2**255)
+
+
+def _grid(cdf):
+    """The thresholds ceil(c * 2**53) of the CDF values c below 1."""
+    return np.ceil(cdf[cdf < 1.0] * 2.0**53).astype(np.uint64)
 
 
 def _count_thresholds(mu):
-    """Integer thresholds of the event-count inversion at mean mu: a word
-    w draws the count #{k : w >= thresholds[k]}.  thresholds[k] is
-    ceil(F(k) * 2**53) << 11 for the float Poisson CDF F on k below the
-    cut where the tail falls under COUNT_TAIL; a k whose F rounded to 1
-    has none.  So the largest count, that of the word 2**64 - 1, is
-    len(thresholds), at most the cut."""
+    """Thresholds of the event-count inversion at mean mu: _grid of the
+    float Poisson CDF on k below the cut where the tail falls under
+    COUNT_TAIL, so the largest count, len(thresholds), is at most the cut."""
     top, _ = poisson_cap(mu, COUNT_TAIL)
-    cdf = np.cumsum(Numerics().poisson_pmf_table(mu, 0, top - 1))
-    return np.ceil(cdf[cdf < 1.0] * 2.0**53).astype(np.uint64) << np.uint64(11)
+    return _grid(np.cumsum(Numerics().poisson_pmf_table(mu, 0, top - 1)))
 
 
-def _event_counts(words, thresholds):
-    """#{k : w >= thresholds[k]} for each word w, by a guide table
-    (Devroye 1986, ch. III): the top GUIDE_BITS bits of a word pick a
-    bucket, which fixes the count unless a threshold falls inside it;
-    only the words of such buckets are searched."""
-    shift = np.uint64(64 - GUIDE_BITS)
-    starts = np.arange(1 << GUIDE_BITS, dtype=np.uint64) << shift
-    below = np.searchsorted(thresholds, starts)
-    upto = np.searchsorted(thresholds, starts + (starts[1] - np.uint64(1)), side="right")
-    bucket = words >> shift
-    counts = below[bucket]
-    split = np.flatnonzero(upto[bucket] != counts)
-    counts[split] = np.searchsorted(thresholds, words[split], side="right")
-    return counts
+def _invert(thresholds, streams, size):
+    """The next size samples of a block's streams: sample i is
+    #{k : U_i >= thresholds[k]} for the sorted 53-bit thresholds and
+    U_i = (byte_i << 45) | low_i.  byte_i is the next byte of the byte
+    stream, byte m of a word w being (w >> 8m) & 255; it decides the
+    sample unless it is the top byte of a threshold, and only then is
+    low_i drawn, the next low word shifted right by 19, in sample order.
+    Up to 8 thresholds are compared one by one, in place; more take a
+    256-entry table, which costs about a dozen such passes and an 8-byte
+    index per sample."""
+    bits, low = streams
+    byte = np.asarray(bits.random_raw(-(-size // 8)), dtype="<u8").view(np.uint8)[:size]
+    top = (thresholds >> np.uint64(45)).astype(np.uint8)
+    if len(top) > 8:
+        # below[b] thresholds have a top byte under b
+        below = np.searchsorted(top, np.arange(257)).astype(np.min_scalar_type(len(top)))
+        out = below.take(byte)
+        tie = below[1:].take(byte) != out
+    else:
+        out = np.zeros(size, dtype=np.uint8)
+        tie, buf = np.zeros(size, dtype=bool), np.empty(size, dtype=bool)
+        for top_k in top.tolist():
+            out += np.greater(byte, top_k, out=buf).view(np.uint8)
+            tie |= np.equal(byte, top_k, out=buf)
+    at = np.flatnonzero(tie)
+    u = byte[at].astype(np.uint64) << np.uint64(45) | low.random_raw(len(at)) >> np.uint64(19)
+    out[at] = np.searchsorted(thresholds, u, side="right")
+    return out
 
 
-def _labels(rng, fl, total):
-    """Stations of the next total events, one word each: the number of
-    cumulative rate fractions c at or below the word's uniform, counted
-    on the raw word as raw >= ceil(c * 2**53) << 11; a fraction that
-    rounded to 1 is never reached and has no threshold.  The words come
-    in chunks that continue the same stream."""
-    cum = np.cumsum(fl) / float(sum(fl))
-    limits = [np.uint64(math.ceil(c * 2**53) << 11) for c in cum[:-1] if c < 1.0]
-    labels = np.empty(total, dtype=np.min_scalar_type(len(fl) - 1))
-    for w0 in range(0, total, CHUNK):
-        raw = rng.bit_generator.random_raw(min(CHUNK, total - w0))
-        lab = labels[w0 : w0 + len(raw)]
-        lab[...] = raw >= limits[0] if limits else 0
-        for c in limits[1:]:
-            lab += raw >= c
-    return labels
-
-
-def _station_draws(rng, fl, t, n, start):
+def _station_draws(streams, fl, t, n, start):
     """Event labels of the first n replications of one block, ordered
     for the event loop.
 
@@ -186,20 +186,21 @@ def _station_draws(rng, fl, t, n, start):
             f"start {start} does not fit in int64 with room for the {len(thresholds)} events "
             "a replication may draw"
         )
-    counts = _event_counts(rng.bit_generator.random_raw(BLOCK), thresholds)[:n]
+    counts = _invert(thresholds, streams, BLOCK)[:n]
     total = int(counts.sum())
     if total > BLOCK * MAX_EVENTS:
         raise PreconditionError(
             f"{expects}; {n} replications drew {total}, more than the "
             f"{BLOCK * MAX_EVENTS} a block may hold"
         )
-    labels = _labels(rng, fl, total)
+    # a label counts the cumulative rate fractions at or below its uniform
+    labels = _invert(_grid(np.cumsum(fl)[:-1] / float(sum(fl))), streams, total)
     kmax = int(counts.max(initial=0))
     # counts descending; a stable sort of 8- or 16-bit keys is a radix sort
     order = np.argsort((kmax - counts).astype(np.min_scalar_type(kmax)), kind="stable")
     active = n - np.cumsum(np.bincount(counts, minlength=kmax))[:kmax]
     # at step j, at[i] indexes event j of replication order[i] in labels
-    at = (np.cumsum(counts) - counts)[order]
+    at = (np.cumsum(counts, dtype=np.intp) - counts)[order]
 
     def steps():
         for a in active.tolist():
@@ -217,8 +218,7 @@ def _unsort(order, hits):
 
 def _queue_block(args):
     fl, q, q2, t, seed, block, reps = args
-    rng = _block_rng(seed, block)
-    order, steps, state = _station_draws(rng, fl, t, reps, q)
+    order, steps, state = _station_draws(_block_streams(seed, block), fl, t, reps, q)
     n = len(q)
     for s in steps:
         a = len(s)
@@ -236,8 +236,7 @@ def _queue_block(args):
 
 def _noncross_block(args):
     fl, x, t, seed, block, reps = args
-    rng = _block_rng(seed, block)
-    order, steps, pos = _station_draws(rng, fl, t, reps, x)
+    order, steps, pos = _station_draws(_block_streams(seed, block), fl, t, reps, x)
     # a counter that jumps onto its left neighbour's position crosses it;
     # the replication is lost for good, so its later steps need no mask
     crossed = np.zeros(reps, dtype=bool)

@@ -14,7 +14,8 @@ identities sweep the weight kernels of the kernels module
 import itertools
 import math
 import random
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +35,9 @@ class CheckResult:
     passed: bool
     residual: float
     detail: str = ""
+    # wall time of the check, recorded by run_suite and run_check; None
+    # when a check function is called directly
+    seconds: float | None = None
 
     def line(self):
         status = "PASS" if self.passed else "FAIL"
@@ -621,9 +625,15 @@ def run_suite(suite="all", budget="fast", seed=20260814):
     if suite in ("asymptotics", "all"):
         checks += list(ASYMPTOTIC_CHECKS)
     rng = random.Random(seed)
-    return [fn(budget, rng) for fn in checks]
+    return [_timed(fn, budget, rng) for fn in checks]
 
 
 def run_check(fn, budget="full", seed=20260814):
     """Run a single named check at the given budget."""
-    return fn(budget, random.Random(seed))
+    return _timed(fn, budget, random.Random(seed))
+
+
+def _timed(fn, budget, rng):
+    t0 = time.perf_counter()
+    res = fn(budget, rng)
+    return replace(res, seconds=time.perf_counter() - t0)

@@ -248,6 +248,22 @@ def test_verify_failure_exit_4(monkeypatch, capsys):
     assert "demo: FAIL" in out.out
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_verify_stdout_leaves_out_wall_time(monkeypatch, capsys, fmt):
+    # the recorded seconds vary from run to run; stdout must not
+    from tandemq.verify import CheckResult
+
+    timed = [CheckResult("demo", True, 1e-12, "3 points", seconds=1.25)]
+    untimed = [CheckResult("demo", True, 1e-12, "3 points")]
+    outs = []
+    for results in (timed, untimed):
+        monkeypatch.setattr(cli.verify_mod, "run_suite", lambda suite, budget, r=results: r)
+        assert cli.main(["verify", "all", "--format", fmt]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert "1.25" not in outs[0]
+
+
 def test_tolerance_failure_exit_3(monkeypatch, capsys):
     def boom(*a, **k):
         raise ToleranceNotAchieved(1e-10, 1e-3, "forced")

@@ -1,9 +1,14 @@
 """The scripts under scripts/ run end to end on small arguments."""
 
+import importlib.util
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
+
+from tandemq import simulator
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -51,3 +56,23 @@ def test_sim_calibration_summary():
     assert sum("  z " in line for line in lines) == 12
     assert lines[-1].startswith("12 estimates of 65536 replications: mean z ")
     assert "mean z^2" in lines[-1] and "max |z|" in lines[-1]
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("mean, code", [(0.5 + 4.9 * 0.01, 0), (0.5 + 5.0 * 0.01, 1)])
+def test_sim_calibration_exits_1_from_max_z_five(monkeypatch, capsys, mean, code):
+    # one stand-in case whose every estimate lies the given z from its exact
+    # value 0.5 (SE 0.01)
+    cal = _load_script("sim_calibration.py")
+    est = simulator.Estimate(mean, 1.96 * 0.01, 100)
+    monkeypatch.setattr(cal, "cases", lambda: [("stand-in", (1.0, 2.0), 1.0, 0.5, lambda cfg: est)])
+    assert cal.main(["--seeds", "2", "--blocks", "1"]) == code
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1].endswith(f"max |z| {(mean - 0.5) / 0.01:.2f}")
+    assert ("reaches 5.0" in err) == bool(code)

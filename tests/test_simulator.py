@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.stats import poisson
+from scipy.stats import binom, norm, poisson
 
 from tandemq import simulator
 from tandemq.errors import PreconditionError, ToleranceNotAchieved
@@ -74,31 +74,50 @@ def test_noncross_sim_reproducible():
     assert a.replications == 70000
 
 
-# The stream of a block, restated one replication at a time and without
-# the package's tables: replication i's count inverts scipy's Poisson CDF
-# at the uniform of count word i, and after all BLOCK count words its
-# labels invert the cumulative rate fractions at the uniforms of its next
-# count words.
+# The streams of a block, restated one sample at a time and without the
+# package's tables.  Sample i of a block is the 53-bit uniform
+# U = (byte_i << 45 | low_i) 2**-53: byte_i is byte i of the Philox stream
+# keyed (seed, block), low byte of each word first, and low_i, the next
+# word of the same key's stream from counter 2**255 shifted right by 19, is
+# drawn only when byte_i is the top byte of a threshold ceil(c 2**53).
+# Samples 0..BLOCK-1 invert scipy's Poisson CDF for the event counts; after
+# them the labels of the first n replications, packed replication by
+# replication, invert the cumulative rate fractions.
 
 
-def _uniform(word):
-    # numpy's double of a 64-bit word
-    return (int(word) >> 11) * 2.0**-53
+def _bytes(bits, size):
+    words = bits.random_raw(-(-size // 8))
+    return [(int(w) >> 8 * m) & 255 for w in words for m in range(8)][:size]
+
+
+def _reference_samples(cdf, bytes_, low):
+    """The number of cdf values at or below each sample's uniform, and the
+    number of low words drawn."""
+    tops = {math.ceil(c * 2**53) >> 45 for c in cdf if c < 1.0}
+    out, drawn = [], 0
+    for b in bytes_:
+        u = b << 45
+        if b in tops:
+            u |= int(low.random_raw()) >> 19
+            drawn += 1
+        out.append(bisect.bisect_right(cdf, u * 2.0**-53))
+    return out, drawn
 
 
 def _reference_draws(fl, t, seed, block, n):
     """The counts of one block's BLOCK replications, the labels of its
-    first n (one list per replication) and the generator state after
-    them."""
+    first n (one list per replication), the states of both streams after
+    them and the low words drawn for the counts and for the labels."""
     mu = float(sum(fl)) * t
     cdf = list(poisson.cdf(np.arange(int(mu + 20 * math.sqrt(mu) + 60)), mu))
     cum = list(np.cumsum(fl) / sum(fl))[:-1]
-    rng = simulator._block_rng(seed, block)
-    counts = [bisect.bisect_right(cdf, _uniform(w)) for w in rng.bit_generator.random_raw(BLOCK)]
-    words = iter(rng.bit_generator.random_raw(sum(counts[:n])))
-    labels = [[bisect.bisect_right(cum, _uniform(next(words))) for _ in range(c)]
-              for c in counts[:n]]
-    return counts, labels, rng.bit_generator.state
+    key = np.array([seed, block], dtype=np.uint64)
+    bits, low = np.random.Philox(key=key), np.random.Philox(key=key, counter=2**255)
+    counts, count_lows = _reference_samples(cdf, _bytes(bits, BLOCK), low)
+    flat, label_lows = _reference_samples(cum, _bytes(bits, sum(counts[:n])), low)
+    flat = iter(flat)
+    labels = [[next(flat) for _ in range(c)] for c in counts[:n]]
+    return counts, labels, (bits.state, low.state), (count_lows, label_lows)
 
 
 def _reference_queue(q, q2, labels):
@@ -124,25 +143,31 @@ def _reference_noncross(x, labels):
 
 
 def _reference_hits(kind, fl, a, b, t, seed, block, n):
-    _, labels, _ = _reference_draws(fl, t, seed, block, n)
+    _, labels, _, _ = _reference_draws(fl, t, seed, block, n)
     if kind == "queue":
         return np.array([_reference_queue(a, b, lab) for lab in labels])
     return np.array([_reference_noncross(a, lab) for lab in labels])
+
+
+def _block_hits(kind, fl, a, b, t, seed, block, reps):
+    if kind == "queue":
+        return simulator._queue_block((fl, a, b, t, seed, block, reps))
+    return simulator._noncross_block((fl, a, t, seed, block, reps))
 
 
 # Estimates of the reference loops above (floats written with repr): the
 # simulator must reproduce each one exactly, serial and parallel.
 PINNED = [
     ("queue", (1.0, 2.0), (2,), (1,), 1.0, 11, BLOCK,
-     (0.2694244384765625, 0.0033968039585530675, 65536)),
+     (0.2689208984375, 0.0033947975568939135, 65536)),
     ("queue", (1.0, 2.0, 3.0), (1, 2), (0, 1), 0.8, 12, BLOCK,
-     (0.1472320556640625, 0.0027129140875709707, 65536)),
+     (0.1474609375, 0.0027146575909688555, 65536)),
     ("queue", (1.0, 1.5, 2.0, 2.5), (1, 0, 2), (0, 1, 1), 0.7, 13, 70000,
-     (0.05907142857142857, 0.0017465346995999042, 70000)),
+     (0.05627142857142857, 0.001707173558745397, 70000)),
     ("noncross", (3.0, 2.0, 1.0), (1, 1, 0), None, 0.5, 14, 70000,
-     (0.5376857142857143, 0.003693542147659492, 70000)),
+     (0.5419285714285714, 0.003691031739839736, 70000)),
     ("noncross", (1.0, 2.5), (3, 1), None, 1.5, 15, BLOCK,
-     (0.496673583984375, 0.0038280694882870505, 65536)),
+     (0.4915008544921875, 0.003827601109583973, 65536)),
     # t so small that every event count is 0
     ("queue", (1.0, 2.0, 3.0), (1, 0), (1, 0), 1e-9, 16, 1000, (1.0, 0.0, 1000)),
     ("noncross", (3.0, 2.0, 1.0), (1, 1, 0), None, 1e-9, 17, 1000, (1.0, 0.0, 1000)),
@@ -181,11 +206,38 @@ def test_blocks_match_reference_loops(seed):
         # a block runs a whole block of replications or, the last one of
         # a run, its first few
         for reps in (BLOCK, 1000, 1):
-            if kind == "queue":
-                got = simulator._queue_block((fl, a, b, t, seed, block, reps))
-            else:
-                got = simulator._noncross_block((fl, a, t, seed, block, reps))
-            np.testing.assert_array_equal(got, want[:reps])
+            np.testing.assert_array_equal(_block_hits(kind, fl, a, b, t, seed, block, reps), want[:reps])
+
+
+@pytest.mark.parametrize("kind, a, b", [("queue", (1, 0), (0, 1)), ("noncross", (2, 1, 0), None)])
+def test_low_words_follow_sample_order(kind, a, b):
+    # (1e-300, 1, 2) puts a label threshold in byte 0, so the labels draw
+    # low words as well as the counts: the count ties of all BLOCK
+    # replications first, then the label ties in packed order
+    fl, t, seed = (1e-300, 1.0, 2.0), 1.2, 23
+    _, _, _, drawn = _reference_draws(fl, t, seed, 1, BLOCK)
+    assert min(drawn) > 0
+    reps = 3 * BLOCK // 2
+    runs = [_pinned_estimate(kind, fl, a, b, t, seed, reps, jobs) for jobs in (None, 2, None)]
+    assert runs[0] == runs[1] == runs[2]
+    want = _reference_hits(kind, fl, a, b, t, seed, 1, BLOCK)
+    for n in (BLOCK, 1000, 1):
+        np.testing.assert_array_equal(_block_hits(kind, fl, a, b, t, seed, 1, n), want[:n])
+
+
+def test_block_memory_stays_within_a_few_bytes_per_event():
+    # the bytes, the labels and two masks of one byte each per event stay
+    # inside this budget; a whole-stream index, 8 bytes per event, does not
+    fl, q, t = (1.0, 2.5, 3.0, 4.0), (0, 0, 0), 1.0
+    thresholds = simulator._count_thresholds(sum(fl) * t)
+    events = int(simulator._invert(thresholds, simulator._block_streams(5, 0), BLOCK).sum())
+    tracemalloc.start()
+    try:
+        simulator._queue_block((fl, q, q, t, 5, 0, BLOCK))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * events + 64 * BLOCK
 
 
 # (1, 1) and (1, 3) have dyadic fractions, the fraction of (1, 1e-17)
@@ -197,12 +249,13 @@ ADVERSARIAL_RATES = [(1.0, 1.0), (1.0, 3.0), (1.0, 1e-17), (1e-300, 1.0, 2.0), (
 @pytest.mark.parametrize("fl", ADVERSARIAL_RATES)
 @pytest.mark.parametrize("n", [BLOCK, 1000, 1])
 def test_station_draws_match_uniform_labels(fl, n):
-    rng = simulator._block_rng(21, 0)
-    order, steps, _ = simulator._station_draws(rng, fl, 2.0, n, (0,) * len(fl))
-    counts, labels, state = _reference_draws(fl, 2.0, 21, 0, n)
-    # the draws end where the reference's do: BLOCK count words, then the
-    # label words of the first n replications only
-    np.testing.assert_equal(rng.bit_generator.state, state)
+    streams = simulator._block_streams(21, 0)
+    order, steps, _ = simulator._station_draws(streams, fl, 2.0, n, (0,) * len(fl))
+    counts, labels, states, _ = _reference_draws(fl, 2.0, 21, 0, n)
+    # both streams end where the reference's do: BLOCK count bytes and
+    # their low words, then those of the labels of the first n
+    # replications only
+    np.testing.assert_equal([s.state for s in streams], list(states))
     counts = np.array(counts[:n])
     np.testing.assert_array_equal(order, np.argsort(-counts, kind="stable"))
     want = np.full((n, counts.max(initial=0)), -1)
@@ -222,82 +275,97 @@ def test_state_columns_take_the_narrowest_type_that_holds_them():
         ((3, -1), np.int16), ((2**15 - 1 - most, -(2**15)), np.int16),
         ((2**15 - most, 0), np.int32), ((0, -(2**31) - 1), np.int64),
     ]:
-        *_, state = simulator._station_draws(simulator._block_rng(0, 0), fl, t, 10, start)
+        *_, state = simulator._station_draws(simulator._block_streams(0, 0), fl, t, 10, start)
         assert [c.dtype for c in state] == [want] * 2
         assert [int(c[0]) for c in state] == list(start)
     # blocks that start at the top of uint8 still match the reference
     top = 255 - most
     for kind, a, b in (("queue", (top,), (top,)), ("noncross", (top, top - 1), None)):
         want = _reference_hits(kind, fl, a, b, t, 8, 0, 20000)
-        if kind == "queue":
-            got = simulator._queue_block((fl, a, b, t, 8, 0, 20000))
-        else:
-            got = simulator._noncross_block((fl, a, t, 8, 0, 20000))
-        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(_block_hits(kind, fl, a, b, t, 8, 0, 20000), want)
 
 
 class _Words:
-    """A stand-in generator that hands out the given words: a block's
-    BLOCK count words, then the label words of its first replication."""
+    """A stand-in stream that hands out the given words in order."""
 
-    def __init__(self, *draws):
-        self.draws = [np.array(d, dtype=np.uint64) for d in draws]
-        self.bit_generator = self
+    def __init__(self, words):
+        self.words = list(words)
 
     def random_raw(self, size):
-        words = self.draws.pop(0)
-        assert size == len(words)
-        return words
+        assert size <= len(self.words)
+        out, self.words = self.words[:size], self.words[size:]
+        return np.array(out, dtype=np.uint64)
+
+
+def _check_invert_on_edge_words(thresholds):
+    """_invert against np.searchsorted(thresholds, U, "right") at the bytes
+    0 and 255, each threshold's top byte and its neighbours, and, on a top
+    byte, the low words 0, low_k - 1, low_k and 2**45 - 1 of each of its
+    thresholds; returns what _invert returned."""
+    ts = [int(x) for x in thresholds]
+    tops = {x >> 45 for x in ts}
+    samples = []
+    for b in sorted({0, 255} | {b + d for b in tops for d in (-1, 0, 1)} & set(range(256))):
+        if b not in tops:
+            samples.append((b, 0))
+            continue
+        lows = {0, 2**45 - 1} | {(x & (2**45 - 1)) + d for x in ts if x >> 45 == b for d in (-1, 0)}
+        samples += [(b, low) for low in sorted(lows) if low >= 0]
+    size = len(samples)
+    padded = [b for b, _ in samples] + [0] * (-size % 8)
+    bits = _Words(sum(b << 8 * m for m, b in enumerate(padded[i : i + 8]))
+                  for i in range(0, size, 8))
+    # a low word's bottom 19 bits are dropped: fill them with junk
+    low = _Words(lw << 19 | (i * 7919) % 2**19
+                 for i, lw in enumerate(lw for b, lw in samples if b in tops))
+    got = simulator._invert(thresholds, (bits, low), size)
+    u = np.array([b << 45 | lw for b, lw in samples], dtype=np.uint64)
+    np.testing.assert_array_equal(got, np.searchsorted(thresholds, u, side="right"))
+    # both streams are used up, and no more
+    assert bits.words == low.words == []
+    return got
 
 
 @pytest.mark.parametrize("fl", ADVERSARIAL_RATES + [(1.0, 2.0, 4.0)])
 def test_station_draws_thresholds_on_edge_words(fl):
-    # the words on either side of each threshold and at both ends; a label
-    # counts the fractions at or below numpy's uniform of the word
+    # a label counts the cumulative rate fractions c at or below its
+    # uniform, on the grid ceil(c 2**53); a fraction that rounded to 1 has
+    # no threshold
     cum = np.cumsum(fl) / sum(fl)
-    words = [0, 2**64 - 1]
-    for c in cum[:-1]:
-        k = math.ceil(c * 2**53)
-        words += [w for w in ((k - 1) << 11, (k << 11) - 1, k << 11) if w < 2**64]
-    # a count word halfway up the Poisson CDF's step at len(words) draws
-    # that many events, at a mean near it
-    m = len(words)
-    count_word = int((poisson.cdf(m - 1, m) + poisson.pmf(m, m) / 2) * 2**53) << 11
-    rng = _Words([count_word] * BLOCK, words)
-    _, steps, _ = simulator._station_draws(rng, fl, m / sum(fl), 1, (0,) * len(fl))
-    got = [int(s[0]) for s in steps]
-    assert got == [sum((w >> 11) * 2.0**-53 >= c for c in cum[:-1]) for w in words]
-    assert rng.draws == []
+    thresholds = np.array([math.ceil(c * 2**53) for c in cum[:-1] if c < 1.0], dtype=np.uint64)
+    _check_invert_on_edge_words(thresholds)
 
 
 @pytest.mark.parametrize("mu", [1e-9, 0.5, 7.0, 10.5, 1050.0])
 def test_event_counts_follow_poisson(mu):
-    # one block's count words: each count's frequency within 5 sigma of
-    # its binomial law, and none past the table
-    words = simulator._block_rng(31, 0).bit_generator.random_raw(BLOCK)
+    # one block's counts: none past the table, and each count's frequency
+    # within 5 sigma of its binomial law, read as an exact binomial tail of
+    # at least that of a 5-sigma normal deviation.  Far out in the Poisson
+    # tails a count is expected less than once per block, and one hit there
+    # lies many normal sigmas out: at mu=1050 the normal bound fails at
+    # about 40% of block seeds.
     thresholds = simulator._count_thresholds(mu)
-    counts = simulator._event_counts(words, thresholds)
+    counts = simulator._invert(thresholds, simulator._block_streams(31, 0), BLOCK)
     cap, _ = poisson_cap(mu, simulator.COUNT_TAIL)
     assert counts.max() <= len(thresholds) <= cap
     p = poisson.pmf(np.arange(cap + 1), mu)
     seen = np.bincount(counts, minlength=cap + 1)
-    assert np.all(abs(seen - BLOCK * p) <= 5 * np.sqrt(BLOCK * p * (1 - p)))
+    tail = np.minimum(binom.cdf(seen, BLOCK, p), binom.sf(seen - 1, BLOCK, p))
+    assert tail.min() >= norm.sf(5)
 
 
-# at 100 and 4000 the float CDF at the cut is still below 1, so only the
-# dropped threshold keeps the top word inside the table
-@pytest.mark.parametrize("mu", [1e-300, 1e-9, 0.5, 7.0, 100.0, 1050.0, 4000.0, simulator.MAX_MEAN])
+# the means of test_count_law_within_stated_kolmogorov_bound, and 100, where
+# the float CDF at the cut is still below 1, so only the dropped threshold
+# keeps the top sample inside the table
+@pytest.mark.parametrize(
+    "mu", [1e-300, 1e-9, 0.5, 7.0, 10.5, 100.0, 1050.0, 4000.0, simulator.MAX_MEAN]
+)
 def test_event_counts_on_edge_words(mu):
-    # the words on either side of each threshold and at both ends: a count
-    # is the number of thresholds at or below its word, and the top word
-    # maps to the last entry of the table, not past it
+    # a count is the number of thresholds at or below its sample, and the
+    # top sample maps to the last entry of the table, not past it
     thresholds = simulator._count_thresholds(mu)
-    one = np.uint64(1)
-    ends = np.array([0, 2**64 - 1], dtype=np.uint64)
-    words = np.concatenate([ends, thresholds - one, thresholds, thresholds + one])
-    counts = simulator._event_counts(words, thresholds)
-    np.testing.assert_array_equal(counts, np.searchsorted(thresholds, words, side="right"))
-    assert counts[1] == len(thresholds) <= poisson_cap(mu, simulator.COUNT_TAIL)[0]
+    counts = _check_invert_on_edge_words(thresholds)
+    assert counts[-1] == len(thresholds) <= poisson_cap(mu, simulator.COUNT_TAIL)[0]
 
 
 @pytest.mark.parametrize("mu", [1e-300, 1e-9, 0.5, 7.0, 10.5, 1050.0, 4000.0, simulator.MAX_MEAN])
@@ -310,11 +378,11 @@ def test_count_law_within_stated_kolmogorov_bound(mu):
     err = nm.poisson_logpmf_error(mu, 0, cap - 1, logpmf).max(initial=0.0)
     bound = 2.0**-53 + (err + cap + 2) * 2.0**-53 + simulator.COUNT_TAIL
     assert bound < 2e-11
-    # P(count <= k) of a uniform word: ceil(F(k) 2**53) 2**-53 below the
-    # last threshold, 1 from it on
+    # P(count <= k) of a 53-bit uniform: the threshold ceil(F(k) 2**53)
+    # times 2**-53 below the last threshold, 1 from it on
     thresholds = simulator._count_thresholds(mu)
     sampled = np.ones(cap + 1)
-    sampled[: len(thresholds)] = (thresholds >> np.uint64(11)).astype(float) * 2.0**-53
+    sampled[: len(thresholds)] = thresholds.astype(float) * 2.0**-53
     assert np.abs(sampled - poisson.cdf(np.arange(cap + 1), mu)).max() <= bound
 
 

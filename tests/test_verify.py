@@ -1,6 +1,8 @@
 """The named self-check suites must all pass at the fast budget, return
 well-formed results, and route suite names correctly."""
 
+import random
+
 import pytest
 
 from tandemq import kernels
@@ -58,6 +60,13 @@ def test_suite_deterministic_given_seed():
     a = run_suite("identities", budget="fast", seed=5)
     b = run_suite("identities", budget="fast", seed=5)
     assert [(r.name, r.residual) for r in a] == [(r.name, r.residual) for r in b]
+
+
+def test_runners_record_wall_time():
+    fn = IDENTITY_CHECKS[0]
+    assert fn("fast", random.Random(0)).seconds is None
+    assert run_check(fn, budget="fast").seconds > 0
+    assert all(r.seconds > 0 for r in run_suite("identities", budget="fast"))
 
 
 def test_pi_lambda_inverse_checks_the_library_kernel(monkeypatch):
