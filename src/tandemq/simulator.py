@@ -133,13 +133,13 @@ def _invert(thresholds, streams, size):
     stream, byte m of a word w being (w >> 8m) & 255; it decides the
     sample unless it is the top byte of a threshold, and only then is
     low_i drawn, the next low word shifted right by 19, in sample order.
-    Up to 8 thresholds are compared one by one, in place; more take a
-    256-entry table, which costs about a dozen such passes and an 8-byte
-    index per sample."""
+    Thresholds are compared one by one, in place, unless there are more
+    than 12 and at most BLOCK samples: a 256-entry table then takes about
+    as long as 13 such passes, and its index 8 bytes a sample."""
     bits, low = streams
     byte = np.asarray(bits.random_raw(-(-size // 8)), dtype="<u8").view(np.uint8)[:size]
     top = (thresholds >> np.uint64(45)).astype(np.uint8)
-    if len(top) > 8:
+    if len(top) > 12 and size <= BLOCK:
         # below[b] thresholds have a top byte under b
         below = np.searchsorted(top, np.arange(257)).astype(np.min_scalar_type(len(top)))
         out = below.take(byte)

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.stats import binom, norm, poisson
+from scipy.stats import poisson
 
 from tandemq import simulator
 from tandemq.errors import PreconditionError, ToleranceNotAchieved
@@ -225,10 +225,15 @@ def test_low_words_follow_sample_order(kind, a, b):
         np.testing.assert_array_equal(_block_hits(kind, fl, a, b, t, seed, 1, n), want[:n])
 
 
-def test_block_memory_stays_within_a_few_bytes_per_event():
+# 14 event sources give 13 label thresholds, enough for _invert's table
+MANY_RATES = tuple(0.05 * k for k in range(1, 15))
+
+
+@pytest.mark.parametrize("fl, t", [((1.0, 2.5, 3.0, 4.0), 1.0), (MANY_RATES, 2.0)])
+def test_block_memory_stays_within_a_few_bytes_per_event(fl, t):
     # the bytes, the labels and two masks of one byte each per event stay
     # inside this budget; a whole-stream index, 8 bytes per event, does not
-    fl, q, t = (1.0, 2.5, 3.0, 4.0), (0, 0, 0), 1.0
+    q = (0,) * (len(fl) - 1)
     thresholds = simulator._count_thresholds(sum(fl) * t)
     events = int(simulator._invert(thresholds, simulator._block_streams(5, 0), BLOCK).sum())
     tracemalloc.start()
@@ -246,7 +251,7 @@ def test_block_memory_stays_within_a_few_bytes_per_event():
 ADVERSARIAL_RATES = [(1.0, 1.0), (1.0, 3.0), (1.0, 1e-17), (1e-300, 1.0, 2.0), (1.0, 1e-300, 2.0)]
 
 
-@pytest.mark.parametrize("fl", ADVERSARIAL_RATES)
+@pytest.mark.parametrize("fl", ADVERSARIAL_RATES + [MANY_RATES])
 @pytest.mark.parametrize("n", [BLOCK, 1000, 1])
 def test_station_draws_match_uniform_labels(fl, n):
     streams = simulator._block_streams(21, 0)
@@ -289,69 +294,77 @@ class _Words:
     """A stand-in stream that hands out the given words in order."""
 
     def __init__(self, words):
-        self.words = list(words)
+        self.words = np.asarray(words, dtype=np.uint64)
 
     def random_raw(self, size):
         assert size <= len(self.words)
         out, self.words = self.words[:size], self.words[size:]
-        return np.array(out, dtype=np.uint64)
+        return out
 
 
-def _check_invert_on_edge_words(thresholds):
-    """_invert against np.searchsorted(thresholds, U, "right") at the bytes
-    0 and 255, each threshold's top byte and its neighbours, and, on a top
-    byte, the low words 0, low_k - 1, low_k and 2**45 - 1 of each of its
-    thresholds; returns what _invert returned."""
-    ts = [int(x) for x in thresholds]
+def _stand_in_streams(u, thresholds):
+    """Stand-ins for a block's two streams from which _invert reads the
+    53-bit uniforms u: the byte stream holds their top bytes, eight to a
+    word, low byte first, and the low stream the low 45 bits of those
+    whose top byte is a threshold's, shifted left by 19 over junk bits."""
+    u = np.asarray(u, dtype=np.uint64)
+    byte = (u >> np.uint64(45)).astype(np.uint8)
+    tie = np.isin(byte, (thresholds >> np.uint64(45)).astype(np.uint8))
+    padded = np.concatenate([byte, np.zeros(-len(u) % 8, dtype=np.uint8)])
+    junk = np.arange(tie.sum(), dtype=np.uint64) * np.uint64(7919) % np.uint64(2**19)
+    low = (u[tie] & np.uint64(2**45 - 1)) << np.uint64(19) | junk
+    return _Words(padded.view("<u8")), _Words(low)
+
+
+def _check_invert_on_edge_words(cdf, thresholds):
+    """_invert at the bytes 0 and 255, each threshold's top byte and its
+    neighbours, and, on a top byte, the low words 0, low_k - 1, low_k and
+    2**45 - 1 of each of its thresholds: thresholds must be ceil(c 2**53)
+    of the cdf values c below 1, and each sample must count the cdf values
+    at or below its uniform U 2**-53, the same as np.searchsorted(
+    thresholds, U, "right").  Returns what _invert returned."""
+    assert thresholds.tolist() == [math.ceil(c * 2**53) for c in cdf if c < 1.0]
+    ts = thresholds.tolist()
     tops = {x >> 45 for x in ts}
-    samples = []
+    u = []
     for b in sorted({0, 255} | {b + d for b in tops for d in (-1, 0, 1)} & set(range(256))):
-        if b not in tops:
-            samples.append((b, 0))
-            continue
-        lows = {0, 2**45 - 1} | {(x & (2**45 - 1)) + d for x in ts if x >> 45 == b for d in (-1, 0)}
-        samples += [(b, low) for low in sorted(lows) if low >= 0]
-    size = len(samples)
-    padded = [b for b, _ in samples] + [0] * (-size % 8)
-    bits = _Words(sum(b << 8 * m for m, b in enumerate(padded[i : i + 8]))
-                  for i in range(0, size, 8))
-    # a low word's bottom 19 bits are dropped: fill them with junk
-    low = _Words(lw << 19 | (i * 7919) % 2**19
-                 for i, lw in enumerate(lw for b, lw in samples if b in tops))
-    got = simulator._invert(thresholds, (bits, low), size)
-    u = np.array([b << 45 | lw for b, lw in samples], dtype=np.uint64)
-    np.testing.assert_array_equal(got, np.searchsorted(thresholds, u, side="right"))
+        lows = {0}
+        if b in tops:
+            lows |= {2**45 - 1} | {(x & (2**45 - 1)) + d for x in ts if x >> 45 == b for d in (-1, 0)}
+        u += [b << 45 | low for low in sorted(lows) if low >= 0]
+    bits, low = _stand_in_streams(u, thresholds)
+    got = simulator._invert(thresholds, (bits, low), len(u))
+    # a uniform U 2**-53 is exact in a double; cdf is non-decreasing
+    np.testing.assert_array_equal(got, np.searchsorted(cdf, np.array(u) * 2.0**-53, side="right"))
+    np.testing.assert_array_equal(got, np.searchsorted(thresholds, np.array(u, dtype=np.uint64), side="right"))
     # both streams are used up, and no more
-    assert bits.words == low.words == []
+    assert len(bits.words) == len(low.words) == 0
     return got
 
 
-@pytest.mark.parametrize("fl", ADVERSARIAL_RATES + [(1.0, 2.0, 4.0)])
+@pytest.mark.parametrize("fl", ADVERSARIAL_RATES + [(1.0, 2.0, 4.0), MANY_RATES])
 def test_station_draws_thresholds_on_edge_words(fl):
-    # a label counts the cumulative rate fractions c at or below its
-    # uniform, on the grid ceil(c 2**53); a fraction that rounded to 1 has
-    # no threshold
-    cum = np.cumsum(fl) / sum(fl)
-    thresholds = np.array([math.ceil(c * 2**53) for c in cum[:-1] if c < 1.0], dtype=np.uint64)
-    _check_invert_on_edge_words(thresholds)
+    # a label counts the cumulative rate fractions at or below its
+    # uniform; a fraction that rounded to 1 has no threshold
+    cum = np.cumsum(fl)[:-1] / float(sum(fl))
+    _check_invert_on_edge_words(cum, simulator._grid(cum))
 
 
 @pytest.mark.parametrize("mu", [1e-9, 0.5, 7.0, 10.5, 1050.0])
 def test_event_counts_follow_poisson(mu):
-    # one block's counts: none past the table, and each count's frequency
-    # within 5 sigma of its binomial law, read as an exact binomial tail of
-    # at least that of a 5-sigma normal deviation.  Far out in the Poisson
-    # tails a count is expected less than once per block, and one hit there
-    # lies many normal sigmas out: at mu=1050 the normal bound fails at
-    # about 40% of block seeds.
+    # one block's count words, read as the 53-bit uniforms w >> 11 through
+    # stand-in streams: each count's frequency within 5 sigma of its
+    # binomial law, and none past the table.  The block's own byte stream
+    # is checked against the scipy reference in
+    # test_blocks_match_reference_loops.
+    words = simulator._block_streams(31, 0)[0].random_raw(BLOCK)
     thresholds = simulator._count_thresholds(mu)
-    counts = simulator._invert(thresholds, simulator._block_streams(31, 0), BLOCK)
+    counts = simulator._invert(thresholds, _stand_in_streams(words >> np.uint64(11), thresholds), BLOCK)
     cap, _ = poisson_cap(mu, simulator.COUNT_TAIL)
     assert counts.max() <= len(thresholds) <= cap
     p = poisson.pmf(np.arange(cap + 1), mu)
     seen = np.bincount(counts, minlength=cap + 1)
-    tail = np.minimum(binom.cdf(seen, BLOCK, p), binom.sf(seen - 1, BLOCK, p))
-    assert tail.min() >= norm.sf(5)
+    assert np.all(abs(seen - BLOCK * p) <= 5 * np.sqrt(BLOCK * p * (1 - p)))
 
 
 # the means of test_count_law_within_stated_kolmogorov_bound, and 100, where
@@ -363,9 +376,11 @@ def test_event_counts_follow_poisson(mu):
 def test_event_counts_on_edge_words(mu):
     # a count is the number of thresholds at or below its sample, and the
     # top sample maps to the last entry of the table, not past it
+    top, _ = poisson_cap(mu, simulator.COUNT_TAIL)
+    cdf = np.cumsum(Numerics().poisson_pmf_table(mu, 0, top - 1))
     thresholds = simulator._count_thresholds(mu)
-    counts = _check_invert_on_edge_words(thresholds)
-    assert counts[-1] == len(thresholds) <= poisson_cap(mu, simulator.COUNT_TAIL)[0]
+    counts = _check_invert_on_edge_words(cdf, thresholds)
+    assert counts[-1] == len(thresholds) <= top
 
 
 @pytest.mark.parametrize("mu", [1e-300, 1e-9, 0.5, 7.0, 10.5, 1050.0, 4000.0, simulator.MAX_MEAN])
