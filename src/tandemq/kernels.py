@@ -39,18 +39,19 @@ from .numerics import (
     HIGH_DPS, KernelValue, Numerics, check_time, check_tol, evaluation, poisson_log_cap,
     poisson_tilt,
 )
-from .rates import as_rates, positive_finite
+from .rates import as_rates, positive_finite, rate_ratio
 from .symfunc import _pow
 
 
 def _integers(x, name):
     """x as a tuple of ints.  Accepts integers (numpy's too) and
-    integral floats; raises PreconditionError on any other entry (0.5,
-    nan, inf, a string), which int() would truncate, parse or fail on."""
+    integral floats up to 2^53 in size, past which a float stands for
+    many integers; raises PreconditionError on any other entry (0.5, nan,
+    inf, 1e300, a string), which int() would truncate, parse or fail on."""
     x = tuple(x)
     for v in x:
         integral = isinstance(v, numbers.Integral) or (
-            isinstance(v, numbers.Real) and math.isfinite(v) and v == int(v)
+            isinstance(v, numbers.Real) and abs(v) <= 2**53 and v == int(v)
         )
         if not integral:
             raise PreconditionError(f"{name} entries must be integers, got {v!r}")
@@ -303,16 +304,22 @@ def _h_levels(logf, rel, step, lerr, nm):
 
 def _e_coefficients(nu, nm):
     """(-1)^k e_k(nu_{b+1..a}) nu_a^-k, k = 0..N (0 past a - b), per pair a > b in
-    row-major order, exact over p = nu times a common denominator, then rounded once."""
+    row-major order, exact over p = nu times a common denominator, then rounded once.
+    A coefficient past the double range raises ToleranceNotAchieved with an
+    infinite bound that names the rate ratio, for the caller to restate."""
     exact = [Fraction(v) for v in nu.values]
     den = math.lcm(*(f.denominator for f in exact))
     p = [f.numerator * (den // f.denominator) for f in exact]
     coefs = np.zeros((len(p) * (len(p) - 1) // 2, len(p)), dtype=nm.dtype)
-    for a in range(1, len(p)):
-        e, first = [1], a * (a - 1) // 2  # e times 1 - p_j z for j = a, a - 1, ..., b + 1
-        for b in range(a - 1, -1, -1):
-            e = [x - p[b + 1] * y for x, y in zip(e + [0], [0] + e)]
-            coefs[first + b, : len(e)] = [nm.quotient(v, p[a] ** k) for k, v in enumerate(e)]
+    try:
+        for a in range(1, len(p)):
+            e, first = [1], a * (a - 1) // 2  # e times 1 - p_j z for j = a, a - 1, ..., b + 1
+            for b in range(a - 1, -1, -1):
+                e = [x - p[b + 1] * y for x, y in zip(e + [0], [0] + e)]
+                coefs[first + b, : len(e)] = [nm.quotient(v, p[a] ** k) for k, v in enumerate(e)]
+    except OverflowError:
+        detail = f"e coefficients past the double range at rate ratio {rate_ratio(nu)}"
+        raise ToleranceNotAchieved.from_logs(-math.inf, math.inf, detail) from None
     return coefs
 
 
@@ -429,27 +436,21 @@ def _det_perm_diff(sign, logabs, logcut, logrnd, nm):
 # intertwining weights
 
 
-def chamber_to_departure(z, d, nu, method="determinant"):
+def chamber_to_departure(z, d, nu):
     """Weight kernel from ordered Poisson states to departure vectors:
 
         prod_k nu_k^(d_k - z_k) * det{ h-window(j,N) at z_i - d_j - i + j }.
 
-    Nonnegative; vanishes unless z_N = d_N.  Exact over exact rates.
-    method="gt_sum" is instead prod_k nu_k^(-z_k) times the pattern sum
-    symfunc.gt_sum(z, nu, ledge=d) over the interlacing patterns with
-    shape z and left edge d (same value; independent route)."""
+    Nonnegative; vanishes unless z_N = d_N.  Exact over exact rates.  It
+    equals prod_k nu_k^(-z_k) times the pattern sum symfunc.gt_sum(z, nu,
+    ledge=d) over the interlacing patterns with shape z and left edge d,
+    the independent route that the verify check lambda-two-routes
+    compares it with."""
     nu = as_rates(nu)
     n1 = len(nu)
     z = _check_chamber(z, "z", n1)
     d = _check_chamber(d, "d", n1)
     vals = nu.values
-    if method == "gt_sum":
-        out = symfunc.gt_sum(z, vals, ledge=d)
-        for k in range(n1):
-            out = out * _pow(vals[k], -z[k])
-        return out
-    if method != "determinant":
-        raise PreconditionError(f"unknown method {method!r}")
     if z[-1] != d[-1]:
         return 0
     mat = [

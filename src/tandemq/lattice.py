@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import ToleranceNotAchieved
 from .numerics import MAX_BOX_POINTS, MAX_CAP, poisson_cap, poisson_log_cap, poisson_tilt
+from .rates import rate_ratio
 
 
 def ordered_points(lo, hi):
@@ -95,7 +96,9 @@ def survival_probability(x, t, nu, tol, nm, arrangements=None):
     at y_i <= x_i + poisson_cap(nu_r t, tol/(max(M, 1) (N+1))) - i, and
     the neglected mass is at most M times the (float) sum of those
     tails, which sits just below tol.  A cap past MAX_CAP refuses
-    against tol, with M times that tail as the achieved bound.
+    against tol, with max(M, 1) times that tail as the achieved bound.
+    A rate power nu_r^(+-a_j) past the double range refuses with an
+    infinite bound that names the rate ratio.
 
     The sums take only + - and *, on float64 arrays, or in high
     precision on object arrays of Decimal in the context that
@@ -109,25 +112,29 @@ def survival_probability(x, t, nu, tol, nm, arrangements=None):
     weights, mass = _arrangement_weights(tuple(Fraction(v) for v in nu), places, paired, scale)
     rates = [nm.sum_scalar(r) for r in nu]
     a = [x[j] - j for j in range(n1)]
-    # each weight with the rate power nu_r^-a_i of the level i it sits at
-    factors = {
-        (rs, r): nm.sum_scalar(w) * rates[r] ** -a[n1 - 1 - bin(rs).count("1")]
-        for (rs, r), w in weights.items()
-    }
+    share = max(mass, 1.0)
     try:
-        cuts = [poisson_cap(nm.scalar(r) * nm.scalar(t), tol / max(mass, 1.0) / n1) for r in nu]
+        # each weight with the rate power nu_r^-a_i of the level i it sits at
+        factors = {
+            (rs, r): nm.sum_scalar(w) * rates[r] ** -a[n1 - 1 - bin(rs).count("1")]
+            for (rs, r), w in weights.items()
+        }
+        cuts = [poisson_cap(nm.scalar(r) * nm.scalar(t), tol / share / n1) for r in nu]
+        caps, tail = [cap for cap, _ in cuts], sum(tl for _, tl in cuts)
+        ylo = min(a)
+        tops = [{r: x[i] + caps[r] - i - ylo + 1 for r in places[i]} for i in range(n1)]
+        grid = max(n for top in tops for n in top.values())
+        mlo = ylo - max(a)
+        # cols[r][j][y - ylo] = pmf(nu_r t, y - a_j) nu_r^a_j
+        cols = []
+        for r in range(n1):
+            pmf = nm.poisson_pmf_table(rates[r] * nm.sum_scalar(t), mlo, ylo + grid - 1 - min(a))
+            cols.append([pmf[ylo - a[j] - mlo :][:grid] * rates[r] ** a[j] for j in range(n1)])
     except ToleranceNotAchieved as err:
-        raise err.restated(tol, mass) from None
-    caps, tail = [cap for cap, _ in cuts], sum(tl for _, tl in cuts)
-    ylo = min(a)
-    tops = [{r: x[i] + caps[r] - i - ylo + 1 for r in places[i]} for i in range(n1)]
-    grid = max(n for top in tops for n in top.values())
-    mlo = ylo - max(a)
-    # cols[r][j][y - ylo] = pmf(nu_r t, y - a_j) nu_r^a_j
-    cols = []
-    for r in range(n1):
-        pmf = nm.poisson_pmf_table(rates[r] * nm.sum_scalar(t), mlo, ylo + grid - 1 - min(a))
-        cols.append([pmf[ylo - a[j] - mlo :][:grid] * rates[r] ** a[j] for j in range(n1)])
+        raise err.restated(tol, share) from None
+    except OverflowError:
+        detail = f"rate powers past the double range at rate ratio {rate_ratio(nu)}"
+        raise ToleranceNotAchieved(tol, math.inf, detail) from None
 
     below = {(0, 0): np.ones(grid, dtype=nm.dtype)}
     for i in range(n1 - 1, -1, -1):

@@ -182,14 +182,12 @@ class Numerics:
         """log pmf of Poisson(mu) on integers lo..hi inclusive (-inf for
         k < 0), with log 0! = 0 at mu = 0 (poisson_logpmf).  For 1-D
         arrays mu and hi, one row per mean over lo..max(hi), -inf past the
-        row's own hi."""
+        row's own hi; in high precision mu and hi must be such arrays."""
         if self.high:
-            if np.ndim(mu):
-                out = np.full((len(mu), max(0, max(hi) - lo + 1)), -np.inf, dtype=object)
-                for row, m, h in zip(out, mu, hi):
-                    row[: h - lo + 1] = self.log(self.poisson_pmf_table(m, lo, h))
-                return out
-            return self.log(self.poisson_pmf_table(mu, lo, hi))
+            out = np.full((len(mu), max(0, max(hi) - lo + 1)), -np.inf, dtype=object)
+            for row, m, h in zip(out, mu, hi):
+                row[: h - lo + 1] = self.log(self.poisson_pmf_table(m, lo, h))
+            return out
         start = max(lo, 0)
         if np.ndim(mu):
             top = max(hi)

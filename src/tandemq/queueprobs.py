@@ -16,8 +16,8 @@ from . import lattice
 from .asymptotics import relaxation_rate
 from .errors import PreconditionError, ToleranceNotAchieved
 from .kernels import _check_queue, departure_kernel_stack, queue_to_departures
-from .numerics import KernelValue, check_time, check_tol, evaluation, poisson_cap
-from .rates import _div, as_rates
+from .numerics import MAX_CAP, KernelValue, check_time, check_tol, evaluation, poisson_cap
+from .rates import _div, as_rates, rate_ratio
 from .symfunc import _pow
 
 # kt00_gap_relative starts at rel_tol e^(-g t) (1+t)^(-3/2) times this
@@ -230,7 +230,10 @@ def mm1_kt(q, q2, t, nu, rel_tol=1e-15):
     all Bessel arguments 2 sqrt(nu_0 nu_1) t.  Each term is one exp of a
     sum of logs; the series tail is cut by a geometric bound.  A scaled
     Bessel value below 1e-300 counts as 0 (and 1e-300 in abs_error) where
-    the term stays below 1e-300; elsewhere it raises ToleranceNotAchieved."""
+    the term stays below 1e-300; elsewhere it raises ToleranceNotAchieved.
+    The terms fall only past l = max(x, (nu_1 - nu_0) t), so a series
+    that would run past MAX_CAP terms raises ToleranceNotAchieved too; a
+    rate ratio or mean past the double range raises PreconditionError."""
     from scipy.special import ive
 
     nu = as_rates(nu)
@@ -244,6 +247,10 @@ def mm1_kt(q, q2, t, nu, rel_tol=1e-15):
     lam, mu = nu.as_floats()
     rho, lrho = lam / mu, math.log(lam) - math.log(mu)
     x = 2.0 * math.sqrt(lam * mu) * t
+    if not (rho < math.inf and x < math.inf and (lam + mu) * t < math.inf):
+        raise PreconditionError(f"rate ratio {rate_ratio(nu)} or mean past the double range")
+    if lam != mu and max(x, (mu - lam) * t) > MAX_CAP:
+        raise ToleranceNotAchieved(rel_tol, math.inf, f"Bessel series exceeded {MAX_CAP} terms")
     # e^{-(lam+mu)t} I_l(x) = ive(l, x) * e^{x - (lam+mu)t}, exponent <= 0
     ldamp = x - (lam + mu) * t
     err = 0.0

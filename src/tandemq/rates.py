@@ -89,6 +89,12 @@ class RateVector:
             raise CoincidentRatesError(msg)
 
 
+def rate_ratio(nu):
+    """The largest over the smallest rate, as text for a refusal past the
+    double range."""
+    return f"{max(map(float, nu)):g}/{min(map(float, nu)):g}"
+
+
 def _div(a, b):
     if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
         return Fraction(a, 1) / Fraction(b, 1)

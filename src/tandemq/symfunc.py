@@ -1,7 +1,8 @@
 """Symmetric-function primitives: complete homogeneous and elementary
-sums over index windows, the Gelfand-Tsetlin pattern sum gt_sum (the
-pattern route of both schur and kernels.chamber_to_departure), and Schur
-evaluation by two independent routes (pattern sum vs. ratio of alternants).
+sums over index windows, and the Gelfand-Tsetlin pattern sum gt_sum,
+which is schur and the oracle of kernels.chamber_to_departure.  The
+bialternant form of schur is queueprobs.chamber_harmonic; the verify
+check schur-two-routes compares the two.
 
 Everything here is generic over the scalar type: Fractions give exact
 values, floats give the usual thing.  Conventions throughout:
@@ -13,10 +14,8 @@ values, floats give the usual thing.  Conventions throughout:
 
 import functools
 import itertools
-import math
 from fractions import Fraction
 
-from . import linalg
 from .errors import PreconditionError
 
 
@@ -130,30 +129,12 @@ def gt_sum(shape, alpha, ledge=None):
     return rec(shape)
 
 
-def schur(shape, alpha, method="gt_sum"):
-    """Schur evaluation s_shape(alpha).
+def schur(shape, alpha):
+    """Schur evaluation s_shape(alpha) as the pattern sum gt_sum(shape,
+    alpha): any variables, coincident ones too, exact over Fractions;
+    shapes may have negative entries.  Its bialternant form,
 
-    method "gt_sum" is the pattern sum gt_sum(shape, alpha) (works for
-    any rates, exact over Fractions); "determinant" uses the alternant ratio
+        s_shape(alpha) = omega_alpha(shape) prod_k alpha_k^shape_k / omega_alpha(0)
 
-        det[ alpha_j ** (shape_i - i + N) ] / prod_{i<j} (alpha_i - alpha_j)
-
-    and requires pairwise distinct variables.  Shapes may have negative
-    entries."""
-    shape = tuple(int(x) for x in shape)
-    alpha = tuple(alpha)
-    if len(shape) != len(alpha):
-        raise PreconditionError("shape length must match alphabet size")
-    if method == "gt_sum":
-        return gt_sum(shape, alpha)
-    if method != "determinant":
-        raise PreconditionError(f"unknown method {method!r}")
-    n = len(alpha)
-    den = math.prod(alpha[i] - alpha[j] for i, j in itertools.combinations(range(n), 2))
-    if den == 0:
-        raise PreconditionError("determinant route needs distinct variables; use gt_sum")
-    mat = [[_pow(alpha[j], shape[i] - i + n - 1) for j in range(n)] for i in range(n)]
-    num = linalg.det(mat)
-    if isinstance(num, int):
-        num = Fraction(num)
-    return num / den
+    with omega = queueprobs.chamber_harmonic, needs distinct variables."""
+    return gt_sum(shape, alpha)

@@ -112,16 +112,17 @@ def check_window_convolution(budget, rng):
 
 
 def check_schur_two_routes(budget, rng):
-    """GT-pattern sum and bialternant determinant agree exactly."""
+    """The GT-pattern sum schur and the bialternant agree exactly:
+    s_shape(alpha) = omega_alpha(shape) prod_k alpha_k^shape_k /
+    omega_alpha(0), omega = queueprobs.chamber_harmonic."""
     trials = 8 if budget == "fast" else 20
     bad = 0
     for _ in range(trials):
         n1 = rng.randint(2, 5)
         alpha = _rand_distinct_fractions(rng, n1)
         shape = tuple(sorted((rng.randint(0, 6) for _ in range(n1)), reverse=True))
-        a = symfunc.schur(shape, alpha, method="gt_sum")
-        b = symfunc.schur(shape, alpha, method="determinant")
-        bad += a != b
+        ratio = queueprobs.chamber_harmonic(alpha, shape) / queueprobs.chamber_harmonic(alpha)
+        bad += symfunc.schur(shape, alpha) != ratio * math.prod(a**k for a, k in zip(alpha, shape))
     return CheckResult(
         "schur-two-routes: exact", bad == 0, float(bad), f"{trials} shapes z0<=6, N<=4"
     )
@@ -134,9 +135,9 @@ def check_schur_symmetry(budget, rng):
         n1 = rng.randint(2, 4)
         alpha = _rand_fractions(rng, n1)
         shape = tuple(sorted((rng.randint(0, 5) for _ in range(n1)), reverse=True))
-        base = symfunc.schur(shape, alpha, method="gt_sum")
+        base = symfunc.schur(shape, alpha)
         for perm in itertools.permutations(alpha):
-            bad += symfunc.schur(shape, perm, method="gt_sum") != base
+            bad += symfunc.schur(shape, perm) != base
     return CheckResult(
         "schur-symmetry: exact", bad == 0, float(bad), f"{trials} shapes, all permutations"
     )
@@ -156,7 +157,7 @@ def check_gt_count(budget, rng):
             for i, j in itertools.combinations(range(len(shape)), 2)
         )
         ones = (Fraction(1),) * len(shape)
-        bad += weyl != symfunc.schur(shape, ones, method="gt_sum")
+        bad += weyl != symfunc.schur(shape, ones)
     return CheckResult("gt-count: exact", bad == 0, float(bad), f"{len(shapes)} shapes")
 
 
@@ -242,8 +243,9 @@ def check_queue_inverse(budget, rng):
 
 
 def check_lambda_two_routes(budget, rng):
-    """Determinant and GT-sum evaluations of the chamber-to-departure
-    kernel agree exactly, including structural zeros."""
+    """The chamber-to-departure kernel, a determinant, and prod_k
+    nu_k^(-z_k) times the GT-pattern sum symfunc.gt_sum(z, nu, ledge=d)
+    agree exactly, including structural zeros."""
     trials = 60 if budget == "fast" else 300
     bad = 0
     for _ in range(trials):
@@ -251,9 +253,8 @@ def check_lambda_two_routes(budget, rng):
         nu = _rand_fractions(rng, n1)
         z = tuple(sorted((rng.randint(0, 6) for _ in range(n1)), reverse=True))
         d = tuple(sorted((rng.randint(0, 6) for _ in range(n1)), reverse=True))
-        a = kernels.chamber_to_departure(z, d, nu, method="determinant")
-        b = kernels.chamber_to_departure(z, d, nu, method="gt_sum")
-        bad += a != b
+        a = kernels.chamber_to_departure(z, d, nu)
+        bad += a != symfunc.gt_sum(z, nu, ledge=d) * math.prod(v**-k for v, k in zip(nu, z))
     return CheckResult("lambda-two-routes: exact", bad == 0, float(bad), f"{trials} draws, N<=3")
 
 

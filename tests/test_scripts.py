@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from tandemq import simulator
@@ -76,3 +77,27 @@ def test_sim_calibration_exits_1_from_max_z_five(monkeypatch, capsys, mean, code
     out, err = capsys.readouterr()
     assert out.splitlines()[-1].endswith(f"max |z| {(mean - 0.5) / 0.01:.2f}")
     assert ("reaches 5.0" in err) == bool(code)
+
+
+SPREAD = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.02, 0.98]
+WIDE = [1.0, 2.0] * 5
+
+
+@pytest.mark.parametrize(
+    "parent, change, better, bound, verdict, wins",
+    [
+        (SPREAD, [0.5] * 10, "lower", 0.25, "better", 10),
+        (SPREAD, [1.3 * v for v in SPREAD], "lower", 0.25, "worse", 0),
+        (SPREAD, SPREAD, "lower", 0.25, "no move", 0),
+        (WIDE, WIDE[::-1], "lower", 0.25, "unresolved", 5),
+        # every change run below every parent run: not unresolved, yet the
+        # medians differ by less than the parent's spread
+        (WIDE, [0.9] * 10, "lower", 0.25, "no move", 10),
+        ([1.0] * 10, [0.97] * 10, "higher", 0.02, "worse", 0),
+        ([0.9] * 10, [1.0] * 9 + [0.9], "higher", 0.02, "better", 9),
+    ],
+)
+def test_bench_pairs_summary(parent, change, better, bound, verdict, wins):
+    s = _load_script("bench_pairs.py").summarize(parent, change, better, bound)
+    assert (s["verdict"], s["wins"], s["pairs"]) == (verdict, wins, len(parent))
+    assert (s["parent"], s["change"]) == (np.median(parent), np.median(change))

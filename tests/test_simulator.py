@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.stats import poisson
+from scipy.stats import binom, norm, poisson
 
 from tandemq import simulator
 from tandemq.errors import PreconditionError, ToleranceNotAchieved
@@ -350,21 +350,33 @@ def test_station_draws_thresholds_on_edge_words(fl):
     _check_invert_on_edge_words(cum, simulator._grid(cum))
 
 
+def _smallest_binomial_tail(counts, mu):
+    """The smallest, over the counts 0..cap and any past it, of the
+    smaller one-sided tail of the count's frequency under its binomial
+    law with Poisson(mu) probabilities.  Exact where a count expects far
+    below one sample, where a normal bound is not."""
+    cap, _ = poisson_cap(mu, simulator.COUNT_TAIL)
+    seen = np.bincount(counts, minlength=cap + 1)
+    p = poisson.pmf(np.arange(len(seen)), mu)
+    return np.minimum(binom.cdf(seen, len(counts), p), binom.sf(seen - 1, len(counts), p)).min()
+
+
 @pytest.mark.parametrize("mu", [1e-9, 0.5, 7.0, 10.5, 1050.0])
 def test_event_counts_follow_poisson(mu):
-    # one block's count words, read as the 53-bit uniforms w >> 11 through
-    # stand-in streams: each count's frequency within 5 sigma of its
-    # binomial law, and none past the table.  The block's own byte stream
-    # is checked against the scipy reference in
-    # test_blocks_match_reference_loops.
-    words = simulator._block_streams(31, 0)[0].random_raw(BLOCK)
+    # the counts of block (31, 0), from its own streams: each count's
+    # frequency within a binomial tail of norm.sf(5), and none past the table
     thresholds = simulator._count_thresholds(mu)
-    counts = simulator._invert(thresholds, _stand_in_streams(words >> np.uint64(11), thresholds), BLOCK)
+    counts = simulator._invert(thresholds, simulator._block_streams(31, 0), BLOCK)
     cap, _ = poisson_cap(mu, simulator.COUNT_TAIL)
     assert counts.max() <= len(thresholds) <= cap
-    p = poisson.pmf(np.arange(cap + 1), mu)
-    seen = np.bincount(counts, minlength=cap + 1)
-    assert np.all(abs(seen - BLOCK * p) <= 5 * np.sqrt(BLOCK * p * (1 - p)))
+    assert _smallest_binomial_tail(counts, mu) >= norm.sf(5)
+
+
+def test_event_count_law_check_sees_a_shifted_mean():
+    # the same streams inverted at a mean 1% too high fail the check
+    thresholds = simulator._count_thresholds(1.01 * 1050.0)
+    counts = simulator._invert(thresholds, simulator._block_streams(31, 0), BLOCK)
+    assert _smallest_binomial_tail(counts, 1050.0) < norm.sf(5)
 
 
 # the means of test_count_law_within_stated_kolmogorov_bound, and 100, where

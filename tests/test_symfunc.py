@@ -1,6 +1,8 @@
 """Symmetric-function layer: exact values against brute-force monomial
 enumeration, the window conventions, the Gelfand-Tsetlin pattern sum
-against brute-force pattern enumeration, and the two Schur routes.  Everything here runs over Fractions; no float tolerances."""
+against brute-force pattern enumeration, and schur against its
+bialternant (queueprobs.chamber_harmonic).  Everything here runs over
+Fractions; no float tolerances."""
 
 import itertools
 import math
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tandemq.errors import PreconditionError
+from tandemq.queueprobs import chamber_harmonic
 from tandemq.symfunc import (
     complete_homogeneous,
     elementary,
@@ -246,7 +249,9 @@ def test_schur_two_routes_exact():
             if c not in alpha:
                 alpha.append(c)
         shape = sorted((rng.randint(-3, 6) for _ in range(n1)), reverse=True)
-        assert schur(shape, tuple(alpha), "gt_sum") == schur(shape, tuple(alpha), "determinant")
+        # the bialternant: omega(shape) prod_k alpha_k^shape_k / omega(0)
+        ratio = chamber_harmonic(alpha, shape) / chamber_harmonic(alpha)
+        assert schur(shape, alpha) == ratio * math.prod(a**k for a, k in zip(alpha, shape))
 
 
 def test_schur_negative_base_is_shifted():
@@ -287,11 +292,6 @@ def test_schur_at_ones_is_weyl_dimension():
             for i, j in itertools.combinations(range(len(shape)), 2)
         )
         assert schur(shape, (1,) * len(shape)) == weyl
-
-
-def test_schur_determinant_needs_distinct():
-    with pytest.raises(PreconditionError, match="gt_sum"):
-        schur((1, 0), (2, 2), "determinant")
 
 
 def test_schur_rejects_bad_shape():
