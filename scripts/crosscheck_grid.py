@@ -22,7 +22,6 @@ def main(argv=None):
     ap.add_argument("--t", default="0.25,0.5,1,2,4")
     ap.add_argument("--reps", type=int, default=200_000)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--cap", type=int, default=60, help="uniformization queue cap")
     args = ap.parse_args(argv)
 
     nu = RateVector.loads(args.rates)
@@ -38,7 +37,7 @@ def main(argv=None):
         a = queueprobs.kt00_direct(t, nu, tol=1e-10)
         b = queueprobs.kt00_stationary(t, nu, tol=1e-10)
         g = queueprobs.kt_general(zero, zero, t, nu, tol=1e-10)
-        u = simulator.uniformization_kt(zero, zero, t, nu, args.cap, tol=1e-9)
+        u = simulator.uniformization_kt(zero, zero, t, nu, tol=1e-9)
         cfg = simulator.SimConfig(rates=nu.values, horizon=t, seed=args.seed,
                                   replications=args.reps)
         est = simulator.simulate_queue_prob(zero, zero, cfg=cfg)

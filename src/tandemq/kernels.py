@@ -36,8 +36,8 @@ import numpy as np
 from . import lattice, linalg, symfunc
 from .errors import PreconditionError, ToleranceNotAchieved
 from .numerics import (
-    HIGH_DPS, KernelValue, Numerics, check_time, check_tol, evaluation, poisson_log_cap,
-    poisson_tilt,
+    HIGH_DPS, MAX_BOX_POINTS, KernelValue, Numerics, check_time, check_tol, evaluation,
+    poisson_log_cap, poisson_tilt,
 )
 from .rates import as_rates, positive_finite, rate_ratio
 from .symfunc import _pow
@@ -165,9 +165,14 @@ def departure_kernel_stack(d, d2, count, t, nu, budget, nm):
     last.  One subset recursion (_det_perm_diff) gives the determinants and
     both bounds.  The first lt assumes permanents of unit size; a larger
     one misses the budget, and every cut is then lowered below the worst
-    one by the measured excess."""
+    one by the measured excess.  The entry arrays span the queue contents
+    of d and d2 and the count, over (N+1)^2 entries; past MAX_BOX_POINTS
+    it raises PreconditionError, before numpy sees the ints."""
     nu = as_rates(nu)
     n1, log_budget = len(nu), math.log(budget)
+    span = max(d) - min(d) + max(d2) - min(d2) + count
+    if n1 * n1 * span > MAX_BOX_POINTS:
+        raise PreconditionError(f"queue lengths this far apart need tables past {MAX_BOX_POINTS} entries")
     lt = log_budget - math.log(count * n1 * n1)
     logs, coefs = nm.log(np.array([nm.scalar(v) for v in nu], nm.dtype)), _e_coefficients(nu, nm)
     for _ in range(3):

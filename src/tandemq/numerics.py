@@ -103,10 +103,12 @@ def poisson_logpmf_error(mu, lo, hi, values):
 
 class KernelValue(NamedTuple):
     """Value (a float in double precision, an mpmath.mpf in high) and a
-    certified float bound abs_error on its error.  kt_general's bound
-    covers truncation and float round-off; the other evaluations bound
-    truncation only, and their double-precision round-off is left out
-    (use "high" where cancellation matters)."""
+    certified float bound abs_error on its error.  The bounds of
+    kt_general and simulator.uniformization_kt cover truncation and float
+    round-off; those of the closed forms (kt00_direct, kt00_gap,
+    kt00_stationary), noncrossing_prob and mm1_kt cover truncation only,
+    and their double-precision round-off is left out (use "high" where
+    cancellation matters)."""
 
     value: float
     abs_error: float

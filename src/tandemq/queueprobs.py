@@ -119,24 +119,28 @@ def kt00_gap_relative(t, nu, rel_tol=1e-4, *, precision="double"):
     the measured value, and the returned abs_error is the honest bound
     from the final pass.  A retry at the tolerance just used would repeat
     that pass, so the loop stops there (at the 1e-300 floor) and returns
-    it."""
+    it.  A refusal of a pass is restated against rel_tol, with its
+    achieved bound scaled by the factor that pass missed by."""
     check_tol(rel_tol, "rel_tol")
     check_time(t)
     g = relaxation_rate(nu)
     log_tol = math.log(rel_tol) + math.log(ENVELOPE_MARGIN) - g * t - 1.5 * math.log1p(t)
     tol = min(max(math.exp(log_tol), 1e-300), 1e-12)
-    kv = kt00_gap(t, nu, tol=tol, precision=precision)
-    for _ in range(8):
-        target = abs(float(kv.value)) * rel_tol
-        if kv.value > 0 and kv.abs_error <= target:
-            break
-        # value may itself be noise when the bound dominates; shrinking
-        # the tolerance geometrically still terminates within the cap
-        retry = max(min(tol * 1e-6, target) if target > 0 else tol * 1e-6, 1e-300)
-        if retry == tol:
-            break
-        tol = retry
+    try:
         kv = kt00_gap(t, nu, tol=tol, precision=precision)
+        for _ in range(8):
+            target = abs(float(kv.value)) * rel_tol
+            if kv.value > 0 and kv.abs_error <= target:
+                break
+            # value may itself be noise when the bound dominates; shrinking
+            # the tolerance geometrically still terminates within the cap
+            retry = max(min(tol * 1e-6, target) if target > 0 else tol * 1e-6, 1e-300)
+            if retry == tol:
+                break
+            tol = retry
+            kv = kt00_gap(t, nu, tol=tol, precision=precision)
+    except ToleranceNotAchieved as err:
+        raise err.restated(rel_tol) from None
     return kv
 
 

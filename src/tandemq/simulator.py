@@ -48,18 +48,20 @@ from the packed table in that order.  The queue lengths or positions are
 held in the narrowest integer type that every reachable state fits
 (uint8 for small starts), since an entry moves by at most one per event.
 
-Uniformization steps the law of the queue vector on the box {0..cap}^n
-as one numpy array: every jump of a tandem chain shifts that array along
-one or two axes, so no transition matrix is built.
+Uniformization steps the law of the queue vector on the simplex {|q| <= M},
+M grown until the mass that leaves it is negligible, as one numpy array:
+every jump of a tandem chain is one scatter of ranks, so no matrix is built.
 """
 
 import math
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
+from . import lattice
 from .errors import PreconditionError, ToleranceNotAchieved
 from .kernels import KernelValue, _check_chamber, _check_queue
 from .numerics import MAX_BOX_POINTS, Numerics, check_time, check_tol, poisson_cap
@@ -299,75 +301,101 @@ def simulate_noncrossing(x, cfg=None, jobs=None):
 # uniformization on a truncated queue-length chain
 
 
-def uniformization_kt(q, q2, t, nu, cap, tol=1e-8):
+def uniformization_kt(q, q2, t, nu, cap=None, tol=1e-8):
     """Transient queue-transition probability by uniformization on the
-    chain truncated to the box {0..cap}^n.
+    chain truncated to the simplex {q : |q| <= M}, |q| the number of jobs.
 
-    The law of the queue vector is stepped as an array over the box.
-    One step of the uniformized jump chain keeps stay * v, stay being
-    the chance of a null event (the rate fractions of the idle stations
-    summed), and adds each move's rate fraction times its source slice
-    of v onto its target slice: the arrival, each service that passes a
-    job on, and the departure.  A jump that leaves the box (an arrival
-    at a full first queue, a job passed to a full queue) moves its mass
-    into one absorbing overflow scalar.  The Poisson series over the
-    steps is cut at the 1 - tol/2 quantile, and the overflow mass,
-    weighted like the value, is the leak, so abs_error = tol/2 + leak is
-    a rigorous bound.  Raises when the leak alone exceeds tol/2 (grow
-    the cap)."""
+    M starts at max(|q|, |q2|) + 8 and grows by a factor 1.4, up to cap
+    if given, until the leak and the round-off fit in tol/2.  State z,
+    z_k = q_k + ... + q_(n-1), sits at rank sum_k C(z_k + n-1-k, n-k).  A
+    step at rate Lambda = sum(nu) keeps stay * v, stay the summed p_k =
+    nu_k / Lambda of the idle stations, and adds p_k v at the sources of
+    each move to its targets: the arrival (z_0 + 1), a job passed on by
+    station k < n (z_k + 1), the departure (all z_k - 1); an arrival at
+    |q| = M is lost to an overflow.  The steps' Poisson series is cut at
+    its 1 - tol/2 quantile, K the last step, and the overflow weighted
+    like the value is the leak: abs_error = tol/2 + leak + round-off.
+    Refuses past tol at M = cap or at the last M within MAX_BOX_POINTS
+    states (a first M past them is a PreconditionError).
+
+    Round-off, in units u = 2^-53 (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 3: a product of factors 1 + theta_a and
+    1 + theta_b is 1 + theta_(a+b), |theta_m| <= gamma_m = m u/(1 - m u),
+    below 1.01 m u for every m here).  Every operation adds or multiplies
+    nonnegative numbers, so every error is relative.  Each p_k is its
+    exact rational rounded once, and stay sums those of the idle stations
+    I.  A state receives at most n + 1 - |I| moves (a move onto it fills
+    the queue of a busy station, or is the departure), so its new entry
+    adds at most n + 2 - |I| terms in turn: the stay term after |I| + 1
+    roundings and each move after 2.  Every term of a step is its exact
+    term times 1 + theta_(n+3), and by induction over the paths every
+    entry after j steps is the exact truncated law times
+    1 + theta_(j(n+3)).  The value adds w_j v_j(q2) over j <= K, each
+    product after one rounding and at most K + 1 - j additions, so within
+    1 + theta_(K(n+3)+2); the weight w_j is off by c_j units: its log by
+    Numerics.poisson_logpmf_error, the mean Lambda t, rounded at most
+    three times, by 4 |j - Lambda t|, and exp by one.  The exact value
+    being at most 1, the value is within gamma_(K(n+3)+2) + 2u sum_j w_j
+    c_j, the 2 covering second-order terms.  The leak, made the same way
+    with one sum over at most S states, two more accumulations and one
+    more rounding of p_0, is within a factor 1 + theta_(K(n+5) + S +
+    max c_j + 4) of its exact value, which it reaches when multiplied by
+    1 + 2 gamma.  Underflow adds at most 2^-1074 per operation, fewer
+    than 2^50 of them in all, inside the 1e-300 that the bound adds."""
     nu = as_rates(nu)
     n = nu.n_stations
-    if not isinstance(cap, numbers.Integral):
-        raise PreconditionError(f"cap must be an int, got {cap!r}")
-    q = _check_queue(q, n, "q")
-    q2 = _check_queue(q2, n, "q2")
-    if max(q) > cap or max(q2) > cap:
-        raise PreconditionError("queue entries must not exceed the truncation cap")
-    if (cap + 1) ** n > MAX_BOX_POINTS:
-        raise PreconditionError(
-            f"the box {{0..{cap}}}^{n} has {(cap + 1) ** n} states, more than {MAX_BOX_POINTS}"
-        )
+    if cap is not None and not isinstance(cap, numbers.Integral):
+        raise PreconditionError(f"cap must be an int or None, got {cap!r}")
+    q, q2 = _check_queue(q, n, "q"), _check_queue(q2, n, "q2")
+    m, cap = max(sum(q), sum(q2)), math.inf if cap is None else cap
+    if m > cap:
+        raise PreconditionError(f"|q| and |q2| must not exceed the cap {cap}, got {m}")
+    m = min(m + 8, cap)
+    if math.comb(m + n, n) > MAX_BOX_POINTS:
+        raise PreconditionError(f"the box |q| <= {m} has {math.comb(m + n, n)} states, over {MAX_BOX_POINTS}")
     check_time(t)
     check_tol(tol)
-    fl = nu.as_floats()
-    lam = float(sum(fl))
-    p = [f / lam for f in fl]
-
-    def at(cuts):
-        # the index of the box that takes cuts[k] on axis k, all elsewhere
-        return tuple(cuts.get(k, slice(None)) for k in range(n))
-
-    up, down = slice(1, None), slice(0, cap)
-    # (target, source, p) of each move and (source, p) of each spill;
-    # the service at station k acts on queue k-1
-    moves = [(at({0: up}), at({0: down}), p[0])]
-    spills = [(at({0: cap}), p[0])]
-    for k in range(1, n):
-        moves.append((at({k - 1: down, k: up}), at({k - 1: up, k: down}), p[k]))
-        spills.append((at({k - 1: up, k: cap}), p[k]))
-    moves.append((at({n - 1: down}), at({n - 1: up}), p[n]))
-    stay = np.zeros((cap + 1,) * n)
-    for k in range(n):
-        stay[at({k: 0})] += p[k + 1]
-    mu = lam * float(t)
+    rates = [Fraction(v if isinstance(v, numbers.Rational) else float(v)) for v in nu]
+    p, mu = [float(r / sum(rates)) for r in rates], float(sum(rates)) * float(t)
     try:
         n_terms, _ = poisson_cap(mu, tol / 2)
     except ToleranceNotAchieved as err:
         raise err.restated(tol, 1.0) from None
-    weights = Numerics().poisson_pmf_table(mu, 0, n_terms)
-    v = np.zeros((cap + 1,) * n)
-    v[q] = 1.0
-    acc = 0.0
-    leak = 0.0
-    over = 0.0
-    for w in weights:
-        acc += w * v[q2]
-        leak += w * over
-        over += sum(pk * v[src].sum() for src, pk in spills)
-        new = stay * v
-        for dst, src, pk in moves:
-            new[dst] += pk * v[src]
-        v = new
-    if leak > tol / 2:
-        raise ToleranceNotAchieved(tol, tol / 2 + leak, f"truncation cap {cap} leaks mass")
-    return KernelValue(float(acc), tol / 2 + float(leak))
+    logs = Numerics().poisson_logpmf_table(mu, 0, n_terms)
+    weights, u = np.exp(logs), 1.01 * 2.0**-53
+    c = Numerics().poisson_logpmf_error(mu, 0, n_terms, logs) + 4 * abs(np.arange(n_terms + 1) - mu) + 1
+    roundoff = u * (n_terms * (n + 3) + 2 + 2 * float(weights @ c)) + 1e-300
+    while True:
+        z = lattice.ordered_points([0] * n, [m] * n)[::-1]
+        binom = np.eye(1, n + 1, dtype=np.int64).repeat(m + 1, axis=0)  # [x, j]: C(x + j - 1, j)
+        for j in range(1, n + 1):
+            binom[1:, j] = np.cumsum(binom[1:, j - 1])
+        column = np.arange(n, 0, -1)
+        busy = z > np.column_stack((z[:, 1:], np.zeros(len(z), dtype=z.dtype)))
+        stay = np.where(busy, 0.0, p[1:]).sum(axis=1)
+        # (targets, sources, p_k) of each move: station k serves queue k - 1
+        moves = []
+        for k, src in enumerate(map(np.flatnonzero, [z[:, 0] < m, *busy.T])):
+            moved = z[src] - 1 if k == n else z[src] + np.eye(1, n, k, dtype=int)
+            moves.append((binom[moved, column].sum(1), src, p[k]))
+        spill = np.flatnonzero(z[:, 0] == m)
+        start, target = binom[np.cumsum([q[::-1], q2[::-1]], axis=1)[:, ::-1], column].sum(1)
+        v = np.eye(1, len(z), start).ravel()
+        acc = leak = over = 0.0
+        for w in weights:
+            acc += w * v[target]
+            leak += w * over
+            over += p[0] * v[spill].sum()
+            new = stay * v
+            for dst, src, pk in moves:
+                new[dst] += pk * v[src]
+            v = new
+        leak = float(leak) * (1 + 2 * u * (n_terms * (n + 5) + len(z) + float(c.max()) + 4))
+        if leak + roundoff <= tol / 2:
+            return KernelValue(float(acc), tol / 2 + leak + roundoff)
+        grown = min(-(-7 * m // 5), cap)
+        if grown == m or math.comb(grown + n, n) > MAX_BOX_POINTS or roundoff > tol / 2:
+            leaks = f"the box |q| <= {m} ({len(z)} states) leaks {leak:.3g}, round-off {roundoff:.3g}"
+            limits = f"M at most the cap {cap}, at most {MAX_BOX_POINTS} states"
+            raise ToleranceNotAchieved(tol, tol / 2 + leak + roundoff, f"{leaks}; {limits}")
+        m = grown

@@ -8,6 +8,7 @@ import math
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -26,6 +27,7 @@ CALLS = {
     "kt00_gap_relative-powers": lambda: kt00_gap_relative(20, (1e-300, 2, 1e300)),
     "kt_general-e-coefficients": lambda: kt_general((3, 2, 3), (1, 0, 1), 1, (2, 1e300, 1e300, 1)),
     "kt_general-queue-1e300": lambda: kt_general((1e300, 1), (3, 3), 1, (7.5, 0.5, 3)),
+    "kt_general-queue-10**300": lambda: kt_general((10**300, 1), (3, 3), 1, (7.5, 0.5, 3)),
     "kt00_gap_relative-zero-mass": lambda: kt00_gap_relative(20, (1e-300, 1e300)),
     "mm1_kt-ratio": lambda: mm1_kt(1, 0, 0.5, (1e300, 1e-300)),
     "mm1_kt-long-series": lambda: mm1_kt(3, 0, 5, (2, 1e300)),
@@ -36,7 +38,20 @@ COMMANDS = {
         "kt", "--rates", "2,1e300,1e300,1", "--q", "3,2,3", "--q2", "1,0,1", "--t", "1",
     ],
     "relaxation-zero-mass": ["relaxation", "--rates", "1e-300,1e300", "--t", "20"],
+    "kt-queue-10**300": [
+        "kt", "--rates", "7.5,0.5,3", "--q", f"{10**300},1", "--q2", "3,3", "--t", "1",
+    ],
 }
+
+# a refusal names the caller's tolerance, not an internal share of it
+# (kt00_gap_relative's first pass asks for 1e-300 here); rel_tol is 1e-4
+NAMED_TOL = {
+    "kt00_gap_relative-powers": "0.0001",
+    "kt00_gap_relative-zero-mass": "0.0001",
+    "relaxation-zero-mass": "0.0001",
+}
+# these refuse before any table is built
+FAST_S = {"kt_general-queue-10**300": 0.1}
 
 
 def _alarm(signum, frame):
@@ -47,9 +62,13 @@ def _alarm(signum, frame):
 def test_call_meets_contract(name):
     previous = signal.signal(signal.SIGALRM, _alarm)
     signal.alarm(DEADLINE_S)
+    start = time.perf_counter()
     try:
         kv = CALLS[name]()
-    except TandemError:
+    except TandemError as err:
+        assert time.perf_counter() - start < FAST_S.get(name, DEADLINE_S)
+        if name in NAMED_TOL:
+            assert f"requested tolerance {NAMED_TOL[name]}," in str(err)
         return
     finally:
         signal.alarm(0)
@@ -69,3 +88,5 @@ def test_command_meets_contract(name):
     )
     assert r.returncode in (0, 2, 3)
     assert "Traceback" not in r.stderr
+    if name in NAMED_TOL:
+        assert f"requested tolerance {NAMED_TOL[name]}," in r.stderr

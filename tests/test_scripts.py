@@ -26,7 +26,7 @@ def run_script(name, *args):
 
 
 def test_crosscheck_grid():
-    r = run_script("crosscheck_grid.py", "--t", "0.5,2", "--reps", "20000", "--cap", "30")
+    r = run_script("crosscheck_grid.py", "--t", "0.5,2", "--reps", "20000")
     assert r.returncode == 0, r.stderr
     assert "departure-sum" in r.stdout.splitlines()[1]
     assert "largest spread across deterministic routes" in r.stdout

@@ -573,11 +573,12 @@ def test_uniformization_leak_raises():
 
 
 def _dense_generator(nu, cap):
-    """Generator of the queue chain on {0..cap}^n, written out state by
-    state, with one absorbing overflow state (the last) that takes every
-    jump out of the box."""
+    """Generator of the queue chain on the simplex {|q| <= cap}, written
+    out state by state, with one absorbing overflow state (the last) that
+    takes every arrival at |q| = cap."""
     n = len(nu) - 1
-    index = {s: i for i, s in enumerate(itertools.product(range(cap + 1), repeat=n))}
+    states = [s for s in itertools.product(range(cap + 1), repeat=n) if sum(s) <= cap]
+    index = {s: i for i, s in enumerate(states)}
     over = len(index)
     gen = np.zeros((over + 1, over + 1))
     for s, i in index.items():
@@ -598,15 +599,16 @@ def _dense_generator(nu, cap):
 @pytest.mark.parametrize(
     "nu, cap, q, q2, t, solves",
     [
-        ((1, 2, 3), 14, (1, 0), (0, 1), 0.5, True),
-        ((2, 1.5, 3), 16, (0, 2), (1, 0), 0.4, True),
+        ((1, 2, 3), 14, (2, 1), (3, 3), 0.5, True),
+        ((2, 1.5, 3), 16, (1, 2), (4, 4), 0.4, True),
         ((1, 3), 5, (4,), (0,), 0.5, False),
-        ((1, 2, 3), 4, (2, 3), (0, 0), 0.5, False),
-        ((1, 2, 3, 4), 3, (1, 2, 3), (0, 0, 0), 0.3, False),
+        ((1, 2, 3), 4, (2, 1), (0, 0), 0.5, False),
+        ((1, 2, 3, 4), 3, (1, 1, 1), (0, 0, 0), 0.3, False),
     ],
 )
 def test_uniformization_matches_dense_generator(nu, cap, q, q2, t, solves):
-    # the starts near the cap make the spills at full queues carry mass
+    # each cap is at most max(|q|, |q2|) + 8, where M starts, so the box
+    # is {|q| <= cap}; the starts near it make the overflow carry mass
     from scipy.linalg import expm
 
     gen, index, over = _dense_generator(nu, cap)
@@ -622,22 +624,45 @@ def test_uniformization_matches_dense_generator(nu, cap, q, q2, t, solves):
         assert abs(err.value.achieved - tol / 2 - row[over]) <= tol / 2
 
 
+def test_uniformization_refuses_at_a_small_cap_naming_the_box():
+    # M starts at 8 and may grow only to 9, where 6e-6 of the mass leaks
+    with pytest.raises(ToleranceNotAchieved) as err:
+        uniformization_kt((0, 0), (0, 0), 2.0, (1, 2, 4), 9, tol=1e-9)
+    assert "the box |q| <= 9 (55 states) leaks 6e-06" in str(err.value)
+    assert err.value.achieved > 1e-9
+    # without the cap M grows until the leak fits
+    assert uniformization_kt((0, 0), (0, 0), 2.0, (1, 2, 4), tol=1e-9).abs_error <= 1e-9
+    # but no box certifies less than the round-off
+    with pytest.raises(ToleranceNotAchieved, match="round-off"):
+        uniformization_kt((0, 0), (0, 0), 2.0, (1, 2, 4), tol=1e-16)
+
+
+def test_uniformization_five_stations():
+    # an empty start at N=5: M grows 8, 12, 17, where the box holds 26334 states
+    nu = (1, 2.825, 2.394, 3.425, 2.922, 2.339)
+    kv = uniformization_kt((0,) * 5, (0,) * 5, 1.0, nu, tol=1e-10)
+    assert abs(kv.value - 0.3803926389873456) <= kv.abs_error <= 1e-10
+
+
 def test_uniformization_time_zero():
     got = uniformization_kt((2,), (2,), 0.0, (1, 2), 10, tol=1e-10)
     assert got.value == pytest.approx(1.0, abs=1e-10)
 
 
 def test_uniformization_refuses_oversized_box_without_allocating():
+    # M starts at 400 + 8, and C(411, 3) passes MAX_BOX_POINTS
+    assert math.comb(411, 3) > simulator.MAX_BOX_POINTS
     tracemalloc.start()
     try:
         with pytest.raises(PreconditionError, match="states"):
-            uniformization_kt((0, 0, 0), (0, 0, 0), 1.0, (1, 2, 3, 4), 10**6)
+            uniformization_kt((400, 0, 0), (0, 0, 0), 1.0, (1, 2, 3, 4), 10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
-    # verify's largest box, N=3 at cap 80, is below the limit
-    assert 81**3 <= simulator.MAX_BOX_POINTS
+    # a cap is only an upper limit: on a small problem a huge one returns
+    kv = uniformization_kt((0, 0, 0), (0, 0, 0), 1.0, (1, 2, 3, 4), 10**6)
+    assert kv.abs_error <= 1e-8
 
 
 def test_uniformization_rejects_state_beyond_cap():
